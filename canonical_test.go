@@ -301,7 +301,7 @@ func TestGoldenConfigHashes(t *testing.T) {
 	path := filepath.Join("results", "golden", "config_hashes.json")
 	got := map[string]string{}
 	for _, name := range []string{"default", "clustered"} {
-		for _, seed := range goldenSeeds {
+		for _, seed := range goldenSeeds[name] {
 			cfg := goldenConfigs(seed)[name]
 			h, err := cfg.Hash()
 			if err != nil {

@@ -30,7 +30,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fixtures under res
 
 // goldenConfigs are the pinned configurations: A is the paper's default
 // context at a small size; B stresses the alternate code paths (clustered
-// locations, Pareto traffic, hub costs, heuristic seeding).
+// locations, Pareto traffic, hub costs, heuristic seeding); "large" is the
+// default context at n = 64, where the evaluator runs the heap kernel.
 func goldenConfigs(seed int64) map[string]Config {
 	small := OptimizerSpec{PopulationSize: 24, Generations: 20}
 	return map[string]Config{
@@ -53,10 +54,21 @@ func goldenConfigs(seed int64) map[string]Config {
 				SeedWithHeuristics: true,
 			},
 		},
+		"large": {
+			NumPoPs:     64,
+			Seed:        seed,
+			Parallelism: 1,
+			Optimizer:   OptimizerSpec{PopulationSize: 20, Generations: 8},
+		},
 	}
 }
 
-var goldenSeeds = []int64{1, 2, 3}
+// goldenSeeds lists the pinned seeds of each golden configuration.
+var goldenSeeds = map[string][]int64{
+	"default":   {1, 2, 3},
+	"clustered": {1, 2, 3},
+	"large":     {1, 2},
+}
 
 func goldenPath(name string, seed int64) string {
 	return filepath.Join("results", "golden", fmt.Sprintf("%s_seed%d.json", name, seed))
@@ -65,8 +77,8 @@ func goldenPath(name string, seed int64) string {
 // TestGoldenGenerate regenerates every pinned (config, seed) pair and
 // byte-compares the JSON export against the checked-in fixture.
 func TestGoldenGenerate(t *testing.T) {
-	for _, name := range []string{"default", "clustered"} {
-		for _, seed := range goldenSeeds {
+	for _, name := range []string{"default", "clustered", "large"} {
+		for _, seed := range goldenSeeds[name] {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				cfg := goldenConfigs(seed)[name]
 				nw, err := Generate(cfg)
@@ -106,7 +118,17 @@ func TestGoldenGenerate(t *testing.T) {
 // fixtures encode: the same config at Parallelism 4 must export the same
 // bytes as the checked-in Parallelism-1 fixture.
 func TestGoldenStableAcrossParallelism(t *testing.T) {
-	cfg := goldenConfigs(1)["default"]
+	testGoldenAtParallelism4(t, "default")
+}
+
+// TestGoldenLargeStableAcrossParallelism is the same check for the n = 64
+// fixture, where the GA's evaluation fan-out spreads work over clones.
+func TestGoldenLargeStableAcrossParallelism(t *testing.T) {
+	testGoldenAtParallelism4(t, "large")
+}
+
+func testGoldenAtParallelism4(t *testing.T, name string) {
+	cfg := goldenConfigs(1)[name]
 	cfg.Parallelism = 4
 	nw, err := Generate(cfg)
 	if err != nil {
@@ -116,7 +138,7 @@ func TestGoldenStableAcrossParallelism(t *testing.T) {
 	if err := nw.Export(&buf, ExportJSON); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(goldenPath("default", 1))
+	want, err := os.ReadFile(goldenPath(name, 1))
 	if err != nil {
 		t.Skipf("golden fixture missing: %v", err)
 	}
