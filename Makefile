@@ -39,15 +39,14 @@ examples:
 # path regressed into allocating, so fail fast on TestZeroAlloc.
 bench-smoke:
 	$(GO) test ./internal/cost -run TestZeroAlloc -count=1
-	$(GO) run ./cmd/coldbench -trials 4 -n 16 -pop 24 -gens 12 -json BENCH_COLD.json ensemble breeding bases csr
+	$(GO) run ./cmd/coldbench -trials 4 -n 16 -pop 24 -gens 12 -json BENCH_COLD.json ensemble breeding csr
 
-# Short fuzzing smoke on the evaluator equivalence targets (CI runs this;
-# crank -fuzztime locally for a real session). Corpora live under
-# internal/cost/testdata/fuzz/.
+# Short fuzzing smoke on the evaluator's kernel-equivalence target and the
+# validation distances (CI runs this; crank -fuzztime locally for a real
+# session). The evaluator corpus lives under internal/cost/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzDijkstraEquivalence -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzEvaluateDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzDistances -fuzztime $(FUZZTIME)
 
 # Ensemble-scale validation smoke: the determinism/self-comparison pins

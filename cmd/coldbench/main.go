@@ -8,8 +8,8 @@
 //	coldbench all
 //
 // Experiments: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8a fig8b fig9
-// brute context routers dijkstra csr bases extras ensemble breeding
-// validate all.
+// brute context routers dijkstra csr extras ensemble breeding validate
+// all.
 // Figures 5–7 share one sweep, as do 8b and 9, so requesting several of
 // them together reuses the runs.
 package main
@@ -58,10 +58,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	names := fs.Args()
 	if len(names) == 0 {
-		return fmt.Errorf("no experiment given; try: coldbench all (options: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8a fig8b fig9 brute context routers dijkstra csr bases extras ensemble breeding validate)")
+		return fmt.Errorf("no experiment given; try: coldbench all (options: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8a fig8b fig9 brute context routers dijkstra csr extras ensemble breeding validate)")
 	}
 	if len(names) == 1 && names[0] == "all" {
-		names = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "brute", "context", "routers", "dijkstra", "csr", "bases", "extras", "ensemble", "breeding", "validate"}
+		names = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "brute", "context", "routers", "dijkstra", "csr", "extras", "ensemble", "breeding", "validate"}
 	}
 
 	// Telemetry instruments the experiments that run through the public
@@ -160,8 +160,6 @@ func run(args []string, stdout io.Writer) error {
 			tables = []*experiments.Table{experiments.DijkstraKernels(o)}
 		case "csr":
 			tables = []*experiments.Table{experiments.CSRHotPath(o)}
-		case "bases":
-			tables = []*experiments.Table{experiments.Bases(o)}
 		case "extras":
 			tables = []*experiments.Table{experiments.ExtraFeatures(0, o)}
 		case "ensemble":
@@ -248,10 +246,6 @@ func newBenchRecord(name string, o experiments.Options, elapsed time.Duration, b
 		"cache_hits":   after.Eval.CacheHits - before.Eval.CacheHits,
 		"cache_misses": after.Eval.CacheMisses - before.Eval.CacheMisses,
 		"full_sweeps":  after.Eval.FullSweeps - before.Eval.FullSweeps,
-		"delta_evals":  after.Eval.DeltaEvals - before.Eval.DeltaEvals,
-		"base_hits":    after.Eval.BaseHits - before.Eval.BaseHits,
-		"base_misses":  after.Eval.BaseMisses - before.Eval.BaseMisses,
-		"base_evict":   after.Eval.BaseEvictions - before.Eval.BaseEvictions,
 		"csr_builds":   after.Eval.CSRBuilds - before.Eval.CSRBuilds,
 	}
 	any := false

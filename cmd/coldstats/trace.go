@@ -5,7 +5,7 @@ package main
 // coldd writes per job under -trace-dir. It groups events into runs and
 // prints, per run, the phase-timing breakdown of every replica, a GA
 // convergence summary (best cost vs generation, diversity, elite
-// survival), and the evaluator counter rollups.
+// survival), and the evaluator counter rollup.
 
 import (
 	"bufio"
@@ -20,10 +20,12 @@ import (
 	"github.com/networksynth/cold/internal/telemetry"
 )
 
-// traceEvent is the union of every trace-event payload, tolerant of both
-// schema v1 and v2 (v2 adds run_id on run_start/run_end). Field names are
-// unique across event types except where events deliberately share them
-// (replica, dur_ns, replicas), so one struct decodes every line.
+// traceEvent is the union of every trace-event payload, tolerant of schema
+// v1 through v3 (v2 adds run_id on run_start/run_end; v3 drops run_end's
+// incremental-evaluation counters, which older traces still carry and this
+// decoder ignores). Field names are unique across event types except where
+// events deliberately share them (replica, dur_ns, replicas), so one struct
+// decodes every line.
 type traceEvent struct {
 	V     int    `json:"v"`
 	Event string `json:"event"`
@@ -63,16 +65,11 @@ type traceEvent struct {
 	Err   string  `json:"err"`
 
 	// run_end
-	BusyNs        int64             `json:"busy_ns"`
-	Utilization   float64           `json:"utilization"`
-	CacheHits     uint64            `json:"cache_hits"`
-	CacheMisses   uint64            `json:"cache_misses"`
-	FullSweeps    uint64            `json:"full_sweeps"`
-	DeltaEvals    uint64            `json:"delta_evals"`
-	Fallbacks     map[string]uint64 `json:"fallbacks"`
-	BaseHits      uint64            `json:"base_hits"`
-	BaseMisses    uint64            `json:"base_misses"`
-	BaseEvictions uint64            `json:"base_evictions"`
+	BusyNs      int64   `json:"busy_ns"`
+	Utilization float64 `json:"utilization"`
+	CacheHits   uint64  `json:"cache_hits"`
+	CacheMisses uint64  `json:"cache_misses"`
+	FullSweeps  uint64  `json:"full_sweeps"`
 }
 
 // traceReplica accumulates one replica's events within a run.
@@ -265,27 +262,10 @@ func printEvaluator(w io.Writer, end *traceEvent) {
 	lookups := end.CacheHits + end.CacheMisses
 	fmt.Fprintf(w, "  evaluator: %d cost lookups", lookups)
 	if lookups > 0 {
-		fmt.Fprintf(w, " — cache hit %.1f%%, delta %.1f%% of misses, %d full sweeps",
-			100*float64(end.CacheHits)/float64(lookups),
-			100*pct(end.DeltaEvals, end.CacheMisses), end.FullSweeps)
+		fmt.Fprintf(w, " — cache hit %.1f%%, %d full sweeps",
+			100*float64(end.CacheHits)/float64(lookups), end.FullSweeps)
 	}
 	fmt.Fprintln(w)
-	if bases := end.BaseHits + end.BaseMisses; bases > 0 {
-		fmt.Fprintf(w, "  routing bases: hit %.1f%% of %d requests, %d evictions\n",
-			100*float64(end.BaseHits)/float64(bases), bases, end.BaseEvictions)
-	}
-	if len(end.Fallbacks) > 0 {
-		reasons := make([]string, 0, len(end.Fallbacks))
-		for r := range end.Fallbacks {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		fmt.Fprintf(w, "  delta fallbacks:")
-		for _, r := range reasons {
-			fmt.Fprintf(w, " %s=%d", r, end.Fallbacks[r])
-		}
-		fmt.Fprintln(w)
-	}
 }
 
 // printConvergence prints mean best-cost / diversity / elite-survival
@@ -380,12 +360,4 @@ func ns(v int64) time.Duration {
 	default:
 		return d.Round(10 * time.Nanosecond)
 	}
-}
-
-// pct is a safe ratio: 0 when the denominator is 0.
-func pct(num, den uint64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
 }

@@ -154,6 +154,74 @@ func TestParseTrace(t *testing.T) {
 	})
 }
 
+// TestTraceSchemaVersions pins the reader's schema window across the v3
+// bump, which dropped run_end's incremental-evaluation counters.
+func TestTraceSchemaVersions(t *testing.T) {
+	noDeltaRollup := func(t *testing.T, report string) {
+		t.Helper()
+		for _, gone := range []string{"delta", "routing bases", "fallbacks"} {
+			if strings.Contains(report, gone) {
+				t.Errorf("report mentions %q:\n%s", gone, report)
+			}
+		}
+	}
+
+	t.Run("v2 with delta counters", func(t *testing.T) {
+		// Recorded at n=64 by a release that still had the incremental
+		// path: its run_end carries delta_evals, fallbacks, base_* and
+		// base_distance.
+		path := filepath.Join("testdata", "trace_v2.jsonl")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`"v":2,"event":"run_end"`)) || !bytes.Contains(data, []byte(`"base_distance"`)) {
+			t.Fatalf("%s is not a v2 trace with delta counters", path)
+		}
+		runs, _, err := parseTrace(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 1 || runs[0].end == nil || runs[0].end.FullSweeps != 252 || runs[0].end.CacheHits != 76 {
+			t.Fatalf("v2 run_end parsed wrong: %+v", runs)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"trace", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "cache hit 23.8%, 252 full sweeps") {
+			t.Errorf("v2 evaluator rollup missing:\n%s", out.String())
+		}
+		noDeltaRollup(t, out.String())
+	})
+
+	t.Run("v3", func(t *testing.T) {
+		path := recordTrace(t, "", 2)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`{"v":3,"event":"run_end"`)) {
+			t.Fatalf("recorded trace is not schema v3:\n%s", data)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"trace", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "full sweeps") {
+			t.Errorf("v3 evaluator rollup missing:\n%s", out.String())
+		}
+		noDeltaRollup(t, out.String())
+	})
+
+	t.Run("v4 rejected", func(t *testing.T) {
+		_, _, err := parseTrace(strings.NewReader(`{"v":4,"event":"run_start"}`))
+		if err == nil || !strings.Contains(err.Error(), "unsupported trace schema v4") {
+			t.Fatalf("err = %v, want unsupported schema v4", err)
+		}
+	})
+}
+
 // TestTraceUsageErrors: the subcommand rejects missing files and no args.
 func TestTraceUsageErrors(t *testing.T) {
 	var out bytes.Buffer

@@ -256,9 +256,8 @@ type Network struct {
 	History []float64
 
 	// Eval snapshots the context evaluator's counters at the moment this
-	// network was materialized: memoization hits/misses, full versus
-	// incremental evaluations, delta fallbacks by reason, and the selected
-	// shortest-path kernel. Counter values are not part of the determinism
+	// network was materialized: memoization hits/misses, full sweeps, CSR
+	// snapshots and the selected shortest-path kernel. Counter values are not part of the determinism
 	// contract (see EvalStats) and are excluded from ExportJSON.
 	Eval EvalStats
 

@@ -302,28 +302,6 @@ type runner struct {
 	// weights are the parent-selection weights (1/cost) of the current
 	// generation, rebuilt by prepBreeding and read-only during fan-out.
 	weights []float64
-
-	// lineage[slot] records how the current offspring at slot was derived
-	// from the previous generation, so evaluate can route small edits
-	// through cost.Evaluator.CostDelta. Nil when the evaluator's delta
-	// path is off. bred marks the lineage valid (set by breed, false for
-	// the initial population).
-	lineage     []lineage
-	bred        bool
-	deltaBudget int
-
-	// evaluate scratch for the per-slot delta-eligibility flags.
-	evalGroup  []bool
-	groupCount []int
-}
-
-// lineage ties an offspring to the parent it was derived from and the edge
-// edits between them. parentIdx < 0 means no usable lineage (elite copies,
-// offspring that drifted past the delta edge budget, or identical twins).
-type lineage struct {
-	parentIdx int32
-	parent    *graph.Graph
-	changed   []graph.Edge
 }
 
 // breedScratch holds the per-goroutine buffers offspring construction
@@ -350,13 +328,6 @@ func newRunner(e *cost.Evaluator, s Settings, seed uint64) *runner {
 		for i := 1; i < s.Parallelism; i++ {
 			ga.workers[i] = e.Clone()
 		}
-	}
-	if e.DeltaEnabled() {
-		ga.lineage = make([]lineage, s.PopulationSize)
-		for i := range ga.lineage {
-			ga.lineage[i].parentIdx = -1
-		}
-		ga.deltaBudget = e.DeltaEdgeBudget()
 	}
 	return ga
 }
@@ -471,74 +442,23 @@ func (ga *runner) breed(gen int, pop []*graph.Graph, costs []float64, next []*gr
 	ga.prepBreeding(costs)
 	elite := min(ga.s.NumSaved, len(pop))
 	copy(next[:elite], pop[:elite])
-	for slot := 0; slot < elite && ga.lineage != nil; slot++ {
-		ga.lineage[slot].parentIdx = -1 // elite are verbatim; memo cache hits
-	}
 	mutEnd := elite + ga.s.NumMutation
 	ga.forSlots(elite, len(next), func(slot int, sc *breedScratch) {
 		rng := ga.stream(gen, slot)
-		var child *graph.Graph
-		var pi int
 		if slot < mutEnd {
-			child, pi = ga.mutate(pop, &rng, sc)
+			next[slot] = ga.mutate(pop, &rng, sc)
 		} else {
-			child, pi = ga.crossover(pop, costs, &rng, sc)
+			next[slot] = ga.crossover(pop, costs, &rng, sc)
 		}
-		next[slot] = child
-		ga.recordLineage(slot, pop, pi, child)
 	})
-	ga.bred = ga.lineage != nil
-}
-
-// recordLineage remembers (for the upcoming evaluate) that next[slot] was
-// derived from pop[pi], along with the edge edits between them — but only
-// when the edit is small enough for the evaluator's delta path to accept.
-// Each fan-out goroutine writes only its own slot.
-func (ga *runner) recordLineage(slot int, pop []*graph.Graph, pi int, child *graph.Graph) {
-	if ga.lineage == nil {
-		return
-	}
-	lin := &ga.lineage[slot]
-	lin.parentIdx = -1
-	lin.parent = nil
-	if pi < 0 {
-		return
-	}
-	parent := pop[pi]
-	if d := parent.DiffCount(child); d == 0 || d > ga.deltaBudget {
-		return
-	}
-	lin.parentIdx = int32(pi)
-	lin.parent = parent
-	lin.changed = parent.Diff(child, lin.changed[:0])
 }
 
 // evaluate computes the cost of every member of pop. With workers it chunks
 // the population across goroutines; costs land at their population index,
-// so the result is identical to the serial loop. When the evaluator's delta
-// path is on and lineage is valid, offspring route through CostDelta —
-// which returns values bit-identical to Cost, so the choice changes speed
-// only. Slots are visited in plain index order: the evaluator's multi-base
-// routing cache retains recent parents (elites persist across generations)
-// and picks the nearest one per offspring, which subsumed the old
-// sibling-sorted evaluation order.
+// so the result is identical to the serial loop.
 func (ga *runner) evaluate(pop []*graph.Graph) []float64 {
 	costs := make([]float64, len(pop))
 	ga.evals += uint64(len(pop))
-	eligible := ga.deltaEligible(len(pop))
-	eval := func(ev *cost.Evaluator, i int) {
-		if eligible != nil {
-			// Take the delta path when the priming sweep amortizes over
-			// siblings, or for a lone offspring whose lineage parent —
-			// or any other base — is already retained from an earlier
-			// evaluation.
-			if lin := &ga.lineage[i]; lin.parentIdx >= 0 && (eligible[i] || ev.HasBaseNear(pop[i])) {
-				costs[i] = ev.CostDelta(lin.parent, pop[i], lin.changed)
-				return
-			}
-		}
-		costs[i] = ev.Cost(pop[i])
-	}
 	if w := len(ga.workers); w > 1 && len(pop) > 1 {
 		nw := min(w, len(pop))
 		chunk := (len(pop) + nw - 1) / nw
@@ -553,7 +473,7 @@ func (ga *runner) evaluate(pop []*graph.Graph) []float64 {
 			go func(ev *cost.Evaluator, lo, hi int) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					eval(ev, i)
+					costs[i] = ev.Cost(pop[i])
 				}
 			}(ga.workers[k], lo, hi)
 		}
@@ -561,52 +481,15 @@ func (ga *runner) evaluate(pop []*graph.Graph) []float64 {
 		return costs
 	}
 	for i := range pop {
-		eval(ga.e, i)
+		costs[i] = ga.e.Cost(pop[i])
 	}
 	return costs
 }
 
-// deltaEligible returns a per-slot flag marking offspring whose parent has
-// at least two delta-eligible children this generation — priming a
-// parent's shortest-path state costs a full sweep, so for a lone child the
-// delta path only pays off when a retained base already covers it
-// (evaluate checks HasBaseNear for those). Returns nil when lineage is
-// unusable (initial population, delta path off).
-func (ga *runner) deltaEligible(m int) []bool {
-	if !ga.bred || len(ga.lineage) < m {
-		return nil
-	}
-	if cap(ga.groupCount) < m {
-		ga.groupCount = make([]int, m)
-		ga.evalGroup = make([]bool, m)
-	}
-	counts := ga.groupCount[:m]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		if pi := ga.lineage[i].parentIdx; pi >= 0 {
-			counts[pi]++
-		}
-	}
-	eligible := ga.evalGroup[:m]
-	for i := 0; i < m; i++ {
-		pi := ga.lineage[i].parentIdx
-		eligible[i] = pi >= 0 && counts[pi] >= 2
-	}
-	return eligible
-}
-
 // crossover creates one offspring: tournament-pick b candidates, keep the
 // best a as parents, then copy each potential link from a parent chosen
-// with probability inversely proportional to its cost. The second return is
-// the population index of whichever tournament parent ends up *nearest*
-// the child by edge-set difference — the lineage base for delta evaluation
-// (crossover children often drift past the edge budget, in which case
-// recordLineage drops them; picking the closer parent keeps the ones that
-// inherited most links from a single parent within it). The comparison
-// consumes no randomness, so it cannot change the offspring themselves.
-func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG, sc *breedScratch) (*graph.Graph, int) {
+// with probability inversely proportional to its cost.
+func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG, sc *breedScratch) *graph.Graph {
 	a, b := ga.s.TournamentA, ga.s.TournamentB
 	if b > len(pop) {
 		b = len(pop)
@@ -636,21 +519,13 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 		}
 	}
 	child.Connect(ga.e.Dist())
-	best, bestD := parents[0], child.DiffCount(pop[parents[0]])
-	for _, pi := range parents[1:] {
-		if d := child.DiffCount(pop[pi]); d < bestD {
-			best, bestD = pi, d
-		}
-	}
-	return child, best
+	return child
 }
 
 // mutate creates one offspring by mutating a parent chosen with probability
 // inversely proportional to cost (weights prepared by prepBreeding),
-// applying either a link mutation or a node mutation (§4.1.2). The second
-// return is the parent's population index, the lineage base for delta
-// evaluation.
-func (ga *runner) mutate(pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) (*graph.Graph, int) {
+// applying either a link mutation or a node mutation (§4.1.2).
+func (ga *runner) mutate(pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) *graph.Graph {
 	pi := stats.WeightedIndex(ga.weights, rng)
 	child := pop[pi].Clone()
 	if rng.Float64() < ga.s.NodeMutationProb {
@@ -659,7 +534,7 @@ func (ga *runner) mutate(pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) (
 		ga.linkMutation(child, rng, sc)
 	}
 	child.Connect(ga.e.Dist())
-	return child, pi
+	return child
 }
 
 // linkMutation removes m+ existing links and adds m− absent links, both

@@ -249,7 +249,7 @@ func TestMutationPreservesConnectivity(t *testing.T) {
 	sc := ga.scratches[0]
 	for i := 0; i < 200; i++ {
 		rng := ga.stream(1, i)
-		child, _ := ga.mutate(pop, &rng, sc)
+		child := ga.mutate(pop, &rng, sc)
 		if !child.IsConnected() {
 			t.Fatal("mutation produced disconnected child after repair")
 		}
@@ -265,7 +265,7 @@ func TestCrossoverPreservesConnectivity(t *testing.T) {
 	sc := ga.scratches[0]
 	for i := 0; i < 200; i++ {
 		rng := ga.stream(1, i)
-		child, _ := ga.crossover(pop, costs, &rng, sc)
+		child := ga.crossover(pop, costs, &rng, sc)
 		if !child.IsConnected() {
 			t.Fatal("crossover produced disconnected child after repair")
 		}
@@ -287,7 +287,7 @@ func TestCrossoverOfIdenticalParentsIsParent(t *testing.T) {
 	sc := ga.scratches[0]
 	for i := 0; i < 20; i++ {
 		rng := ga.stream(1, i)
-		child, _ := ga.crossover(pop, costs, &rng, sc)
+		child := ga.crossover(pop, costs, &rng, sc)
 		if !child.Equal(base) {
 			t.Fatal("crossover of identical parents changed the graph")
 		}

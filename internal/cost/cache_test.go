@@ -82,12 +82,12 @@ func TestCloneSharesCache(t *testing.T) {
 	if got := clone.Cost(g.Clone()); got != c {
 		t.Fatalf("clone cost %v, original %v", got, c)
 	}
-	hits, misses := e.CacheStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("want 1 hit (clone) and 1 miss (original), got %d/%d", hits, misses)
+	st := e.Stats()
+	if st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Fatalf("want 1 hit (clone) and 1 miss (original), got %d/%d", st.CacheHits, st.CacheMisses)
 	}
-	ch, cm := clone.CacheStats()
-	if ch != hits || cm != misses {
+	cs := clone.Stats()
+	if cs.CacheHits != st.CacheHits || cs.CacheMisses != st.CacheMisses {
 		t.Fatal("clone must report the shared cache's stats")
 	}
 }
@@ -98,9 +98,9 @@ func TestSetCacheLimitZeroDisables(t *testing.T) {
 	g := cacheRandGraph(10, 0.3, e.Dist(), rand.New(rand.NewSource(6)))
 	e.Cost(g)
 	e.Cost(g)
-	hits, misses := e.CacheStats()
-	if hits != 0 || misses != 2 {
-		t.Fatalf("disabled cache: want 0 hits / 2 misses, got %d/%d", hits, misses)
+	st := e.Stats()
+	if st.CacheHits != 0 || st.CacheMisses != 2 {
+		t.Fatalf("disabled cache: want 0 hits / 2 misses, got %d/%d", st.CacheHits, st.CacheMisses)
 	}
 }
 

@@ -11,11 +11,9 @@
 // Options.HeapThreshold), accumulates link loads along shortest-path trees
 // in O(n) per source, reuses scratch buffers, and memoizes results by graph
 // hash (GA populations converge, so identical candidates recur constantly).
-// For the GA's small edits (single-link mutations) the incremental
-// CostDelta/EvaluateDelta path re-runs Dijkstra only from sources whose
-// shortest-path tree can be affected, with distance-bound pruning, and
-// falls back to the full sweep otherwise — again bit-identical to the full
-// evaluation (the equivalence test suite enforces all of this).
+// Every evaluation that misses the memo is one full all-sources sweep over
+// a pooled CSR snapshot of the candidate; the equivalence test suite
+// enforces that both kernels agree bit for bit.
 package cost
 
 import (
@@ -137,13 +135,9 @@ type Evaluator struct {
 
 	n int
 
-	// Resolved Options: which Dijkstra kernel runs and whether the
-	// incremental delta path is live.
-	opts        Options
-	useHeap     bool
-	deltaOn     bool
-	deltaBudget int
-	maxBases    int
+	// Resolved Options: which Dijkstra kernel runs.
+	opts    Options
+	useHeap bool
 
 	// dflat is the traffic matrix flattened to n² (dflat[s*n+d] ==
 	// tm.Demand[s][d]), built once and shared (immutably) with Clones so
@@ -153,16 +147,14 @@ type Evaluator struct {
 
 	// Dijkstra scratch.
 	dj struct {
-		dist     []float64
-		parent   []int32
-		done     []bool
-		order    []int32
-		acc      []float64
-		load     []float64    // n×n flattened link loads
-		hnodes   []int32      // heap kernel: node storage
-		hpos     []int32      // heap kernel: position index
-		affected []bool       // delta path: per-source recompute marks
-		diff     []graph.Edge // delta path: edge-diff scratch
+		dist   []float64
+		parent []int32
+		done   []bool
+		order  []int32
+		acc    []float64
+		load   []float64 // n×n flattened link loads
+		hnodes []int32   // heap kernel: node storage
+		hpos   []int32   // heap kernel: position index
 	}
 
 	// csr is the flat-memory snapshot of the graph being evaluated: the
@@ -177,19 +169,6 @@ type Evaluator struct {
 		cols     []int32   // neighbor of each directed edge slot
 		weights  []float64 // dist[i][cols[k]] for each slot, aligned with cols
 	}
-
-	// delta is the retained base cache of the incremental path (see
-	// delta.go). Per-Evaluator, never shared across Clones.
-	delta deltaState
-
-	// Adaptive prime-on-miss policy state (delta.go): in-budget delta
-	// attempts and how many ran incrementally. When declines dominate,
-	// CostDelta stops spending priming sweeps on base misses. Per-Evaluator
-	// like the base cache (so no synchronization), and deliberately separate
-	// from the telemetry counters, which stay purely passive. Both candidate
-	// paths are bit-identical, so the policy can never change results.
-	deltaTried uint64
-	deltaWon   uint64
 
 	// Memoized costs keyed by graph hash, verified against a stored clone
 	// to rule out collisions. Shared (and safe to share) across Clones.
@@ -207,7 +186,7 @@ type Evaluator struct {
 const DefaultCacheLimit = 1 << 16
 
 // NewEvaluator builds an evaluator for a context with default Options
-// (heap kernel and delta path on Auto). dist must be an n×n symmetric
+// (heap kernel on Auto). dist must be an n×n symmetric
 // matrix of PoP distances and tm an n-PoP traffic matrix.
 func NewEvaluator(dist [][]float64, tm *traffic.Matrix, params Params) (*Evaluator, error) {
 	return NewEvaluatorOptions(dist, tm, params, Options{})
@@ -215,7 +194,7 @@ func NewEvaluator(dist [][]float64, tm *traffic.Matrix, params Params) (*Evaluat
 
 // NewEvaluatorOptions is NewEvaluator with explicit evaluation Options.
 // Every Options setting returns bit-identical results; Options trade only
-// speed and memory, and tests use them to force specific code paths.
+// speed, and tests use them to force a specific kernel.
 func NewEvaluatorOptions(dist [][]float64, tm *traffic.Matrix, params Params, opts Options) (*Evaluator, error) {
 	n := len(dist)
 	if tm.N() != n {
@@ -246,10 +225,13 @@ func NewEvaluatorOptions(dist [][]float64, tm *traffic.Matrix, params Params, op
 func (e *Evaluator) setOptions(opts Options) {
 	e.opts = opts
 	e.useHeap = opts.Heap.enabled(e.n, opts.heapThreshold())
-	e.deltaOn = opts.Delta.enabled(e.n, opts.deltaThreshold())
-	e.deltaBudget = opts.deltaEdgeBudget()
-	e.maxBases = opts.maxBases()
 }
+
+// Options returns the evaluator's resolved evaluation options.
+func (e *Evaluator) Options() Options { return e.opts }
+
+// UsesHeap reports whether the heap Dijkstra kernel is selected.
+func (e *Evaluator) UsesHeap() bool { return e.useHeap }
 
 func (e *Evaluator) initScratch() {
 	n := e.n
@@ -263,9 +245,6 @@ func (e *Evaluator) initScratch() {
 	if e.useHeap {
 		e.dj.hnodes = make([]int32, 0, n)
 		e.dj.hpos = make([]int32, n)
-	}
-	if e.deltaOn {
-		e.dj.affected = make([]bool, n)
 	}
 }
 
@@ -306,13 +285,6 @@ func (e *Evaluator) Dist() [][]float64 { return e.dist }
 // Traffic returns the traffic matrix.
 func (e *Evaluator) Traffic() *traffic.Matrix { return e.tm }
 
-// CacheStats reports memoization hits and misses since construction,
-// summed over the evaluator and all its Clones (they share one cache).
-//
-// Deprecated: use Stats, which also reports sweep, delta and fallback
-// counters.
-func (e *Evaluator) CacheStats() (hits, misses uint64) { return e.cache.stats() }
-
 // SetCacheLimit overrides the cache reset threshold for the evaluator and
 // all its Clones. A limit of zero disables memoization.
 func (e *Evaluator) SetCacheLimit(limit int) { e.cache.setLimit(limit) }
@@ -336,12 +308,20 @@ func (e *Evaluator) Cost(g *graph.Graph) float64 {
 	return c
 }
 
+// CostDelta returns Cost(g); base and changed are ignored.
+//
+// Deprecated: the incremental evaluation path this entry point served no
+// longer exists — over whole GA runs it was no faster than full sweeps.
+// The method remains so that code written against earlier releases,
+// perfbench among it, still compiles. Use Cost.
+func (e *Evaluator) CostDelta(base, g *graph.Graph, changed []graph.Edge) float64 { return e.Cost(g) }
+
 // computeCost is the uncached fast path: routes, accumulates loads, sums
 // the objective. It does not materialize per-edge slices.
 func (e *Evaluator) computeCost(g *graph.Graph) float64 {
 	span := e.startSpan()
 	var c float64
-	if !e.routeAndLoad(g, nil, false) {
+	if !e.routeAndLoad(g, nil) {
 		c = math.Inf(1)
 	} else {
 		c = e.sumCost()
@@ -354,9 +334,9 @@ func (e *Evaluator) computeCost(g *graph.Graph) float64 {
 // hub term, walking the CSR snapshot (which must hold the graph whose loads
 // fill e.dj.load — every caller routes through fillCSR first). The edge
 // lengths come pre-resolved from csr.weights, the iteration order matches
-// the old bitset walk (ascending i, ascending j within each row), and both
-// the full sweep and the delta path finish through this one accumulation,
-// so their totals are bit-identical whenever the loads are.
+// the old bitset walk (ascending i, ascending j within each row), and
+// fillBreakdown mirrors it term for term, so Evaluate(g).Total == Cost(g)
+// exactly.
 func (e *Evaluator) sumCost() float64 {
 	p := e.params
 	var linkCost float64
@@ -433,12 +413,7 @@ func (e *Evaluator) Evaluate(g *graph.Graph) *Evaluation {
 		Parent:   make([][]int32, n),
 	}
 	ev.Routing = rt
-	// When the delta path is live, record the per-source tables so a
-	// following EvaluateDelta can re-route incrementally from this graph.
-	ev.Connected = e.routeAndLoad(g, rt, e.deltaOn)
-	if e.deltaOn {
-		e.delta.finishRecord(e, g, ev.Connected)
-	}
+	ev.Connected = e.routeAndLoad(g, rt)
 	if !ev.Connected {
 		ev.Total = math.Inf(1)
 		return ev
@@ -490,19 +465,14 @@ func (e *Evaluator) fillBreakdown(ev *Evaluation, g *graph.Graph) {
 // extraction. In that mode all n sources are visited even when the graph
 // turns out disconnected — callers such as failure simulation want the
 // partial tables — whereas with rt == nil the sweep aborts on the first
-// unreachable source. When record is set, the per-source tables are also
-// copied into the delta state (the caller then finishes the recording with
-// deltaState.finishRecord).
-func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing, record bool) bool {
+// unreachable source.
+func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 	e.counters.fullSweeps.Inc()
 	n := e.n
 	e.fillCSR(g)
 	load := e.dj.load
 	for i := range load {
 		load[i] = 0
-	}
-	if record {
-		e.delta.ensure(n)
 	}
 	connected := true
 	for s := 0; s < n; s++ {
@@ -511,11 +481,8 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing, record bool) bool 
 			rt.PathDist[s] = append([]float64(nil), e.dj.dist[:n]...)
 			rt.Parent[s] = append([]int32(nil), e.dj.parent[:n]...)
 		}
-		if record {
-			e.delta.copyFromScratch(e, s)
-		}
 		if reached != n {
-			if rt == nil && !record {
+			if rt == nil {
 				return false
 			}
 			connected = false
@@ -534,9 +501,6 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing, record bool) bool 
 // finalizes nodes in increasing distance order, so walking the finalization
 // order backwards visits every node after all of its tree descendants. Each
 // unordered pair {s,d} is accounted once, at its lower-indexed endpoint.
-// The full sweep and the delta path both accumulate through this helper in
-// ascending source order, which keeps their floating-point sums
-// bit-identical.
 //
 // order must be exactly the finalized prefix of a Dijkstra run — order[:count]
 // with count the kernel's return value — and every caller must have verified

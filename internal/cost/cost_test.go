@@ -249,9 +249,9 @@ func TestCostCache(t *testing.T) {
 	if c1 != c2 {
 		t.Fatalf("cache returned different cost: %v vs %v", c1, c2)
 	}
-	hits, misses := e.CacheStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache stats = %d hits, %d misses; want 1, 1", hits, misses)
+	st := e.Stats()
+	if st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Fatalf("cache stats = %d hits, %d misses; want 1, 1", st.CacheHits, st.CacheMisses)
 	}
 }
 
@@ -264,8 +264,7 @@ func TestCostCacheDisabled(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("uncached costs differ")
 	}
-	hits, _ := e.CacheStats()
-	if hits != 0 {
+	if e.Stats().CacheHits != 0 {
 		t.Fatal("disabled cache recorded hits")
 	}
 }
@@ -340,6 +339,39 @@ func TestCliqueMinimizesRouteCost(t *testing.T) {
 		g := randomConnected(rng, 10, 0.3, e.Dist())
 		if e.RouteCost(g) < cliqueRC-1e-9 {
 			t.Fatal("some topology beat the clique's route cost")
+		}
+	}
+}
+
+// TestCostDeltaMatchesCost pins the deprecated compatibility surface that
+// older callers (perfbench among them) still compile against: CostDelta is
+// Cost whatever base and changed list it is handed — memoized, +Inf for a
+// disconnected graph — and Stats reports no delta evaluations and no
+// fallbacks.
+func TestCostDeltaMatchesCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(1000))
+	for seed := int64(0); seed < 8; seed++ {
+		n := 6 + rng.Intn(30)
+		e := randomContext(t, n, DefaultParams(), seed)
+		ref := randomContext(t, n, DefaultParams(), seed)
+		base := randomConnected(rng, n, 0.3, e.Dist())
+		child := base.Clone()
+		child.SetEdge(0, n-1, !child.HasEdge(0, n-1))
+		for _, changed := range [][]graph.Edge{{{I: 0, J: n - 1}}, nil} {
+			if got, want := e.CostDelta(base, child, changed), ref.Cost(child); got != want {
+				t.Fatalf("seed %d: CostDelta %v != Cost %v", seed, got, want)
+			}
+		}
+		iso := graph.New(n)
+		if c := e.CostDelta(base, iso, nil); !math.IsInf(c, 1) {
+			t.Fatalf("seed %d: disconnected CostDelta = %v, want +Inf", seed, c)
+		}
+		st := e.Stats()
+		if st.CacheHits != 1 || st.CacheMisses != 2 {
+			t.Fatalf("seed %d: CostDelta must share Cost's memo: %d hits, %d misses", seed, st.CacheHits, st.CacheMisses)
+		}
+		if st.DeltaEvals != 0 || st.Fallbacks.Total() != 0 {
+			t.Fatalf("seed %d: deprecated counters = %d/%d, want 0/0", seed, st.DeltaEvals, st.Fallbacks.Total())
 		}
 	}
 }

@@ -1,18 +1,16 @@
 package cost
 
-// Cross-implementation equivalence harness: the linear-scan Dijkstra, the
-// indexed-heap Dijkstra and the incremental delta path must agree BIT FOR
-// BIT on every output — total cost, per-link capacities, distances, parents
-// — across randomized graphs and every GA edit kind. No tolerances: the
-// memo cache and the determinism guarantees both assume the kernels are
-// interchangeable, so any drift is a bug.
+// Cross-implementation equivalence harness: the linear-scan and the
+// indexed-heap Dijkstra must agree BIT FOR BIT on every output — total
+// cost, per-link capacities, distances, parents — across randomized graphs.
+// No tolerances: the memo cache and the determinism guarantees both assume
+// the kernels are interchangeable, so any drift is a bug.
 
 import (
 	"math/rand"
 	"testing"
 
 	"github.com/networksynth/cold/internal/geom"
-	"github.com/networksynth/cold/internal/graph"
 	"github.com/networksynth/cold/internal/traffic"
 )
 
@@ -105,162 +103,5 @@ func TestHeapLinearEquivalence(t *testing.T) {
 	}
 	if cases < 100 {
 		t.Fatalf("only %d randomized cases, want >= 100", cases)
-	}
-}
-
-// gaEdit applies one GA-style edit to g and returns the changed edge set
-// (as base.Diff(child)). kind 0 = link mutation (geometric-ish add/remove
-// counts), kind 1 = node mutation (collapse a non-leaf into a leaf hung off
-// its nearest core node), kind 2 = single-link toggle.
-func gaEdit(rng *rand.Rand, base *graph.Graph, dist [][]float64, kind int, repair bool) (*graph.Graph, []graph.Edge) {
-	n := base.N()
-	child := base.Clone()
-	switch kind {
-	case 0:
-		removals, additions := rng.Intn(3), rng.Intn(3)
-		es := child.Edges()
-		rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
-		for i := 0; i < removals && i < len(es); i++ {
-			child.RemoveEdge(es[i].I, es[i].J)
-		}
-		for k := 0; k < additions; k++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if i != j {
-				child.AddEdge(i, j)
-			}
-		}
-	case 1:
-		core := child.CoreNodes()
-		if len(core) >= 2 {
-			v := core[rng.Intn(len(core))]
-			var nearest int = -1
-			for _, h := range core {
-				if h != v && (nearest < 0 || dist[v][h] < dist[v][nearest]) {
-					nearest = h
-				}
-			}
-			for _, u := range child.Neighbors(v, nil) {
-				child.RemoveEdge(v, u)
-			}
-			child.AddEdge(v, nearest)
-		}
-	default:
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i != j {
-			child.SetEdge(i, j, !child.HasEdge(i, j))
-		}
-	}
-	if repair {
-		child.Connect(dist)
-	}
-	return child, base.Diff(child, nil)
-}
-
-// TestCostDeltaMatchesCost: for randomized (base, child) pairs produced by
-// every GA edit kind, CostDelta must return the bit-exact value of a fresh
-// full evaluation — under both Dijkstra kernels, with the delta path forced
-// on so small contexts exercise it too.
-func TestCostDeltaMatchesCost(t *testing.T) {
-	cases := 0
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		n := 6 + rng.Intn(30)
-		heapSwitch := ForceOff
-		if seed%2 == 1 {
-			heapSwitch = ForceOn
-		}
-		ev := optionsContext(t, n, seed, Options{Heap: heapSwitch, Delta: ForceOn})
-		ref := optionsContext(t, n, seed, Options{Heap: heapSwitch, Delta: ForceOff})
-		base := randomConnected(rng, n, 0.3, ev.Dist())
-		for trial := 0; trial < 6; trial++ {
-			child, changed := gaEdit(rng, base, ev.Dist(), trial%3, trial%2 == 0)
-			got := ev.CostDelta(base, child, changed)
-			want := ref.Cost(child)
-			if got != want && !(got != got && want != want) { // NaN-safe exact compare
-				t.Fatalf("seed %d n %d trial %d: CostDelta %v != Cost %v (%d changed)",
-					seed, n, trial, got, want, len(changed))
-			}
-			// A wrong changed list must degrade to a correct full sweep.
-			if got := ev.CostDelta(base, child, nil); got != want {
-				t.Fatalf("seed %d trial %d: CostDelta with empty diff %v != %v", seed, trial, got, want)
-			}
-			cases++
-		}
-	}
-	if cases < 100 {
-		t.Fatalf("only %d randomized cases, want >= 100", cases)
-	}
-}
-
-// TestEvaluateDeltaWalkMatchesEvaluate: a long random walk of small edits
-// — the delta state advancing step by step, including through disconnected
-// graphs and oversized edits that force full-sweep fallbacks — must stay
-// bit-identical to fresh full evaluations throughout.
-func TestEvaluateDeltaWalkMatchesEvaluate(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(2000 + seed))
-		n := 8 + rng.Intn(25)
-		ev := optionsContext(t, n, seed, Options{Delta: ForceOn})
-		ref := optionsContext(t, n, seed, Options{Delta: ForceOff})
-		g := randomConnected(rng, n, 0.3, ev.Dist())
-		if got := ev.Evaluate(g); got == nil {
-			t.Fatal("nil evaluation")
-		}
-		for step := 0; step < 40; step++ {
-			child, changed := gaEdit(rng, g, ev.Dist(), step%3, step%4 != 3)
-			sameEvaluation(t, "delta walk", ev.EvaluateDelta(child, changed), ref.Evaluate(child))
-			g = child
-		}
-	}
-}
-
-// TestDeltaEverySingleLinkToggle: for every possible single-link add and
-// remove on a set of base graphs, EvaluateDelta must match a fresh full
-// Evaluate bit for bit — the exhaustive version of the walk test, covering
-// tree-edge removals (all sources affected), tie flips and disconnections.
-func TestDeltaEverySingleLinkToggle(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(3000 + seed))
-		n := 7 + rng.Intn(8)
-		ev := optionsContext(t, n, seed, Options{Delta: ForceOn})
-		ref := optionsContext(t, n, seed, Options{Delta: ForceOff})
-		base := randomConnected(rng, n, 0.35, ev.Dist())
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				child := base.Clone()
-				child.SetEdge(i, j, !child.HasEdge(i, j))
-				changed := []graph.Edge{{I: i, J: j}}
-				// Re-seed the state on the base each time so every toggle
-				// tests base→child, not a chain.
-				ev.Evaluate(base)
-				sameEvaluation(t, "single toggle", ev.EvaluateDelta(child, changed), ref.Evaluate(child))
-				if c := ev.CostDelta(base, child, changed); c != ref.Cost(child) {
-					t.Fatalf("seed %d toggle {%d,%d}: CostDelta %v != Cost %v", seed, i, j, c, ref.Cost(child))
-				}
-			}
-		}
-	}
-}
-
-// TestDeltaStateSurvivesFallbacks: interleave delta evaluations with full
-// evaluations of unrelated graphs and verify the next delta step is still
-// exact — the retained state must never go stale silently.
-func TestDeltaStateSurvivesFallbacks(t *testing.T) {
-	rng := rand.New(rand.NewSource(4000))
-	const n = 20
-	ev := optionsContext(t, n, 9, Options{Delta: ForceOn})
-	ref := optionsContext(t, n, 9, Options{Delta: ForceOff})
-	g := randomConnected(rng, n, 0.3, ev.Dist())
-	ev.Evaluate(g)
-	for step := 0; step < 30; step++ {
-		if step%5 == 4 {
-			// Unrelated full evaluation re-bases the retained state.
-			other := randomConnected(rng, n, 0.5, ev.Dist())
-			ev.Evaluate(other)
-			g = other
-		}
-		child, changed := gaEdit(rng, g, ev.Dist(), step%3, true)
-		sameEvaluation(t, "fallback interleave", ev.EvaluateDelta(child, changed), ref.Evaluate(child))
-		g = child
 	}
 }

@@ -1,10 +1,9 @@
 package cost
 
 // Kernel benchmarks behind the Options.HeapThreshold default: the linear
-// scan wins small-n, the heap wins large sparse-n, and the delta path beats
-// both on GA-style single-link edits. Run with:
+// scan wins small-n, the heap wins large sparse-n. Run with:
 //
-//	go test ./internal/cost -run '^$' -bench 'Evaluate(Linear|Heap|Delta)' -benchtime 3x
+//	go test ./internal/cost -run '^$' -bench 'Evaluate(Linear|Heap)' -benchtime 3x
 
 import (
 	"fmt"
@@ -23,7 +22,7 @@ func benchGraph(e *Evaluator, n int) *graph.Graph {
 }
 
 func benchEvaluate(b *testing.B, n int, heap Switch) {
-	e := optionsContext(b, n, 1, Options{Heap: heap, Delta: ForceOff})
+	e := optionsContext(b, n, 1, Options{Heap: heap})
 	g := benchGraph(e, n)
 	if e.CostUncached(g) == 0 {
 		b.Fatal("zero cost")
@@ -43,90 +42,6 @@ func BenchmarkEvaluateLinear(b *testing.B) {
 func BenchmarkEvaluateHeap(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(sizeName(n), func(b *testing.B) { benchEvaluate(b, n, ForceOn) })
-	}
-}
-
-// BenchmarkEvaluateDelta measures CostDelta on single-link-toggled children
-// of a fixed primed base — the GA's same-parent sibling pattern (the
-// priming sweep is paid once, outside the loop).
-func BenchmarkEvaluateDelta(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(sizeName(n), func(b *testing.B) {
-			e := optionsContext(b, n, 1, Options{Delta: ForceOn})
-			base := benchGraph(e, n)
-			rng := rand.New(rand.NewSource(9))
-			const kids = 16
-			children := make([]*graph.Graph, kids)
-			diffs := make([][]graph.Edge, kids)
-			for k := range children {
-				child := base.Clone()
-				i, j := rng.Intn(n), rng.Intn(n)
-				for i == j {
-					j = rng.Intn(n)
-				}
-				child.SetEdge(i, j, !child.HasEdge(i, j))
-				children[k] = child
-				diffs[k] = base.Diff(child, nil)
-			}
-			e.CostDelta(base, children[0], diffs[0]) // prime outside the timer
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i % kids
-				e.CostDelta(base, children[k], diffs[k])
-			}
-		})
-	}
-}
-
-// BenchmarkEvaluateDeltaCrossover measures CostDelta on crossover-shaped
-// traffic: children alternate between two parents more than twice the edge
-// budget apart, so with one retained base every parent switch forces a
-// priming sweep (the pre-PR behavior) while the multi-base cache keeps
-// both parents primed. Compare maxBases1 vs maxBases4 for the before/after.
-func BenchmarkEvaluateDeltaCrossover(b *testing.B) {
-	for _, maxBases := range []int{1, 4} {
-		for _, n := range benchSizes {
-			b.Run(fmt.Sprintf("maxBases%d/%s", maxBases, sizeName(n)), func(b *testing.B) {
-				e := optionsContext(b, n, 1, Options{Delta: ForceOn, MaxBases: maxBases})
-				pa := benchGraph(e, n)
-				rng := rand.New(rand.NewSource(9))
-				pb := pa.Clone()
-				for pb.DiffCount(pa) <= 2*e.DeltaEdgeBudget()+1 {
-					i, j := rng.Intn(n), rng.Intn(n)
-					if i != j {
-						pb.SetEdge(i, j, !pb.HasEdge(i, j))
-					}
-					pb.Connect(e.Dist())
-				}
-				const kids = 16
-				parents := make([]*graph.Graph, kids)
-				children := make([]*graph.Graph, kids)
-				diffs := make([][]graph.Edge, kids)
-				for k := range children {
-					parent := pa
-					if k%2 == 1 {
-						parent = pb
-					}
-					child := parent.Clone()
-					i, j := rng.Intn(n), rng.Intn(n)
-					for i == j {
-						j = rng.Intn(n)
-					}
-					child.SetEdge(i, j, !child.HasEdge(i, j))
-					child.Connect(e.Dist())
-					parents[k] = parent
-					children[k] = child
-					diffs[k] = parent.Diff(child, nil)
-				}
-				e.CostDelta(pa, children[0], diffs[0]) // prime pa outside the timer
-				e.CostDelta(pb, children[1], diffs[1]) // prime pb outside the timer
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k := i % kids
-					e.CostDelta(parents[k], children[k], diffs[k])
-				}
-			})
-		}
 	}
 }
 

@@ -1,17 +1,15 @@
 package cost
 
-// Fuzz targets for the evaluator's equivalence guarantees. Both targets
-// decode arbitrary bytes into a context + graph(s) and assert the
-// bit-identity contracts that the rest of the system (memo cache, GA
-// determinism, golden fixtures) depends on:
+// Fuzz target for the evaluator's equivalence guarantee: it decodes
+// arbitrary bytes into a context + graph and asserts the bit-identity
+// contract between the linear-scan and heap Dijkstra kernels that the rest
+// of the system (memo cache, GA determinism, golden fixtures) depends on.
 //
-//   FuzzDijkstraEquivalence — linear-scan vs heap Dijkstra full evaluations
-//   FuzzEvaluateDelta       — incremental delta walk vs fresh full sweeps
+// The seed corpus lives in testdata/fuzz/FuzzDijkstraEquivalence/. CI runs
+// the target for a short -fuzztime as a smoke job (make fuzz); run locally
+// with e.g.
 //
-// Seed corpora live in testdata/fuzz/<FuzzName>/. CI runs each target for a
-// short -fuzztime as a smoke job (make fuzz); run locally with e.g.
-//
-//	go test ./internal/cost -run '^$' -fuzz FuzzEvaluateDelta -fuzztime 30s
+//	go test ./internal/cost -run '^$' -fuzz FuzzDijkstraEquivalence -fuzztime 30s
 
 import (
 	"math/rand"
@@ -85,67 +83,4 @@ func FuzzDijkstraEquivalence(f *testing.F) {
 			}
 		}
 	})
-}
-
-// FuzzEvaluateDelta: an arbitrary walk of edge toggles evaluated
-// incrementally must match fresh full evaluations bit for bit at every
-// step, through disconnections, re-connections and fallbacks.
-func FuzzEvaluateDelta(f *testing.F) {
-	f.Add(int64(1), []byte{10, 0xff, 0xa5}, []byte{0, 1, 2, 3, 4, 5})
-	f.Add(int64(9), []byte{16, 0x81, 0x42, 0x24, 0x18}, []byte{7, 7, 1, 30, 12, 0, 0})
-	f.Add(int64(-3), []byte{6, 0x3f}, []byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, seed int64, base []byte, toggles []byte) {
-		if len(base) == 0 || len(toggles) > 64 {
-			return
-		}
-		ev := fuzzContext(t, seed, base[0], Options{Delta: ForceOn})
-		ref := fuzzContext(t, seed, base[0], Options{Delta: ForceOff})
-		n := ev.N()
-		g := fuzzGraph(n, base[1:])
-		g.Connect(ev.Dist())
-		ev.Evaluate(g)
-		pairs := n * (n - 1) / 2
-		for step := range toggles {
-			// Decode pair indices; group consecutive toggles into edits of
-			// 1..3 edges so multi-edge deltas get exercised too.
-			child := g.Clone()
-			edits := 1 + (step % 3)
-			for e := 0; e < edits && step+e < len(toggles); e++ {
-				k := int(toggles[(step+e)%len(toggles)]) % pairs
-				i, j := pairFromIndex(n, k)
-				child.SetEdge(i, j, !child.HasEdge(i, j))
-			}
-			changed := g.Diff(child, nil)
-			// CostDelta first (non-advancing: the retained base stays g),
-			// then EvaluateDelta (advances the base to child) — so the walk
-			// stays incremental end to end.
-			if got, want := ev.CostDelta(g, child, changed), ref.Cost(child); got != want {
-				t.Fatalf("step %d: CostDelta %v != Cost %v", step, got, want)
-			}
-			got := ev.EvaluateDelta(child, changed)
-			want := ref.Evaluate(child)
-			if got.Total != want.Total || got.Connected != want.Connected {
-				t.Fatalf("step %d: delta %v/%v != full %v/%v",
-					step, got.Total, got.Connected, want.Total, want.Connected)
-			}
-			for i := range got.Capacities {
-				if got.Capacities[i] != want.Capacities[i] {
-					t.Fatalf("step %d: capacity %d differs", step, i)
-				}
-			}
-			g = child
-		}
-	})
-}
-
-// pairFromIndex maps a lexicographic pair index back to (i, j), i < j.
-func pairFromIndex(n, k int) (int, int) {
-	for i := 0; i < n; i++ {
-		row := n - 1 - i
-		if k < row {
-			return i, i + 1 + k
-		}
-		k -= row
-	}
-	panic("pair index out of range")
 }

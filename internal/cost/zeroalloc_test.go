@@ -4,12 +4,12 @@ package cost
 // scratch-poisoning test behind the order[:count] contract.
 //
 // The GA evaluates every candidate in every generation through
-// Cost/CostUncached/CostDelta (the BenchmarkEvaluate* hot paths), which
-// must stay zero-alloc in steady state: the CSR snapshot, Dijkstra scratch
-// and diff buffers are pooled on the Evaluator and only grow to their
-// high-water capacity. The breakdown-materializing Evaluate/EvaluateDelta
-// API intentionally allocates — it returns caller-owned routing tables and
-// per-edge slices — so the pins here target the paths the GA loop runs.
+// Cost/CostUncached (the BenchmarkEvaluate* hot paths), which must stay
+// zero-alloc in steady state: the CSR snapshot and Dijkstra scratch are
+// pooled on the Evaluator and only grow to their high-water capacity. The
+// breakdown-materializing Evaluate API intentionally allocates — it returns
+// caller-owned routing tables and per-edge slices — so the pins here target
+// the path the GA loop runs.
 
 import (
 	"math"
@@ -30,7 +30,7 @@ func TestZeroAllocEvaluate(t *testing.T) {
 	}{{"linear", ForceOff}, {"heap", ForceOn}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 48
-			e := optionsContext(t, n, 1, Options{Heap: tc.heap, Delta: ForceOff})
+			e := optionsContext(t, n, 1, Options{Heap: tc.heap})
 			rng := rand.New(rand.NewSource(2))
 			g := randomConnected(rng, n, 6.0/n, e.Dist())
 			dense := randomConnected(rng, n, 0.6, e.Dist()) // larger CSR: warms cols/weights high-water
@@ -49,48 +49,9 @@ func TestZeroAllocEvaluate(t *testing.T) {
 	}
 }
 
-// TestZeroAllocEvaluateDelta pins steady-state incremental evaluations
-// (CostDelta against a primed base) at zero allocations, heap kernel and
-// linear kernel both.
-func TestZeroAllocEvaluateDelta(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		heap Switch
-	}{{"linear", ForceOff}, {"heap", ForceOn}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 64
-			e := optionsContext(t, n, 1, Options{Heap: tc.heap, Delta: ForceOn})
-			rng := rand.New(rand.NewSource(3))
-			base := randomConnected(rng, n, 6.0/n, e.Dist())
-			const kids = 8
-			children := make([]*graph.Graph, kids)
-			diffs := make([][]graph.Edge, kids)
-			for k := range children {
-				child := base.Clone()
-				i, j := rng.Intn(n), rng.Intn(n)
-				for i == j {
-					j = rng.Intn(n)
-				}
-				child.SetEdge(i, j, !child.HasEdge(i, j))
-				children[k] = child
-				diffs[k] = base.Diff(child, nil)
-			}
-			e.CostDelta(base, children[0], diffs[0]) // priming sweep, outside the pin
-			k := 0
-			if allocs := testing.AllocsPerRun(32, func() {
-				kk := k % kids
-				k++
-				e.CostDelta(base, children[kk], diffs[kk])
-			}); allocs != 0 {
-				t.Fatalf("steady-state CostDelta allocates %v objects/op, want 0", allocs)
-			}
-		})
-	}
-}
-
 // poisonScratch fills every pooled buffer with values that make any stale
 // read detectable: NaN distances and loads, out-of-range node indices in
-// parent/order/hpos (indexing with one panics), done/affected all true. A
+// parent/order/hpos (indexing with one panics), done all true. A
 // correct evaluation fully re-initializes everything it reads, so results
 // after poisoning must stay bit-identical to a fresh evaluator's.
 func poisonScratch(e *Evaluator) {
@@ -108,9 +69,6 @@ func poisonScratch(e *Evaluator) {
 	}
 	for i := range e.dj.hpos {
 		e.dj.hpos[i] = bad
-	}
-	for i := range e.dj.affected {
-		e.dj.affected[i] = true
 	}
 	for i := range e.csr.rowStart {
 		e.csr.rowStart[i] = -1
@@ -137,8 +95,8 @@ func TestScratchPoisoning(t *testing.T) {
 	}{{"linear", ForceOff}, {"heap", ForceOn}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 24
-			ev := optionsContext(t, n, 5, Options{Heap: tc.heap, Delta: ForceOn})
-			ref := optionsContext(t, n, 5, Options{Heap: tc.heap, Delta: ForceOff})
+			ev := optionsContext(t, n, 5, Options{Heap: tc.heap})
+			ref := optionsContext(t, n, 5, Options{Heap: tc.heap})
 			rng := rand.New(rand.NewSource(6))
 			g := randomConnected(rng, n, 0.25, ev.Dist())
 
@@ -156,16 +114,11 @@ func TestScratchPoisoning(t *testing.T) {
 				t.Fatalf("disconnected cost = %v, want +Inf", c)
 			}
 
-			// The scratch is now a mix of poison and a half-finished sweep; a
-			// delta walk over connected and disconnected children must stay
-			// exact without ever reading the stale tails.
-			ev.Evaluate(g) // re-record the base
-			cur := g
-			for step := 0; step < 12; step++ {
-				child, changed := gaEdit(rng, cur, ev.Dist(), step%3, step%4 != 3)
-				poisonScratch(ev)
-				sameEvaluation(t, "poisoned delta walk", ev.EvaluateDelta(child, changed), ref.Evaluate(child))
-				cur = child
+			// The scratch now holds the disconnected sweep's stale tails; the
+			// next full sweep must stay exact without reading them.
+			sameEvaluation(t, "sweep after disconnection", ev.Evaluate(g), ref.Evaluate(g))
+			if ev.Cost(g) != ref.Cost(g) {
+				t.Fatal("Cost after disconnection differs from a fresh evaluator")
 			}
 		})
 	}

@@ -11,25 +11,22 @@ import (
 	"github.com/networksynth/cold/internal/traffic"
 )
 
-// DijkstraKernels measures the evaluator's three evaluation paths — the
-// O(n²) linear-scan Dijkstra, the indexed-heap Dijkstra and the
-// incremental delta path on single-link edits — across context sizes, on
-// GA-like sparse candidates (~3 links per PoP). All three are bit-identical
-// in output (the cost package's equivalence suite proves it), so this table
-// is purely about speed: it documents the crossover behind
-// cost.DefaultHeapThreshold and the sibling-grouping payoff behind the GA's
-// lineage-based evaluation.
+// DijkstraKernels measures the evaluator's two Dijkstra kernels — the
+// O(n²) linear scan and the indexed heap — across context sizes, on GA-like
+// sparse candidates (~3 links per PoP). Both are bit-identical in output
+// (the cost package's equivalence suite proves it), so this table is purely
+// about speed: it documents the crossover behind cost.DefaultHeapThreshold.
 func DijkstraKernels(o Options) *Table {
 	o = o.normalize()
 	sizes := []int{16, 32, 64, 128, 256}
 	reps := max(o.Trials, 3)
 	t := &Table{
-		Title: "evaluator kernels: linear vs heap vs incremental (sparse candidates, ~3 links/PoP)",
+		Title: "evaluator kernels: linear vs heap (sparse candidates, ~3 links/PoP)",
 		Notes: []string{
-			fmt.Sprintf("%d evaluations per cell; delta = CostDelta on 1-link children of a primed base", reps),
+			fmt.Sprintf("%d evaluations per cell", reps),
 			fmt.Sprintf("auto kernel selection switches linear→heap at n >= %d", cost.DefaultHeapThreshold),
 		},
-		Columns: []string{"n", "linear µs", "heap µs", "heap speedup", "delta µs", "delta vs heap"},
+		Columns: []string{"n", "linear µs", "heap µs", "heap speedup"},
 	}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(o.Seed))
@@ -65,39 +62,11 @@ func DijkstraKernels(o Options) *Table {
 		linUS := timeEval(cost.Options{Heap: cost.ForceOff})
 		heapUS := timeEval(cost.Options{Heap: cost.ForceOn})
 
-		// Delta: 1-link children of g, base primed once outside the timer.
-		e, err := cost.NewEvaluatorOptions(dist, tm, params, cost.Options{Delta: cost.ForceOn})
-		if err != nil {
-			panic(err)
-		}
-		e.SetCacheLimit(0)
-		children := make([]*graph.Graph, 8)
-		diffs := make([][]graph.Edge, len(children))
-		for k := range children {
-			child := g.Clone()
-			i, j := rng.Intn(n), rng.Intn(n)
-			for i == j {
-				j = rng.Intn(n)
-			}
-			child.SetEdge(i, j, !child.HasEdge(i, j))
-			children[k] = child
-			diffs[k] = g.Diff(child, nil)
-		}
-		e.CostDelta(g, children[0], diffs[0]) // primes the base
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			k := r % len(children)
-			e.CostDelta(g, children[k], diffs[k])
-		}
-		deltaUS := float64(time.Since(start).Microseconds()) / float64(reps)
-
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.0f", linUS),
 			fmt.Sprintf("%.0f", heapUS),
 			fmt.Sprintf("%.2fx", linUS/heapUS),
-			fmt.Sprintf("%.0f", deltaUS),
-			fmt.Sprintf("%.2fx", heapUS/deltaUS),
 		})
 	}
 	return t

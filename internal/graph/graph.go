@@ -226,32 +226,6 @@ func (g *Graph) DiffCount(h *Graph) int {
 	return d / 2
 }
 
-// Diff appends the edges present in exactly one of g and h (the symmetric
-// difference of the edge sets) to buf and returns the result, in
-// lexicographic order. Passing a reused buffer avoids allocation in hot
-// loops. Panics unless g and h have the same node count.
-func (g *Graph) Diff(h *Graph, buf []Edge) []Edge {
-	if g.n != h.n {
-		panic(fmt.Sprintf("graph: Diff between %d and %d nodes", g.n, h.n))
-	}
-	for i := 0; i < g.n; i++ {
-		row := g.bits[i*g.words : (i+1)*g.words]
-		hrow := h.bits[i*g.words : (i+1)*g.words]
-		for wi, w := range row {
-			x := w ^ hrow[wi]
-			base := wi * 64
-			for x != 0 {
-				j := base + trailingZeros(x)
-				x &= x - 1
-				if j > i {
-					buf = append(buf, Edge{i, j})
-				}
-			}
-		}
-	}
-	return buf
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{n: g.n, words: g.words, edges: g.edges}

@@ -2,7 +2,7 @@ package telemetry
 
 import "math"
 
-// Trace-event payloads, schema version 2 (SchemaVersion). Each struct
+// Trace-event payloads, schema version 3 (SchemaVersion). Each struct
 // corresponds to one event name; the JSONL recorder stamps "v" and "event"
 // and splices the payload fields after them. Replica indices are zero-based;
 // single-network runs (Generate) report replica 0. Event names:
@@ -16,8 +16,8 @@ import "math"
 //	                in-order prefix (service-side; emitted by cmd/coldd)
 //	run_end       — one per ensemble run, after all replicas
 //
-// The checkpoint event is additive within schema v2: readers tolerate
-// event names they do not know (coldstats counts and skips them).
+// The checkpoint event was added within schema v2: readers tolerate event
+// names they do not know (coldstats counts and skips them).
 //
 // All durations are nanoseconds of monotonic wall time. Cost fields are
 // sanitized: ±Inf and NaN (possible only for degenerate configurations)
@@ -98,26 +98,15 @@ type Checkpoint struct {
 // over workers × wall time, in (0, 1]; the evaluator counters are totals
 // across every replica's evaluator at the moment the run finished.
 type RunEnd struct {
-	RunID       string            `json:"run_id,omitempty"` // schema v2; matches the run's run_start
-	Replicas    int               `json:"replicas"`
-	Workers     int               `json:"workers"`
-	DurNs       int64             `json:"dur_ns"`
-	BusyNs      int64             `json:"busy_ns"`
-	Utilization float64           `json:"utilization"`
-	CacheHits   uint64            `json:"cache_hits"`
-	CacheMisses uint64            `json:"cache_misses"`
-	FullSweeps  uint64            `json:"full_sweeps"`
-	DeltaEvals  uint64            `json:"delta_evals"`
-	Fallbacks   map[string]uint64 `json:"fallbacks,omitempty"`
-	// Multi-base routing-table cache counters: hits found a retained base
-	// within the edge budget, misses primed a new one, evictions dropped the
-	// least-recently-used base past the MaxBases cap. BaseDistance[d] counts
-	// delta evaluations whose chosen base was exactly d edge toggles away
-	// (last bucket: that far or farther); omitted while all-zero.
-	BaseHits      uint64   `json:"base_hits"`
-	BaseMisses    uint64   `json:"base_misses"`
-	BaseEvictions uint64   `json:"base_evictions"`
-	BaseDistance  []uint64 `json:"base_distance,omitempty"`
+	RunID       string  `json:"run_id,omitempty"` // schema v2; matches the run's run_start
+	Replicas    int     `json:"replicas"`
+	Workers     int     `json:"workers"`
+	DurNs       int64   `json:"dur_ns"`
+	BusyNs      int64   `json:"busy_ns"`
+	Utilization float64 `json:"utilization"`
+	CacheHits   uint64  `json:"cache_hits"`
+	CacheMisses uint64  `json:"cache_misses"`
+	FullSweeps  uint64  `json:"full_sweeps"`
 }
 
 // SanitizeFloat clamps non-finite values so they survive JSON encoding:

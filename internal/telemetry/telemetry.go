@@ -30,8 +30,11 @@ import (
 // carries it as "v"; consumers must check it before parsing the rest.
 // Version history: 1 — initial schema (run_start, replica_start,
 // generation, phase, replica_end, run_end); 2 — run_start/run_end gain an
-// optional "run_id" correlating a trace with service request logs.
-const SchemaVersion = 2
+// optional "run_id" correlating a trace with service request logs; 3 —
+// run_end drops the incremental-evaluation counters "delta_evals",
+// "fallbacks", "base_hits", "base_misses", "base_evictions" and
+// "base_distance" (the evaluator has a single full-sweep path).
+const SchemaVersion = 3
 
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; all methods are safe for concurrent use. A nil *Counter is

@@ -2,7 +2,6 @@ package cold
 
 import (
 	"io"
-	"sort"
 	"sync"
 
 	"github.com/networksynth/cold/internal/core"
@@ -15,38 +14,19 @@ import (
 const TraceSchemaVersion = telemetry.SchemaVersion
 
 // EvalStats are the cost evaluator's counters: memoization effectiveness,
-// full versus incremental (delta) evaluations, and why delta requests fell
-// back to full sweeps. Counter values are NOT part of the determinism
-// contract — generated networks are bit-identical across Parallelism and
-// telemetry settings, but parallel workers racing to evaluate the same
-// topology can shift hit/miss and sweep counts between runs.
+// full shortest-path sweeps and CSR snapshots. Counter values are NOT part
+// of the determinism contract — generated networks are bit-identical across
+// Parallelism and telemetry settings, but parallel workers racing to
+// evaluate the same topology can shift hit/miss and sweep counts between
+// runs.
 type EvalStats struct {
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// FullSweeps counts all-sources shortest-path sweeps, including the
-	// sweeps that prime the delta path's base state.
+	// FullSweeps counts all-sources shortest-path sweeps.
 	FullSweeps uint64 `json:"full_sweeps"`
-	// DeltaEvals counts evaluations served incrementally.
-	DeltaEvals uint64 `json:"delta_evals"`
 	// CSRBuilds counts flat-memory CSR graph snapshots built (one per
 	// routed graph; the buffers themselves are pooled per evaluator).
 	CSRBuilds uint64 `json:"csr_builds"`
-	// Fallbacks counts delta requests that ran a full sweep instead, keyed
-	// by reason: "disabled", "budget", "base", "reconcile", "policy",
-	// "affected", "disconnected". Zero-count reasons are omitted.
-	Fallbacks map[string]uint64 `json:"fallbacks,omitempty"`
-	// BaseHits counts delta requests served from a retained base of the
-	// multi-base routing-table cache, BaseMisses requests where no retained
-	// base was within the edge budget (CostDelta then primes the caller's
-	// base, unless the adaptive policy declines), and BaseEvictions bases
-	// dropped past Options.MaxBases.
-	BaseHits      uint64 `json:"base_hits"`
-	BaseMisses    uint64 `json:"base_misses"`
-	BaseEvictions uint64 `json:"base_evictions"`
-	// BaseDistance is the nearest-base distance histogram: bucket d counts
-	// delta evaluations whose chosen base was exactly d edge toggles away
-	// (last bucket absorbs larger distances). Omitted while all-zero.
-	BaseDistance []uint64 `json:"base_distance,omitempty"`
 	// Kernel is the shortest-path kernel the evaluator selected: "heap" or
 	// "linear". Empty in aggregated (multi-replica) stats.
 	Kernel string `json:"kernel,omitempty"`
@@ -54,29 +34,12 @@ type EvalStats struct {
 
 func newEvalStats(s cost.Stats) EvalStats {
 	return EvalStats{
-		CacheHits:     s.CacheHits,
-		CacheMisses:   s.CacheMisses,
-		FullSweeps:    s.FullSweeps,
-		DeltaEvals:    s.DeltaEvals,
-		CSRBuilds:     s.CSRBuilds,
-		Fallbacks:     s.Fallbacks.Map(),
-		BaseHits:      s.BaseHits,
-		BaseMisses:    s.BaseMisses,
-		BaseEvictions: s.BaseEvictions,
-		BaseDistance:  nonZeroBuckets(s.BaseDistance),
-		Kernel:        s.Kernel,
+		CacheHits:   s.CacheHits,
+		CacheMisses: s.CacheMisses,
+		FullSweeps:  s.FullSweeps,
+		CSRBuilds:   s.CSRBuilds,
+		Kernel:      s.Kernel,
 	}
-}
-
-// nonZeroBuckets returns h unless every bucket is zero, in which case it
-// returns nil so omitempty drops the field from JSON.
-func nonZeroBuckets(h []uint64) []uint64 {
-	for _, v := range h {
-		if v != 0 {
-			return h
-		}
-	}
-	return nil
 }
 
 // add folds one replica's evaluator counters into the aggregate (Kernel is
@@ -85,42 +48,7 @@ func (a *EvalStats) add(s cost.Stats) {
 	a.CacheHits += s.CacheHits
 	a.CacheMisses += s.CacheMisses
 	a.FullSweeps += s.FullSweeps
-	a.DeltaEvals += s.DeltaEvals
 	a.CSRBuilds += s.CSRBuilds
-	a.BaseHits += s.BaseHits
-	a.BaseMisses += s.BaseMisses
-	a.BaseEvictions += s.BaseEvictions
-	if d := nonZeroBuckets(s.BaseDistance); d != nil {
-		if a.BaseDistance == nil {
-			a.BaseDistance = make([]uint64, len(d))
-		}
-		for i, v := range d {
-			if i < len(a.BaseDistance) {
-				a.BaseDistance[i] += v
-			}
-		}
-	}
-	for k, v := range s.Fallbacks.Map() {
-		if a.Fallbacks == nil {
-			a.Fallbacks = make(map[string]uint64)
-		}
-		a.Fallbacks[k] += v
-	}
-}
-
-// clone deep-copies the aggregate so snapshots cannot race later additions.
-func (a EvalStats) clone() EvalStats {
-	if a.Fallbacks != nil {
-		m := make(map[string]uint64, len(a.Fallbacks))
-		for k, v := range a.Fallbacks {
-			m[k] = v
-		}
-		a.Fallbacks = m
-	}
-	if a.BaseDistance != nil {
-		a.BaseDistance = append([]uint64(nil), a.BaseDistance...)
-	}
-	return a
 }
 
 // DurationStats summarizes a duration histogram in nanoseconds. Quantiles
@@ -244,7 +172,7 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		return TelemetrySnapshot{SchemaVersion: TraceSchemaVersion}
 	}
 	t.mu.Lock()
-	agg := t.agg.clone()
+	agg := t.agg
 	t.mu.Unlock()
 	h := t.evalDur.Snapshot()
 	return TelemetrySnapshot{
@@ -271,8 +199,8 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 // RegisterMetrics publishes every engine instrument into reg under the
 // documented cold_* Prometheus names (DESIGN.md, "Observability"): run and
 // replica counters, GA generation and evaluation totals, the evaluator's
-// aggregated cache/delta/base counters (with delta fallbacks labeled by
-// reason), and the evaluation latency histogram, exposed in seconds per
+// aggregated cache, sweep and CSR counters, and the evaluation latency
+// histogram, exposed in seconds per
 // the Prometheus base-unit convention. Values are read at scrape time from
 // the same consistent snapshots Snapshot uses. The receiver must be
 // non-nil; in-module consumers (cmd/coldd, internal/diag) serve the
@@ -301,35 +229,10 @@ func (t *Telemetry) RegisterMetrics(reg *telemetry.Registry) {
 		agg(func(s EvalStats) uint64 { return s.CacheHits }))
 	reg.CounterFunc("cold_eval_cache_misses_total", "Evaluator memo-cache misses (finished replicas).",
 		agg(func(s EvalStats) uint64 { return s.CacheMisses }))
-	reg.CounterFunc("cold_eval_full_sweeps_total", "All-sources shortest-path sweeps, including base priming.",
+	reg.CounterFunc("cold_eval_full_sweeps_total", "All-sources shortest-path sweeps.",
 		agg(func(s EvalStats) uint64 { return s.FullSweeps }))
-	reg.CounterFunc("cold_eval_delta_total", "Evaluations served incrementally by the delta path.",
-		agg(func(s EvalStats) uint64 { return s.DeltaEvals }))
 	reg.CounterFunc("cold_eval_csr_builds_total", "Flat-memory CSR graph snapshots built.",
 		agg(func(s EvalStats) uint64 { return s.CSRBuilds }))
-	reg.CounterFunc("cold_eval_base_hits_total", "Delta requests served from a retained routing base.",
-		agg(func(s EvalStats) uint64 { return s.BaseHits }))
-	reg.CounterFunc("cold_eval_base_misses_total", "Delta requests with no retained base within the edge budget.",
-		agg(func(s EvalStats) uint64 { return s.BaseMisses }))
-	reg.CounterFunc("cold_eval_base_evictions_total", "Routing bases evicted past the MaxBases cap.",
-		agg(func(s EvalStats) uint64 { return s.BaseEvictions }))
-	reg.MustRegister("cold_eval_delta_fallbacks_total", "Delta requests that fell back to a full sweep, by reason.",
-		telemetry.KindCounter, func(emit func(telemetry.Sample)) {
-			t.mu.Lock()
-			fallbacks := t.agg.clone().Fallbacks
-			t.mu.Unlock()
-			reasons := make([]string, 0, len(fallbacks))
-			for r := range fallbacks {
-				reasons = append(reasons, r)
-			}
-			sort.Strings(reasons)
-			for _, r := range reasons {
-				emit(telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("reason", r)},
-					Value:  float64(fallbacks[r]),
-				})
-			}
-		})
 }
 
 // RecordCheckpoint emits a service-side "checkpoint" trace event: the
@@ -415,21 +318,15 @@ func (r *runTracker) end() {
 	agg := r.agg
 	r.mu.Unlock()
 	r.t.record("run_end", telemetry.RunEnd{
-		RunID:         r.runID,
-		Replicas:      r.replicas,
-		Workers:       r.workers,
-		DurNs:         dur,
-		BusyNs:        busy,
-		Utilization:   util,
-		CacheHits:     agg.CacheHits,
-		CacheMisses:   agg.CacheMisses,
-		FullSweeps:    agg.FullSweeps,
-		DeltaEvals:    agg.DeltaEvals,
-		Fallbacks:     agg.Fallbacks,
-		BaseHits:      agg.BaseHits,
-		BaseMisses:    agg.BaseMisses,
-		BaseEvictions: agg.BaseEvictions,
-		BaseDistance:  agg.BaseDistance,
+		RunID:       r.runID,
+		Replicas:    r.replicas,
+		Workers:     r.workers,
+		DurNs:       dur,
+		BusyNs:      busy,
+		Utilization: util,
+		CacheHits:   agg.CacheHits,
+		CacheMisses: agg.CacheMisses,
+		FullSweeps:  agg.FullSweeps,
 	})
 }
 
