@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check examples bench bench-smoke fuzz ensemble coldd-smoke validate-smoke trace-smoke
+.PHONY: build test vet race check examples bench bench-smoke fuzz ensemble coldd-smoke validate-smoke trace-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -41,11 +41,13 @@ bench-smoke:
 	$(GO) test ./internal/cost -run TestZeroAlloc -count=1
 	$(GO) run ./cmd/coldbench -trials 4 -n 16 -pop 24 -gens 12 -json BENCH_COLD.json ensemble breeding csr
 
-# Short fuzzing smoke on the evaluator's kernel-equivalence target and the
-# validation distances (CI runs this; crank -fuzztime locally for a real
-# session). The evaluator corpus lives under internal/cost/testdata/fuzz/.
+# Short fuzzing smoke on the evaluator's kernel-equivalence target, the
+# validation distances and the untrusted config JSON boundary (CI runs
+# this; crank -fuzztime locally for a real session). The evaluator corpus
+# lives under internal/cost/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
+	$(GO) test . -run '^$$' -fuzz FuzzConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzDijkstraEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzDistances -fuzztime $(FUZZTIME)
 
@@ -64,14 +66,16 @@ validate-smoke:
 
 # End-to-end smokes of the coldd generation service against the real
 # built binary. TestColddSmoke: POSTs the same config twice and asserts
-# the second response is a pure cache hit (byte-identical body,
-# cache_hits=1, generations=1 in /v1/stats), scrapes /metrics through
-# the exposition-format lint, checks the per-job JSONL trace file and
-# /healthz build identity, then checks clean shutdown on SIGTERM.
-# TestColddRestartSmoke: SIGKILLs the daemon mid-ensemble once a
-# checkpoint file exists, restarts it over the same cache, and asserts
-# the job resumes (resume counters in /v1/stats and /metrics) with a
-# byte-identical final artifact. CI runs both after `make check`.
+# the second response is a pure cache hit (byte-identical body;
+# cold_artifact_cache_hits_total=1 and cold_generation_jobs_total=1 on a
+# /metrics scrape that passes the exposition-format lint), checks that
+# /v1/stats and /debug/vars are 404 while /debug/pprof/ serves, checks the
+# per-job JSONL trace file and /healthz build identity, then checks clean
+# shutdown on SIGTERM. TestColddRestartSmoke: SIGKILLs the daemon
+# mid-ensemble once a checkpoint file exists, restarts it over the same
+# cache, and asserts the job resumes (cold_checkpoint_resume* counters on
+# /metrics) with a byte-identical final artifact. CI runs both after
+# `make check`.
 coldd-smoke:
 	$(GO) test ./cmd/coldd -run 'TestColdd' -count=1 -v
 
@@ -83,6 +87,14 @@ trace-smoke:
 	$(GO) run ./cmd/coldgen -n 16 -count 4 -pop 24 -gens 12 \
 		-trace TRACE_COLD.jsonl -out /dev/null
 	$(GO) run ./cmd/coldstats trace TRACE_COLD.jsonl
+
+# perfbench (the end-to-end benchmark harness) is its own Go module, so
+# `make check` never compiles it. It builds against library names and
+# scrapes /metrics series (cold_queue_wait_seconds_{sum,count},
+# cold_generation_jobs_total) that a refactor could silently break; vet
+# it and run its short tests.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Serial-vs-parallel ensemble throughput on this machine.
 ensemble:

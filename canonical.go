@@ -94,8 +94,8 @@ func (cfg Config) Validate() error {
 			bad("Locations.Aspect", "%v must be positive and finite (or 0 for the default)", a)
 		}
 		if cfg.Locations.Kind == LocClustered {
-			if c := cfg.Locations.Clusters; c < 0 {
-				bad("Locations.Clusters", "%d must be >= 0 (0 means the default)", c)
+			if c := cfg.Locations.Clusters; c < 0 || c > cfg.NumPoPs {
+				bad("Locations.Clusters", "%d must be in [0, NumPoPs=%d] (0 means the default)", c, cfg.NumPoPs)
 			}
 			if s := cfg.Locations.Sigma; s < 0 || !finite(s) {
 				bad("Locations.Sigma", "%v must be non-negative and finite", s)

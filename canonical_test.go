@@ -23,6 +23,9 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"negative k2", Config{NumPoPs: 5, Params: Params{K0: 1, K2: -1}}, "Params.K2"},
 		{"unknown location", Config{NumPoPs: 5, Locations: LocationSpec{Kind: LocationKind(42)}}, "Locations.Kind"},
 		{"short fixed points", Config{NumPoPs: 5, Locations: LocationSpec{Kind: LocFixed, Points: []Point{{0, 0}}}}, "Locations.Points"},
+		{"negative clusters", Config{NumPoPs: 5, Locations: LocationSpec{Kind: LocClustered, Clusters: -1}}, "Locations.Clusters"},
+		{"more clusters than pops", Config{NumPoPs: 5, Locations: LocationSpec{Kind: LocClustered, Clusters: 6}}, "Locations.Clusters"},
+		{"huge clusters", Config{NumPoPs: 10, Locations: LocationSpec{Kind: LocClustered, Clusters: 1 << 62}}, "Locations.Clusters"},
 		{"negative sigma", Config{NumPoPs: 5, Locations: LocationSpec{Kind: LocClustered, Sigma: -0.1}}, "Locations.Sigma"},
 		{"unknown traffic", Config{NumPoPs: 5, Traffic: TrafficSpec{Kind: TrafficKind(42)}}, "Traffic.Kind"},
 		{"bad pareto shape", Config{NumPoPs: 5, Traffic: TrafficSpec{Kind: TrafficPareto, ParetoShape: 0.5}}, "Traffic.ParetoShape"},
@@ -99,6 +102,9 @@ func TestValidateMirrorsGenerate(t *testing.T) {
 	cases := []Config{
 		{NumPoPs: 6, Optimizer: tiny},
 		{NumPoPs: 6, Optimizer: tiny, Locations: LocationSpec{Kind: LocClustered, Clusters: 2}},
+		{NumPoPs: 6, Optimizer: tiny, Locations: LocationSpec{Kind: LocClustered, Clusters: 6}},
+		{NumPoPs: 3, Optimizer: tiny, Locations: LocationSpec{Kind: LocClustered}}, // default 5 clusters > 3 PoPs is fine
+		{NumPoPs: 6, Optimizer: tiny, Locations: LocationSpec{Kind: LocClustered, Clusters: 7}},
 		{NumPoPs: 4, Optimizer: tiny, Locations: LocationSpec{Kind: LocFixed, Points: []Point{{0, 0}, {1, 0}, {0, 1}, {1, 1}}}},
 		{NumPoPs: 4, Optimizer: tiny, Traffic: TrafficSpec{Kind: TrafficFixed, Populations: []float64{1, 2, 3, 4}}},
 		{NumPoPs: 0},

@@ -52,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 	validateCount := fs.Int("validate-count", 1000, "COLD ensemble size for the validate experiment")
 	validateRecords := fs.String("validate-records", "", "write the validate experiment's per-topology JSONL records to this file (e.g. VALIDATE_COLD.jsonl)")
 	trace := fs.String("trace", "", "write a JSONL telemetry trace to this file (see DESIGN.md, Observability; analyze with coldstats trace)")
-	metricsAddr := fs.String("metrics", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. :6060)")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus /metrics and pprof on this address (e.g. :6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,12 +97,12 @@ func run(args []string, stdout io.Writer) error {
 		tel.RegisterMetrics(reg)
 		diag.RegisterBuildInfo(reg)
 		diag.RegisterRuntime(reg)
-		addr, shutdown, err := diag.Serve(*metricsAddr, reg, func() any { return tel.Snapshot() })
+		addr, shutdown, err := diag.Serve(*metricsAddr, reg)
 		if err != nil {
 			return err
 		}
 		defer shutdown() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "coldbench: metrics on http://%s/metrics (expvar on /debug/vars, pprof on /debug/pprof/)\n", addr)
+		fmt.Fprintf(os.Stderr, "coldbench: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", addr)
 	}
 	var records []benchRecord
 

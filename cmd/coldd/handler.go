@@ -18,6 +18,11 @@ import (
 // population lists are the only fields that grow with NumPoPs).
 const maxBodyBytes = 16 << 20
 
+// maxPopulation bounds Optimizer.PopulationSize per request: 100× the
+// paper's GA population. The GA allocates per-individual state up front,
+// so an unbounded value is a one-request out-of-memory crash.
+const maxPopulation = 10000
+
 // generateRequest is the POST /v1/generate body: a cold.Config (Go field
 // names; Parallelism/Progress/Telemetry are ignored — the service owns
 // execution concerns) plus the ensemble size.
@@ -31,19 +36,17 @@ type generateRequest struct {
 //
 //	POST /v1/generate  generate (or serve cached) ensemble; JSONL, or SSE via
 //	                   Accept: text/event-stream or ?stream=sse
-//	GET  /v1/stats     service counters (cache, queue, store, telemetry)
-//	GET  /metrics      Prometheus text exposition of the cold_* metrics
+//	GET  /metrics      Prometheus text exposition of every cold_* counter
 //	GET  /healthz      liveness + build identity and uptime (JSON)
-//	/debug/            expvar (/debug/vars, "cold" variable) + pprof
+//	/debug/pprof/      net/http/pprof profiles
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/generate", s.handleGenerate)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	// expvar and net/http/pprof register on the default mux; internal/diag
-	// publishes the "cold" telemetry snapshot there.
-	mux.Handle("/debug/", http.DefaultServeMux)
+	// net/http/pprof (imported by internal/diag) registers on the default
+	// mux; only its subtree is exposed.
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	return s.instrument(mux)
 }
 
@@ -71,13 +74,6 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)}) //nolint:errcheck
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.stats()) //nolint:errcheck
 }
 
 func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -108,6 +104,11 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if s.opts.maxPoPs > 0 && req.Config.NumPoPs > s.opts.maxPoPs {
 		s.badRequests.Inc()
 		httpError(w, http.StatusRequestEntityTooLarge, "NumPoPs %d exceeds the server limit %d", req.Config.NumPoPs, s.opts.maxPoPs)
+		return
+	}
+	if p := req.Config.Optimizer.PopulationSize; p > maxPopulation {
+		s.badRequests.Inc()
+		httpError(w, http.StatusRequestEntityTooLarge, "Optimizer.PopulationSize %d exceeds the server limit %d", p, maxPopulation)
 		return
 	}
 	hash, err := req.Config.Hash()

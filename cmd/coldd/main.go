@@ -17,8 +17,7 @@
 //	      -log-format json -trace-dir /var/log/coldd/traces
 //
 //	curl -s localhost:8264/v1/generate -d '{"config":{"NumPoPs":20,"Seed":1},"count":4}'
-//	curl -s localhost:8264/v1/stats
-//	curl -s localhost:8264/metrics      # Prometheus text exposition
+//	curl -s localhost:8264/metrics      # Prometheus text exposition: every counter
 //	curl -s localhost:8264/healthz      # liveness + build identity
 //
 // Every request gets an X-Cold-Request-Id and one structured log line;
@@ -45,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/networksynth/cold/internal/diag"
 	"github.com/networksynth/cold/internal/store"
 )
 
@@ -133,7 +131,6 @@ func run() error {
 		traceDir:        *traceDir,
 		checkpointEvery: *ckptEvery,
 	})
-	diag.Publish(func() any { return s.tel.Snapshot() })
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -179,6 +179,12 @@ func (s *server) registerMetrics(reg *telemetry.Registry) {
 		st(func(st store.Stats) float64 { return float64(st.Entries) }))
 	reg.GaugeFunc("cold_store_bytes", "Bytes currently stored.",
 		st(func(st store.Stats) float64 { return float64(st.Bytes) }))
+	reg.GaugeFunc("cold_store_partials", "Checkpoint (partial) artifacts currently stored.",
+		st(func(st store.Stats) float64 { return float64(st.Partials) }))
+	reg.CounterFunc("cold_store_partials_dropped_total", "Checkpoints removed as superseded, orphaned, invalid or promoted.",
+		st(func(st store.Stats) float64 { return float64(st.PartialsDropped) }))
+	reg.CounterFunc("cold_store_temp_swept_total", "Stale temp files from crashed writers deleted at store open.",
+		st(func(st store.Stats) float64 { return float64(st.TempSwept) }))
 }
 
 // sizeBuckets are the response-size bounds: powers of 16 from 256B to

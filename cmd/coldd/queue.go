@@ -27,42 +27,11 @@ type queue struct {
 	mu       sync.Mutex
 	admitted int
 
-	waitNs waitCounter // cumulative slot-wait, for /v1/stats
-
 	// waitHist, when set, observes successful slot waits in nanoseconds
-	// (the cold_queue_wait_seconds metric). Wiring-time only.
+	// (the cold_queue_wait_seconds metric). Canceled waits are not
+	// observed: an abandoned request's wait measures the client's
+	// patience, not the queue. Wiring-time only.
 	waitHist *telemetry.Histogram
-}
-
-// waitCounter tracks slot waits for /v1/stats, keeping successful waits
-// (the caller got a slot) separate from canceled ones (the caller gave up
-// while queued). Mixing them skews the average queue wait — an abandoned
-// request's wait measures the client's patience, not the queue — so the
-// stats report each bucket on its own.
-type waitCounter struct {
-	mu         sync.Mutex
-	ns         int64 // Σ wait of successful slot acquisitions
-	n          int64
-	canceledNs int64 // Σ wait of canceled (abandoned) waits
-	canceled   int64
-}
-
-func (c *waitCounter) add(d time.Duration, canceled bool) {
-	c.mu.Lock()
-	if canceled {
-		c.canceledNs += d.Nanoseconds()
-		c.canceled++
-	} else {
-		c.ns += d.Nanoseconds()
-		c.n++
-	}
-	c.mu.Unlock()
-}
-
-func (c *waitCounter) snapshot() (ns, n, canceledNs, canceled int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ns, c.n, c.canceledNs, c.canceled
 }
 
 // newQueue makes a queue running at most concurrent jobs with at most
@@ -87,19 +56,15 @@ func (q *queue) admit() error {
 }
 
 // wait blocks until a generation slot is free or ctx is done. On success
-// the caller owns a slot and must call release. Successful and canceled
-// waits are counted separately so /v1/stats' average queue wait reflects
-// only requests that actually ran.
+// the caller owns a slot and must call release; only successful waits are
+// observed, so the average queue wait reflects requests that actually ran.
 func (q *queue) wait(ctx context.Context) error {
 	start := time.Now()
 	select {
 	case q.slots <- struct{}{}:
-		d := time.Since(start)
-		q.waitNs.add(d, false)
-		q.waitHist.Observe(float64(d))
+		q.waitHist.Observe(float64(time.Since(start)))
 		return nil
 	case <-ctx.Done():
-		q.waitNs.add(time.Since(start), true)
 		return ctx.Err()
 	}
 }

@@ -353,56 +353,3 @@ func (s *server) detach(j *job) {
 	}
 	s.mu.Unlock()
 }
-
-// statsResponse is the GET /v1/stats payload.
-type statsResponse struct {
-	Requests           uint64 `json:"requests"`
-	BadRequests        uint64 `json:"bad_requests"`
-	CacheHits          uint64 `json:"cache_hits"`
-	CacheMisses        uint64 `json:"cache_misses"`
-	SingleflightShared uint64 `json:"singleflight_shared"`
-	Generations        uint64 `json:"generations"`
-	QueueFull          uint64 `json:"queue_full"`
-	Canceled           uint64 `json:"canceled"`
-	// Checkpoint/resume counters (crash recovery): partial-artifact writes,
-	// jobs that resumed from one, and replicas restored instead of
-	// regenerated.
-	CheckpointWrites          uint64 `json:"checkpoint_writes"`
-	CheckpointResumes         uint64 `json:"checkpoint_resumes"`
-	CheckpointResumedReplicas uint64 `json:"checkpoint_resumed_replicas"`
-	ActiveJobs                int    `json:"active_jobs"` // admitted: running + waiting
-	// QueueWaitNs/QueueWaits cover only waits that won a slot; canceled
-	// (abandoned-while-queued) waits are reported separately so the average
-	// queue wait is not skewed by client patience.
-	QueueWaitNs         int64 `json:"queue_wait_ns"`
-	QueueWaits          int64 `json:"queue_waits"`
-	QueueCanceledWaitNs int64 `json:"queue_canceled_wait_ns"`
-	QueueCanceledWaits  int64 `json:"queue_canceled_waits"`
-
-	Store     store.Stats            `json:"store"`
-	Telemetry cold.TelemetrySnapshot `json:"telemetry"`
-}
-
-func (s *server) stats() statsResponse {
-	waitNs, waits, canceledNs, canceledWaits := s.q.waitNs.snapshot()
-	return statsResponse{
-		Requests:                  s.requests.Load(),
-		BadRequests:               s.badRequests.Load(),
-		CacheHits:                 s.cacheHits.Load(),
-		CacheMisses:               s.cacheMisses.Load(),
-		SingleflightShared:        s.sfShared.Load(),
-		Generations:               s.generations.Load(),
-		QueueFull:                 s.queueFull.Load(),
-		Canceled:                  s.canceled.Load(),
-		CheckpointWrites:          s.ckptWrites.Load(),
-		CheckpointResumes:         s.ckptResumes.Load(),
-		CheckpointResumedReplicas: s.ckptResumedReplicas.Load(),
-		ActiveJobs:                s.q.depth(),
-		QueueWaitNs:               waitNs,
-		QueueWaits:                waits,
-		QueueCanceledWaitNs:       canceledNs,
-		QueueCanceledWaits:        canceledWaits,
-		Store:                     s.store.Stats(),
-		Telemetry:                 s.tel.Snapshot(),
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -71,38 +72,57 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return buf.Bytes()
 }
 
-func getStats(t *testing.T, ts *httptest.Server) statsResponse {
+// metrics is one /metrics exposition: series ("name" or "name{labels}")
+// → value.
+type metrics map[string]float64
+
+// parseMetrics reads the `name value` lines of a Prometheus text
+// exposition, skipping HELP/TYPE comments.
+func parseMetrics(t *testing.T, data []byte) metrics {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := metrics{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("bad exposition line %q", line)
+		}
+		m[line[:i]] = v
 	}
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return st
+	return m
 }
 
-// waitStats polls /v1/stats until pred holds or the deadline passes.
-func waitStats(t *testing.T, ts *httptest.Server, what string, pred func(statsResponse) bool) statsResponse {
+// serverMetrics renders s's GET /metrics body in-process and parses it.
+func serverMetrics(t *testing.T, s *server) metrics {
+	t.Helper()
+	var b bytes.Buffer
+	if err := s.reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return parseMetrics(t, b.Bytes())
+}
+
+// waitMetrics polls serverMetrics until pred holds or the deadline passes.
+func waitMetrics(t *testing.T, s *server, what string, pred func(metrics) bool) metrics {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := getStats(t, ts)
-		if pred(st) {
-			return st
+		m := serverMetrics(t, s)
+		if pred(m) {
+			return m
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s; stats %+v", what, st)
+			t.Fatalf("timed out waiting for %s; metrics %v", what, m)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 func TestGenerateCacheMissThenHit(t *testing.T) {
-	_, ts := newTestServer(t, serverOptions{})
+	s, ts := newTestServer(t, serverOptions{})
 
 	first := post(t, ts, tinyBody(1, 3))
 	if first.StatusCode != http.StatusOK {
@@ -133,15 +153,15 @@ func TestGenerateCacheMissThenHit(t *testing.T) {
 		t.Fatalf("body has %d lines, want 3", lines)
 	}
 
-	st := getStats(t, ts)
-	if st.Generations != 1 {
-		t.Errorf("generations = %d, want 1 (second request must not invoke the generator)", st.Generations)
+	m := serverMetrics(t, s)
+	if g := m["cold_generation_jobs_total"]; g != 1 {
+		t.Errorf("generations = %v, want 1 (second request must not invoke the generator)", g)
 	}
-	if st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.CacheHits, st.CacheMisses)
+	if h, mi := m["cold_artifact_cache_hits_total"], m["cold_artifact_cache_misses_total"]; h != 1 || mi != 1 {
+		t.Errorf("cache hits/misses = %v/%v, want 1/1", h, mi)
 	}
-	if st.Store.Puts != 1 {
-		t.Errorf("store puts = %d, want 1", st.Store.Puts)
+	if p := m["cold_store_puts_total"]; p != 1 {
+		t.Errorf("store puts = %v, want 1", p)
 	}
 }
 
@@ -176,7 +196,7 @@ func TestGenerateMatchesLibrary(t *testing.T) {
 }
 
 func TestGenerateRejectsInvalid(t *testing.T) {
-	_, ts := newTestServer(t, serverOptions{maxCount: 4, maxPoPs: 64})
+	s, ts := newTestServer(t, serverOptions{maxCount: 4, maxPoPs: 64})
 	cases := []struct {
 		name, body string
 		status     int
@@ -188,6 +208,10 @@ func TestGenerateRejectsInvalid(t *testing.T) {
 		{"negative count", `{"config":{"NumPoPs":8},"count":-2}`, http.StatusBadRequest},
 		{"count over limit", `{"config":{"NumPoPs":8},"count":5}`, http.StatusRequestEntityTooLarge},
 		{"pops over limit", `{"config":{"NumPoPs":65},"count":1}`, http.StatusRequestEntityTooLarge},
+		// Both once passed validation and then panicked the generator
+		// goroutine with an out-of-range allocation, killing the daemon.
+		{"clusters over pops", `{"config":{"NumPoPs":10,"Locations":{"Kind":1,"Clusters":4611686018427387904}}}`, http.StatusBadRequest},
+		{"population over limit", `{"config":{"NumPoPs":10,"Optimizer":{"PopulationSize":4611686018427387904}}}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -198,8 +222,13 @@ func TestGenerateRejectsInvalid(t *testing.T) {
 			}
 		})
 	}
-	if st := getStats(t, ts); st.Generations != 0 {
-		t.Errorf("invalid requests ran %d generations", st.Generations)
+	if g := serverMetrics(t, s)["cold_generation_jobs_total"]; g != 0 {
+		t.Errorf("invalid requests ran %v generations", g)
+	}
+	// The daemon is still serving.
+	resp := post(t, ts, tinyBody(3, 1))
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid request after rejections: status %d: %s", resp.StatusCode, body)
 	}
 }
 
@@ -207,7 +236,7 @@ func TestGenerateRejectsInvalid(t *testing.T) {
 // request must cancel its generation and free the queue slot for the next
 // request.
 func TestCancelFreesQueueSlot(t *testing.T) {
-	_, ts := newTestServer(t, serverOptions{jobs: 1, queueDepth: 0})
+	s, ts := newTestServer(t, serverOptions{jobs: 1, queueDepth: 0})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/generate", strings.NewReader(slowBody(1)))
@@ -223,17 +252,14 @@ func TestCancelFreesQueueSlot(t *testing.T) {
 		errc <- err
 	}()
 	// Let the generation actually start, then abandon it.
-	waitStats(t, ts, "slow job to start", func(st statsResponse) bool { return st.Generations == 1 })
+	waitMetrics(t, s, "slow job to start", func(m metrics) bool { return m["cold_generation_jobs_total"] == 1 })
 	cancel()
 	if err := <-errc; err == nil {
 		t.Fatal("canceled request should error")
 	}
-	st := waitStats(t, ts, "queue slot to free", func(st statsResponse) bool {
-		return st.ActiveJobs == 0 && st.Canceled >= 1
+	waitMetrics(t, s, "queue slot to free", func(m metrics) bool {
+		return m["cold_queue_depth"] == 0 && m["cold_jobs_canceled_total"] >= 1
 	})
-	if st.Canceled < 1 {
-		t.Fatalf("canceled = %d, want >= 1", st.Canceled)
-	}
 
 	// The freed slot must serve the next request.
 	resp := post(t, ts, tinyBody(2, 1))
@@ -244,7 +270,7 @@ func TestCancelFreesQueueSlot(t *testing.T) {
 }
 
 func TestQueueFull429(t *testing.T) {
-	_, ts := newTestServer(t, serverOptions{jobs: 1, queueDepth: 0})
+	s, ts := newTestServer(t, serverOptions{jobs: 1, queueDepth: 0})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -260,7 +286,7 @@ func TestQueueFull429(t *testing.T) {
 		}
 		close(done)
 	}()
-	waitStats(t, ts, "slow job to occupy the queue", func(st statsResponse) bool { return st.ActiveJobs == 1 })
+	waitMetrics(t, s, "slow job to occupy the queue", func(m metrics) bool { return m["cold_queue_depth"] == 1 })
 
 	// A different config (new cache key) finds the queue full.
 	resp := post(t, ts, slowBody(4))
@@ -268,8 +294,8 @@ func TestQueueFull429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if st := getStats(t, ts); st.QueueFull != 1 {
-		t.Errorf("queue_full = %d, want 1", st.QueueFull)
+	if f := serverMetrics(t, s)["cold_queue_full_total"]; f != 1 {
+		t.Errorf("queue full = %v, want 1", f)
 	}
 	cancel()
 	<-done
@@ -278,7 +304,7 @@ func TestQueueFull429(t *testing.T) {
 // TestSingleflightShared: two concurrent identical requests share one
 // generation and receive identical bodies.
 func TestSingleflightShared(t *testing.T) {
-	_, ts := newTestServer(t, serverOptions{jobs: 2})
+	s, ts := newTestServer(t, serverOptions{jobs: 2})
 
 	body := `{"config":{"NumPoPs":16,"Seed":9,"Optimizer":{"PopulationSize":20,"Generations":300}},"count":2}`
 	type result struct {
@@ -292,7 +318,7 @@ func TestSingleflightShared(t *testing.T) {
 	}
 	go fire()
 	// Wait until the first request's job is in flight, then fire the twin.
-	waitStats(t, ts, "leader job to start", func(st statsResponse) bool { return st.CacheMisses == 1 })
+	waitMetrics(t, s, "leader job to start", func(m metrics) bool { return m["cold_artifact_cache_misses_total"] == 1 })
 	go fire()
 
 	a, b := <-results, <-results
@@ -302,14 +328,14 @@ func TestSingleflightShared(t *testing.T) {
 	if !bytes.Equal(a.body, b.body) {
 		t.Fatal("single-flighted responses must be byte-identical")
 	}
-	st := getStats(t, ts)
-	if st.Generations != 1 {
-		t.Errorf("generations = %d, want 1", st.Generations)
+	m := serverMetrics(t, s)
+	if g := m["cold_generation_jobs_total"]; g != 1 {
+		t.Errorf("generations = %v, want 1", g)
 	}
-	if st.SingleflightShared+st.CacheHits != 1 {
+	if sh, h := m["cold_singleflight_shared_total"], m["cold_artifact_cache_hits_total"]; sh+h != 1 {
 		// The twin either boarded the in-flight job or (if the leader
 		// finished first) hit the store; both mean one generation.
-		t.Errorf("shared=%d hits=%d, want exactly one of them = 1", st.SingleflightShared, st.CacheHits)
+		t.Errorf("shared=%v hits=%v, want exactly one of them = 1", sh, h)
 	}
 }
 
@@ -347,16 +373,25 @@ func TestSSEStream(t *testing.T) {
 	}
 }
 
+// TestHealthAndStatsEndpoints pins the route table: /healthz, /metrics and
+// pprof are served; /v1/stats and expvar's /debug/vars are not.
 func TestHealthAndStatsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{})
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %v, %v", resp, err)
-	}
-	resp.Body.Close()
-	st := getStats(t, ts)
-	if st.Telemetry.SchemaVersion != cold.TraceSchemaVersion {
-		t.Errorf("stats telemetry schema = %d, want %d", st.Telemetry.SchemaVersion, cold.TraceSchemaVersion)
+	for path, want := range map[string]int{
+		"/healthz":      http.StatusOK,
+		"/metrics":      http.StatusOK,
+		"/debug/pprof/": http.StatusOK,
+		"/v1/stats":     http.StatusNotFound,
+		"/debug/vars":   http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s status %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -526,7 +561,7 @@ func TestResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := newTestServer(t, serverOptions{store: st, checkpointEvery: 2})
+	s, ts := newTestServer(t, serverOptions{store: st, checkpointEvery: 2})
 	resp := post(t, ts, tinyBody(101, 4))
 	body := readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
@@ -535,14 +570,16 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	if !bytes.Equal(body, want.Bytes()) {
 		t.Fatal("resumed response differs from an uninterrupted run")
 	}
-	stats := getStats(t, ts)
-	if stats.CheckpointResumes != 1 || stats.CheckpointResumedReplicas != 2 {
-		t.Errorf("resumes=%d resumed_replicas=%d, want 1/2",
-			stats.CheckpointResumes, stats.CheckpointResumedReplicas)
+	m := serverMetrics(t, s)
+	if r, rr := m["cold_checkpoint_resumes_total"], m["cold_checkpoint_resumed_replicas_total"]; r != 1 || rr != 2 {
+		t.Errorf("resumes=%v resumed_replicas=%v, want 1/2", r, rr)
 	}
 	// Completion promoted the artifact and deleted the checkpoint.
-	if stats.Store.Partials != 0 {
-		t.Errorf("partials = %d after promotion, want 0", stats.Store.Partials)
+	if p := m["cold_store_partials"]; p != 0 {
+		t.Errorf("partials = %v after promotion, want 0", p)
+	}
+	if d := m["cold_store_partials_dropped_total"]; d != 1 {
+		t.Errorf("partials dropped = %v after promotion, want 1", d)
 	}
 	second := post(t, ts, tinyBody(101, 4))
 	if got := second.Header.Get("X-Cold-Cache"); got != "hit" {
@@ -560,17 +597,17 @@ func TestCheckpointWriteAndPromote(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	stats := getStats(t, ts)
+	m := serverMetrics(t, s)
 	// Replicas 1 and 2 checkpoint; the full artifact (3 lines) never does —
 	// promotion covers it.
-	if stats.CheckpointWrites != 2 {
-		t.Errorf("checkpoint_writes = %d, want 2", stats.CheckpointWrites)
+	if w := m["cold_checkpoint_writes_total"]; w != 2 {
+		t.Errorf("checkpoint writes = %v, want 2", w)
 	}
-	if stats.CheckpointResumes != 0 {
-		t.Errorf("checkpoint_resumes = %d, want 0", stats.CheckpointResumes)
+	if r := m["cold_checkpoint_resumes_total"]; r != 0 {
+		t.Errorf("checkpoint resumes = %v, want 0", r)
 	}
-	if stats.Store.Partials != 0 {
-		t.Errorf("partials = %d after success, want 0", stats.Store.Partials)
+	if p := m["cold_store_partials"]; p != 0 {
+		t.Errorf("partials = %v after success, want 0", p)
 	}
 	hash := resp.Header.Get("X-Cold-Config-Hash")
 	if ok, err := s.store.Has(artifactKey(hash, 3)); err != nil || !ok {
@@ -594,7 +631,7 @@ func TestShutdownDrain503(t *testing.T) {
 		resp := post(t, ts, slowBody(41))
 		resc <- result{resp.StatusCode, readAll(t, resp)}
 	}()
-	waitStats(t, ts, "slow job to start", func(st statsResponse) bool { return st.Generations == 1 })
+	waitMetrics(t, s, "slow job to start", func(m metrics) bool { return m["cold_generation_jobs_total"] == 1 })
 	s.beginShutdown()
 	cancelJobs()
 	r := <-resc
@@ -607,8 +644,8 @@ func TestShutdownDrain503(t *testing.T) {
 	if err := s.drainJobs(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := getStats(t, ts); st.Canceled < 1 {
-		t.Errorf("canceled = %d, want >= 1", st.Canceled)
+	if c := serverMetrics(t, s)["cold_jobs_canceled_total"]; c < 1 {
+		t.Errorf("canceled = %v, want >= 1", c)
 	}
 }
 
@@ -639,7 +676,7 @@ func TestShutdownCheckpointsMidStream(t *testing.T) {
 		resc <- string(readAll(t, resp))
 	}()
 	// At least one replica checkpointed means the stream is mid-ensemble.
-	waitStats(t, ts, "first checkpoint", func(st statsResponse) bool { return st.CheckpointWrites >= 1 })
+	waitMetrics(t, s, "first checkpoint", func(m metrics) bool { return m["cold_checkpoint_writes_total"] >= 1 })
 	s.beginShutdown()
 	cancelJobs()
 	sse := <-resc
@@ -650,8 +687,8 @@ func TestShutdownCheckpointsMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The drain left a resumable checkpoint behind.
-	if st := s.store.Stats(); st.Partials < 1 {
-		t.Errorf("partials = %d after drain, want >= 1", st.Partials)
+	if p := serverMetrics(t, s)["cold_store_partials"]; p < 1 {
+		t.Errorf("partials = %v after drain, want >= 1", p)
 	}
 }
 

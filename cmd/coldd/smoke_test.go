@@ -5,19 +5,20 @@ package main
 //
 // TestColddSmoke starts coldd on a free port with a fresh cache, POSTs one
 // tiny config twice, and asserts the second response was served from the
-// artifact store (cache-hit counter up, generation counter still 1) with a
-// byte-identical body. It then sends SIGTERM and asserts the same clean
-// drain SIGINT gets ("coldd: shut down" on stderr, exit 0).
+// artifact store (cache-hit counter up, generation counter still 1 on
+// /metrics) with a byte-identical body. It then sends SIGTERM and asserts
+// the same clean drain SIGINT gets ("coldd: shut down" on stderr, exit 0).
 //
 // TestColddRestartSmoke is the crash-recovery leg: it SIGKILLs a daemon
 // mid-ensemble (after a checkpoint file appeared in the cache), restarts it
 // over the same cache directory, and asserts the re-request resumes from
-// the checkpoint (resume counters up in /v1/stats and /metrics) and
-// returns bytes identical to an uninterrupted in-process run.
+// the checkpoint (resume counters up in /metrics) and returns bytes
+// identical to an uninterrupted in-process run.
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"io/fs"
 	"net/http"
 	"os"
@@ -148,40 +149,31 @@ func TestColddSmoke(t *testing.T) {
 		t.Fatal("identical POSTs must return byte-identical bodies")
 	}
 
-	resp, err := http.Get(d.base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, d.base)
+	if h, g := m["cold_artifact_cache_hits_total"], m["cold_generation_jobs_total"]; h != 1 || g != 1 {
+		t.Fatalf("cache hits=%v generations=%v, want 1 and 1 (second POST must be a pure cache hit)", h, g)
 	}
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	for series, want := range map[string]float64{
+		"cold_http_requests_total": 2,
+		"cold_runs_total":          1,
+		"cold_store_partials":      0,
+	} {
+		if got, ok := m[series]; !ok || got != want {
+			t.Errorf("/metrics %s = %v (present %v), want %v", series, got, ok, want)
+		}
 	}
-	resp.Body.Close()
-	if st.CacheHits != 1 || st.Generations != 1 {
-		t.Fatalf("cache_hits=%d generations=%d, want 1 and 1 (second POST must be a pure cache hit)",
-			st.CacheHits, st.Generations)
-	}
-
-	// The Prometheus surface must scrape clean: valid exposition format
-	// with the core service and engine families present.
-	mresp, err := http.Get(d.base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metrics bytes.Buffer
-	if _, err := metrics.ReadFrom(mresp.Body); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if mresp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", mresp.StatusCode)
-	}
-	if err := telemetry.LintExposition(metrics.Bytes()); err != nil {
-		t.Fatalf("/metrics fails format lint: %v", err)
-	}
-	for _, want := range []string{"cold_http_requests_total 2", "cold_generation_jobs_total 1", "cold_runs_total 1", "cold_build_info{"} {
-		if !strings.Contains(metrics.String(), want) {
-			t.Errorf("/metrics missing %q", want)
+	for path, want := range map[string]int{
+		"/debug/pprof/": http.StatusOK,
+		"/v1/stats":     http.StatusNotFound,
+		"/debug/vars":   http.StatusNotFound,
+	} {
+		resp, err := http.Get(d.base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 
@@ -226,6 +218,31 @@ func TestColddSmoke(t *testing.T) {
 	if out := d.stderr.String(); !strings.Contains(out, "coldd: shut down") {
 		t.Fatalf("missing shutdown banner on stderr:\n%s", out)
 	}
+}
+
+// scrapeMetrics GETs base/metrics, checks it passes the exposition-format
+// lint, and parses it.
+func scrapeMetrics(t *testing.T, base string) metrics {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d", resp.StatusCode)
+	}
+	if err := telemetry.LintExposition(body); err != nil {
+		t.Fatalf("/metrics fails format lint: %v", err)
+	}
+	if !bytes.Contains(body, []byte("cold_build_info{")) {
+		t.Error("/metrics missing cold_build_info")
+	}
+	return parseMetrics(t, body)
 }
 
 // hasCheckpoint reports whether the cache directory holds a partial
@@ -314,40 +331,12 @@ func TestColddRestartSmoke(t *testing.T) {
 		t.Fatal("post-restart artifact differs from an uninterrupted run")
 	}
 
-	sresp, err := http.Get(d2.base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, d2.base)
+	if r, rr := m["cold_checkpoint_resumes_total"], m["cold_checkpoint_resumed_replicas_total"]; r < 1 || rr < 1 {
+		t.Fatalf("resumes=%v resumed_replicas=%v, want both >= 1", r, rr)
 	}
-	var st statsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if st.CheckpointResumes < 1 || st.CheckpointResumedReplicas < 1 {
-		t.Fatalf("resumes=%d resumed_replicas=%d, want both >= 1 (stats %+v)",
-			st.CheckpointResumes, st.CheckpointResumedReplicas, st)
-	}
-	if st.Store.Partials != 0 {
-		t.Errorf("partials = %d after promotion, want 0", st.Store.Partials)
-	}
-
-	mresp, err := http.Get(d2.base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metrics bytes.Buffer
-	if _, err := metrics.ReadFrom(mresp.Body); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	resumed := ""
-	for _, line := range strings.Split(metrics.String(), "\n") {
-		if strings.HasPrefix(line, "cold_checkpoint_resumed_replicas_total ") {
-			resumed = strings.TrimPrefix(line, "cold_checkpoint_resumed_replicas_total ")
-		}
-	}
-	if resumed == "" || resumed == "0" {
-		t.Fatalf("cold_checkpoint_resumed_replicas_total = %q, want > 0", resumed)
+	if p := m["cold_store_partials"]; p != 0 {
+		t.Errorf("partials = %v after promotion, want 0", p)
 	}
 
 	if err := d2.cmd.Process.Signal(syscall.SIGTERM); err != nil {

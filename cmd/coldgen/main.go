@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	parallel := fs.Int("parallel", 0, "worker goroutines (0 = all CPUs); results are identical for every setting")
 	progress := fs.Bool("progress", false, "report ensemble progress on stderr")
 	trace := fs.String("trace", "", "write a JSONL telemetry trace to this file (see DESIGN.md, Observability; analyze with coldstats trace)")
-	metricsAddr := fs.String("metrics", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. :6060 or localhost:6060)")
+	metricsAddr := fs.String("metrics", "", "serve Prometheus /metrics and pprof on this address (e.g. :6060 or localhost:6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -93,12 +93,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		tel.RegisterMetrics(reg)
 		diag.RegisterBuildInfo(reg)
 		diag.RegisterRuntime(reg)
-		addr, shutdown, err := diag.Serve(*metricsAddr, reg, func() any { return tel.Snapshot() })
+		addr, shutdown, err := diag.Serve(*metricsAddr, reg)
 		if err != nil {
 			return err
 		}
 		defer shutdown() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "coldgen: metrics on http://%s/metrics (expvar on /debug/vars, pprof on /debug/pprof/)\n", addr)
+		fmt.Fprintf(os.Stderr, "coldgen: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", addr)
 	}
 
 	cfg := cold.Config{

@@ -227,12 +227,6 @@ func (e *Evaluator) setOptions(opts Options) {
 	e.useHeap = opts.Heap.enabled(e.n, opts.heapThreshold())
 }
 
-// Options returns the evaluator's resolved evaluation options.
-func (e *Evaluator) Options() Options { return e.opts }
-
-// UsesHeap reports whether the heap Dijkstra kernel is selected.
-func (e *Evaluator) UsesHeap() bool { return e.useHeap }
-
 func (e *Evaluator) initScratch() {
 	n := e.n
 	e.dj.dist = make([]float64, n)

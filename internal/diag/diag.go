@@ -1,15 +1,13 @@
 // Package diag serves the live diagnostics endpoints the CLI commands
 // expose with -metrics and cmd/coldd serves natively: Prometheus
-// text-format exposition on /metrics (internal/telemetry registry), expvar
-// (/debug/vars) with the process's telemetry snapshot published under the
-// "cold" variable, and net/http/pprof (/debug/pprof/) for CPU, heap and
-// contention profiles of a running synthesis. It also owns the process
-// identity metrics: cold_build_info (version, go version, VCS revision)
-// and cold_uptime_seconds, both documented in DESIGN.md ("Observability").
+// text-format exposition on /metrics (internal/telemetry registry) and
+// net/http/pprof (/debug/pprof/) for CPU, heap and contention profiles of
+// a running synthesis. It also owns the process identity metrics:
+// cold_build_info (version, go version, VCS revision) and
+// cold_uptime_seconds, both documented in DESIGN.md ("Observability").
 package diag
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -17,30 +15,21 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/networksynth/cold/internal/telemetry"
 )
 
-// snapshot holds the currently published snapshot function. expvar
-// variables cannot be unpublished or replaced, so the "cold" variable is
-// registered once and indirects through this value — repeated Serve calls
-// in one process (tests, embedded use) just swap the function.
-var snapshot atomic.Value // of func() any
-
 // start anchors cold_uptime_seconds and the /healthz start time to process
 // initialization.
 var start = time.Now()
 
-// Serve publishes snap as the expvar variable "cold" and starts an HTTP
-// listener on addr (host:port; an empty host binds all interfaces, port 0
-// picks a free one) serving Handler(reg) — /metrics (when reg is non-nil),
-// /debug/vars and /debug/pprof/. It returns the bound address and a
-// shutdown function. The server is for diagnostics, not production
+// Serve starts an HTTP listener on addr (host:port; an empty host binds
+// all interfaces, port 0 picks a free one) serving Handler(reg) — /metrics
+// (when reg is non-nil) and /debug/pprof/. It returns the bound address
+// and a shutdown function. The server is for diagnostics, not production
 // exposure: bind loopback unless you mean it.
-func Serve(addr string, reg *telemetry.Registry, snap func() any) (string, func() error, error) {
-	Publish(snap)
+func Serve(addr string, reg *telemetry.Registry) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("diag: listen %s: %w", addr, err)
@@ -51,28 +40,15 @@ func Serve(addr string, reg *telemetry.Registry, snap func() any) (string, func(
 }
 
 // Handler returns the diagnostics mux: GET /metrics rendering reg (when
-// non-nil) plus everything on the default mux (/debug/vars, /debug/pprof/).
+// non-nil) plus /debug/pprof/. Only the pprof subtree of the default mux
+// is exposed.
 func Handler(reg *telemetry.Registry) http.Handler {
 	mux := http.NewServeMux()
 	if reg != nil {
 		mux.Handle("GET /metrics", reg.Handler())
 	}
-	mux.Handle("/debug/", http.DefaultServeMux)
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	return mux
-}
-
-// Publish exposes snap under the expvar variable "cold" without starting a
-// listener (for processes that already serve the default mux).
-func Publish(snap func() any) {
-	snapshot.Store(snap)
-	if expvar.Get("cold") == nil {
-		expvar.Publish("cold", expvar.Func(func() any {
-			if f, ok := snapshot.Load().(func() any); ok && f != nil {
-				return f()
-			}
-			return nil
-		}))
-	}
 }
 
 // Info is the process build identity served by /healthz and labeled onto

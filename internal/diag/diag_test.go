@@ -1,7 +1,6 @@
 package diag
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -11,68 +10,29 @@ import (
 	"github.com/networksynth/cold/internal/telemetry"
 )
 
-func TestServePublishesSnapshot(t *testing.T) {
-	type snap struct {
-		Runs int `json:"runs"`
-	}
-	addr, shutdown, err := Serve("127.0.0.1:0", nil, func() any { return snap{Runs: 7} })
+// TestServeDebugRoutes: the diagnostics listener mounts pprof and nothing
+// else from the default mux — /debug/vars (expvar) is not a surface.
+func TestServeDebugRoutes(t *testing.T) {
+	addr, shutdown, err := Serve("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown() //nolint:errcheck
 
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v\n%s", err, body)
-	}
-	var got snap
-	if err := json.Unmarshal(vars["cold"], &got); err != nil {
-		t.Fatalf("cold var missing or malformed: %v (vars: %s)", err, body)
-	}
-	if got.Runs != 7 {
-		t.Fatalf("cold.runs = %d, want 7", got.Runs)
-	}
-
-	// pprof must be mounted on the same mux.
-	resp2, err := http.Get("http://" + addr + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/pprof/cmdline status %d", resp2.StatusCode)
-	}
-
-	// Re-serving swaps the snapshot function instead of panicking on a
-	// duplicate expvar registration.
-	addr2, shutdown2, err := Serve("127.0.0.1:0", nil, func() any { return snap{Runs: 9} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown2() //nolint:errcheck
-	resp3, err := http.Get("http://" + addr2 + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	body3, _ := io.ReadAll(resp3.Body)
-	if err := json.Unmarshal(body3, &vars); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(vars["cold"], &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Runs != 9 {
-		t.Fatalf("after re-serve, cold.runs = %d, want 9", got.Runs)
+	for path, want := range map[string]int{
+		"/debug/pprof/":        http.StatusOK,
+		"/debug/pprof/cmdline": http.StatusOK,
+		"/debug/vars":          http.StatusNotFound,
+		"/metrics":             http.StatusNotFound, // no registry given
+	} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s status %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -87,7 +47,7 @@ func TestServeMetrics(t *testing.T) {
 	c.Add(3)
 	reg.Counter("cold_test_requests_total", "Test counter.", &c)
 
-	addr, shutdown, err := Serve("127.0.0.1:0", reg, func() any { return nil })
+	addr, shutdown, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +75,15 @@ func TestServeMetrics(t *testing.T) {
 	}
 }
 
-// TestConcurrentPublishScrape hammers Publish against live /metrics and
-// /debug/vars scrapes — the swap path must never race or serve a torn
-// snapshot function (run under -race in `make check`).
-func TestConcurrentPublishScrape(t *testing.T) {
+// TestConcurrentScrape hammers a histogram with observations during live
+// /metrics scrapes — every scrape must lint clean, never a torn snapshot
+// (run under -race in `make check`).
+func TestConcurrentScrape(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := telemetry.NewHistogram([]float64{1, 10, 100})
 	reg.Histogram("cold_test_sizes", "Test histogram.", h)
 
-	addr, shutdown, err := Serve("127.0.0.1:0", reg, func() any { return map[string]int{"n": 0} })
+	addr, shutdown, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +91,6 @@ func TestConcurrentPublishScrape(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // publisher: keeps swapping the expvar snapshot function
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				n := i
-				Publish(func() any { return map[string]int{"n": n} })
-			}
-		}
-	}()
 	wg.Add(1)
 	go func() { // observer: keeps the histogram moving during scrapes
 		defer wg.Done()
@@ -157,25 +104,21 @@ func TestConcurrentPublishScrape(t *testing.T) {
 		}
 	}()
 
-	for i := 0; i < 20; i++ {
-		for _, path := range []string{"/metrics", "/debug/vars"} {
-			resp, err := http.Get("http://" + addr + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s status %d", path, resp.StatusCode)
-			}
-			if path == "/metrics" {
-				if err := telemetry.LintExposition(body); err != nil {
-					t.Fatalf("scrape %d fails lint: %v", i, err)
-				}
-			}
+	for i := 0; i < 40; i++ {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/metrics status %d", resp.StatusCode)
+		}
+		if err := telemetry.LintExposition(body); err != nil {
+			t.Fatalf("scrape %d fails lint: %v", i, err)
 		}
 	}
 	close(stop)

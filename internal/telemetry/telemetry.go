@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,38 +168,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Sum = h.sum
 	h.mu.Unlock()
 	return s
-}
-
-// Mean returns the average observed value, or 0 with no observations.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) as the upper bound of the
-// bucket containing it — a conservative estimate suitable for dashboards.
-// Observations in the overflow bucket report +Inf.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i, c := range s.Counts {
-		seen += c
-		if seen >= rank {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
 }
 
 // Span is a monotonic interval timer. The zero Span is inert: Elapsed

@@ -63,22 +63,13 @@ func TestHistogramBucketing(t *testing.T) {
 	if s.Sum != 1+10+11+100+5000 {
 		t.Fatalf("sum = %v", s.Sum)
 	}
-	if got := s.Mean(); got != s.Sum/5 {
-		t.Fatalf("mean = %v", got)
-	}
-	if q := s.Quantile(0.5); q != 100 {
-		t.Fatalf("median estimate = %v, want bucket bound 100", q)
-	}
-	if q := s.Quantile(1); !math.IsInf(q, 1) {
-		t.Fatalf("p100 with overflow observation = %v, want +Inf", q)
-	}
 }
 
 func TestHistogramNilAndEmpty(t *testing.T) {
 	var h *Histogram
 	h.Observe(1) // no-op
 	s := h.Snapshot()
-	if s.Count != 0 || s.Mean() != 0 || s.Quantile(0.99) != 0 {
+	if s.Count != 0 || s.Sum != 0 {
 		t.Fatal("nil histogram snapshot must be zero")
 	}
 }

@@ -51,23 +51,10 @@ func (a *EvalStats) add(s cost.Stats) {
 	a.CSRBuilds += s.CSRBuilds
 }
 
-// DurationStats summarizes a duration histogram in nanoseconds. Quantiles
-// are bucket-resolution estimates (each reported as its bucket's upper
-// bound).
-type DurationStats struct {
-	Count  uint64  `json:"count"`
-	MeanNs float64 `json:"mean_ns"`
-	P50Ns  float64 `json:"p50_ns"`
-	P90Ns  float64 `json:"p90_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-}
-
 // TelemetrySnapshot is a point-in-time view of a Telemetry's aggregated
-// instruments, safe to read while runs are in flight. It marshals to JSON,
-// so it can be published directly through expvar.Func.
+// counters, safe to read while runs are in flight. The same values, plus
+// the evaluation latency histogram, are what RegisterMetrics publishes.
 type TelemetrySnapshot struct {
-	SchemaVersion int `json:"schema_version"`
-
 	Runs            uint64 `json:"runs"`             // ensemble runs started
 	ReplicasStarted uint64 `json:"replicas_started"` // replicas picked up
 	ReplicasDone    uint64 `json:"replicas_done"`    // replicas finished (incl. failed)
@@ -81,10 +68,6 @@ type TelemetrySnapshot struct {
 	// Eval aggregates evaluator counters across all finished replicas
 	// (in-flight replicas contribute after they end).
 	Eval EvalStats `json:"eval"`
-
-	// EvalDuration summarizes the wall time of real (non-memoized)
-	// cost evaluations, live across in-flight replicas.
-	EvalDuration DurationStats `json:"eval_duration"`
 }
 
 // Telemetry collects metrics and (optionally) a JSONL event trace from every
@@ -165,18 +148,16 @@ func (t *Telemetry) TraceErr() error {
 	return t.rec.Err()
 }
 
-// Snapshot returns a point-in-time view of every instrument. Safe to call
-// concurrently with runs (expvar integration calls it on every scrape).
+// Snapshot returns a point-in-time view of every counter. Safe to call
+// concurrently with runs.
 func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	if t == nil {
-		return TelemetrySnapshot{SchemaVersion: TraceSchemaVersion}
+		return TelemetrySnapshot{}
 	}
 	t.mu.Lock()
 	agg := t.agg
 	t.mu.Unlock()
-	h := t.evalDur.Snapshot()
 	return TelemetrySnapshot{
-		SchemaVersion:   TraceSchemaVersion,
 		Runs:            t.runs.Load(),
 		ReplicasStarted: t.replicasStarted.Load(),
 		ReplicasDone:    t.replicasDone.Load(),
@@ -186,13 +167,6 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 		BusyNs:          int64(t.busyNs.Load()),
 		QueueNs:         int64(t.queueNs.Load()),
 		Eval:            agg,
-		EvalDuration: DurationStats{
-			Count:  h.Count,
-			MeanNs: h.Mean(),
-			P50Ns:  h.Quantile(0.50),
-			P90Ns:  h.Quantile(0.90),
-			P99Ns:  h.Quantile(0.99),
-		},
 	}
 }
 
@@ -202,7 +176,7 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 // aggregated cache, sweep and CSR counters, and the evaluation latency
 // histogram, exposed in seconds per
 // the Prometheus base-unit convention. Values are read at scrape time from
-// the same consistent snapshots Snapshot uses. The receiver must be
+// the same instruments Snapshot reads. The receiver must be
 // non-nil; in-module consumers (cmd/coldd, internal/diag) serve the
 // registry as GET /metrics.
 func (t *Telemetry) RegisterMetrics(reg *telemetry.Registry) {
