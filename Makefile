@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check examples bench bench-smoke fuzz ensemble coldd-smoke validate-smoke trace-smoke perfbench-check
+.PHONY: build test vet race check examples bench fuzz coldd-smoke validate-smoke trace-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -32,24 +32,17 @@ examples:
 	$(GO) vet ./examples/...
 	$(GO) build ./examples/...
 
-# Fast telemetry-instrumented benchmark run writing machine-readable
-# results to BENCH_COLD.json (format: EXPERIMENTS.md). CI runs this and
-# uploads the file as a build artifact. The zero-alloc pins run first:
-# the csr experiment's numbers are meaningless if the evaluation hot
-# path regressed into allocating, so fail fast on TestZeroAlloc.
-bench-smoke:
-	$(GO) test ./internal/cost -run TestZeroAlloc -count=1
-	$(GO) run ./cmd/coldbench -trials 4 -n 16 -pop 24 -gens 12 -json BENCH_COLD.json ensemble breeding csr
-
 # Short fuzzing smoke on the evaluator's kernel-equivalence target, the
-# validation distances and the untrusted config JSON boundary (CI runs
-# this; crank -fuzztime locally for a real session). The evaluator corpus
-# lives under internal/cost/testdata/fuzz/.
+# validation distances, the untrusted config JSON boundary and the
+# `coldstats trace` parser (CI runs this; crank -fuzztime locally for a
+# real session). The evaluator corpus lives under
+# internal/cost/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test . -run '^$$' -fuzz FuzzConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzDijkstraEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzDistances -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/coldstats -run '^$$' -fuzz FuzzTrace -fuzztime $(FUZZTIME)
 
 # Ensemble-scale validation smoke: the determinism/self-comparison pins
 # first (byte-identical records and scorecard at Parallelism 1 vs 8, the
@@ -95,7 +88,3 @@ trace-smoke:
 # it and run its short tests.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
-
-# Serial-vs-parallel ensemble throughput on this machine.
-ensemble:
-	$(GO) run ./cmd/coldbench -trials 8 -pop 50 -gens 50 ensemble

@@ -1,5 +1,6 @@
 // Command coldbench regenerates every table and figure of the COLD paper's
-// evaluation. Each experiment prints the rows/series the paper reports.
+// evaluation, plus the ensemble-scale validate scorecard. Each experiment
+// prints the rows/series the paper reports.
 //
 // Usage:
 //
@@ -8,26 +9,20 @@
 //	coldbench all
 //
 // Experiments: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8a fig8b fig9
-// brute context routers dijkstra csr extras ensemble breeding validate
-// all.
+// brute context routers extras validate all.
 // Figures 5–7 share one sweep, as do 8b and 9, so requesting several of
 // them together reuses the runs.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
-	cold "github.com/networksynth/cold"
-	"github.com/networksynth/cold/internal/diag"
 	"github.com/networksynth/cold/internal/experiments"
-	"github.com/networksynth/cold/internal/telemetry"
 	"github.com/networksynth/cold/internal/zoo"
 )
 
@@ -48,63 +43,18 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&o.GAGens, "gens", d.GAGens, "GA generations T")
 	fs.IntVar(&o.Bootstrap, "bootstrap", d.Bootstrap, "bootstrap resamples for CIs")
 	fs.Int64Var(&o.Seed, "seed", d.Seed, "master seed")
-	jsonOut := fs.String("json", "", "write machine-readable results to this file (e.g. BENCH_COLD.json; format in EXPERIMENTS.md)")
 	validateCount := fs.Int("validate-count", 1000, "COLD ensemble size for the validate experiment")
 	validateRecords := fs.String("validate-records", "", "write the validate experiment's per-topology JSONL records to this file (e.g. VALIDATE_COLD.jsonl)")
-	trace := fs.String("trace", "", "write a JSONL telemetry trace to this file (see DESIGN.md, Observability; analyze with coldstats trace)")
-	metricsAddr := fs.String("metrics", "", "serve Prometheus /metrics and pprof on this address (e.g. :6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	names := fs.Args()
 	if len(names) == 0 {
-		return fmt.Errorf("no experiment given; try: coldbench all (options: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8a fig8b fig9 brute context routers dijkstra csr extras ensemble breeding validate)")
+		return fmt.Errorf("no experiment given; try: coldbench all (options: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8a fig8b fig9 brute context routers extras validate)")
 	}
 	if len(names) == 1 && names[0] == "all" {
-		names = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "brute", "context", "routers", "dijkstra", "csr", "extras", "ensemble", "breeding", "validate"}
+		names = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "brute", "context", "routers", "extras", "validate"}
 	}
-
-	// Telemetry instruments the experiments that run through the public
-	// cold API (ensemble, breeding); it feeds the -json counters, the
-	// -trace event log and the -metrics endpoint.
-	var tel *cold.Telemetry
-	if *jsonOut != "" || *trace != "" || *metricsAddr != "" {
-		tel = cold.NewTelemetry()
-	}
-	var flushTrace func() error
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(f)
-		tel.TraceTo(bw)
-		flushTrace = func() error {
-			if err := tel.TraceErr(); err != nil {
-				f.Close() //nolint:errcheck
-				return fmt.Errorf("trace: %w", err)
-			}
-			if err := bw.Flush(); err != nil {
-				f.Close() //nolint:errcheck
-				return fmt.Errorf("trace: %w", err)
-			}
-			return f.Close()
-		}
-		defer f.Close() //nolint:errcheck // no-op after flushTrace's close
-	}
-	if *metricsAddr != "" {
-		reg := telemetry.NewRegistry()
-		tel.RegisterMetrics(reg)
-		diag.RegisterBuildInfo(reg)
-		diag.RegisterRuntime(reg)
-		addr, shutdown, err := diag.Serve(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer shutdown() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "coldbench: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", addr)
-	}
-	var records []benchRecord
 
 	// Shared sweeps, computed at most once.
 	var tun *experiments.TunabilityResult
@@ -124,7 +74,6 @@ func run(args []string, stdout io.Writer) error {
 
 	for _, name := range names {
 		start := time.Now()
-		before := tel.Snapshot()
 		var tables []*experiments.Table
 		switch name {
 		case "table1":
@@ -156,24 +105,8 @@ func run(args []string, stdout io.Writer) error {
 			tables = []*experiments.Table{experiments.ContextSensitivity(o)}
 		case "routers":
 			tables = []*experiments.Table{experiments.RouterSpread(o)}
-		case "dijkstra":
-			tables = []*experiments.Table{experiments.DijkstraKernels(o)}
-		case "csr":
-			tables = []*experiments.Table{experiments.CSRHotPath(o)}
 		case "extras":
 			tables = []*experiments.Table{experiments.ExtraFeatures(0, o)}
-		case "ensemble":
-			t, err := ensembleThroughput(o, tel)
-			if err != nil {
-				return err
-			}
-			tables = []*experiments.Table{t}
-		case "breeding":
-			t, err := breedingThroughput(o, tel)
-			if err != nil {
-				return err
-			}
-			tables = []*experiments.Table{t}
 		case "validate":
 			var err error
 			tables, err = runValidate(o, *validateCount, *validateRecords)
@@ -189,89 +122,9 @@ func run(args []string, stdout io.Writer) error {
 			}
 			fmt.Fprintln(stdout)
 		}
-		elapsed := time.Since(start)
-		fmt.Fprintf(stdout, "-- %s done in %.1fs --\n\n", name, elapsed.Seconds())
-		if *jsonOut != "" {
-			records = append(records, newBenchRecord(name, o, elapsed, before, tel.Snapshot()))
-		}
-	}
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut, o, records); err != nil {
-			return err
-		}
-	}
-	if flushTrace != nil {
-		return flushTrace()
+		fmt.Fprintf(stdout, "-- %s done in %.1fs --\n\n", name, time.Since(start).Seconds())
 	}
 	return nil
-}
-
-// benchRecord is one experiment's entry in the -json output; the file
-// format is documented in EXPERIMENTS.md ("Machine-readable results").
-type benchRecord struct {
-	Experiment string `json:"experiment"`
-	N          int    `json:"n"`
-	Iters      int    `json:"iters"`     // trials per data point
-	DurNs      int64  `json:"dur_ns"`    // experiment wall time
-	NsPerOp    int64  `json:"ns_per_op"` // DurNs / Iters
-	// Counters are telemetry deltas over the experiment: only experiments
-	// wired to a Telemetry (ensemble, breeding) report them; the rest run
-	// on internal packages and omit the field.
-	Counters map[string]uint64 `json:"counters,omitempty"`
-}
-
-type benchFile struct {
-	V          int           `json:"v"` // file schema version
-	GoMaxProcs int           `json:"go_max_procs"`
-	Pop        int           `json:"pop"`
-	Gens       int           `json:"gens"`
-	Seed       int64         `json:"seed"`
-	Runs       []benchRecord `json:"experiments"`
-}
-
-func newBenchRecord(name string, o experiments.Options, elapsed time.Duration, before, after cold.TelemetrySnapshot) benchRecord {
-	o = experiments.Normalized(o)
-	iters := max(o.Trials, 1)
-	rec := benchRecord{
-		Experiment: name,
-		N:          o.N,
-		Iters:      iters,
-		DurNs:      elapsed.Nanoseconds(),
-		NsPerOp:    elapsed.Nanoseconds() / int64(iters),
-	}
-	counters := map[string]uint64{
-		"replicas":     after.ReplicasDone - before.ReplicasDone,
-		"generations":  after.Generations - before.Generations,
-		"evaluations":  after.Evaluations - before.Evaluations,
-		"cache_hits":   after.Eval.CacheHits - before.Eval.CacheHits,
-		"cache_misses": after.Eval.CacheMisses - before.Eval.CacheMisses,
-		"full_sweeps":  after.Eval.FullSweeps - before.Eval.FullSweeps,
-		"csr_builds":   after.Eval.CSRBuilds - before.Eval.CSRBuilds,
-	}
-	any := false
-	for _, v := range counters {
-		any = any || v > 0
-	}
-	if any {
-		rec.Counters = counters
-	}
-	return rec
-}
-
-func writeBenchJSON(path string, o experiments.Options, records []benchRecord) error {
-	o = experiments.Normalized(o)
-	b, err := json.MarshalIndent(benchFile{
-		V:          1,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Pop:        o.GAPop,
-		Gens:       o.GAGens,
-		Seed:       o.Seed,
-		Runs:       records,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // runValidate runs the ensemble-scale validation experiment, optionally
@@ -299,116 +152,4 @@ func runValidate(o experiments.Options, count int, recordsPath string) ([]*exper
 		return nil, fmt.Errorf("validate records: %w", err)
 	}
 	return tables, nil
-}
-
-// ensembleThroughput times the parallel ensemble engine against the serial
-// path on the same workload and verifies the outputs are identical — the
-// before/after numbers for the worker-pool GenerateEnsemble.
-func ensembleThroughput(o experiments.Options, tel *cold.Telemetry) (*experiments.Table, error) {
-	o = experiments.Normalized(o)
-	count := max(o.Trials, 8)
-	cfg := cold.Config{
-		NumPoPs:   o.N,
-		Seed:      o.Seed,
-		Telemetry: tel,
-		Optimizer: cold.OptimizerSpec{
-			PopulationSize: o.GAPop,
-			Generations:    o.GAGens,
-		},
-	}
-	t := &experiments.Table{
-		Title: fmt.Sprintf("Ensemble throughput (%d networks, n=%d, M=%d, T=%d, %d CPUs)",
-			count, o.N, o.GAPop, o.GAGens, runtime.GOMAXPROCS(0)),
-		Notes:   []string{"identical seeds give identical networks at every parallelism"},
-		Columns: []string{"parallelism", "seconds", "nets/sec", "speedup"},
-	}
-	levels := []int{1}
-	if runtime.GOMAXPROCS(0) > 1 {
-		levels = append(levels, runtime.GOMAXPROCS(0))
-	}
-	var base float64
-	var serial []*cold.Network
-	for _, par := range levels {
-		c := cfg
-		c.Parallelism = par
-		start := time.Now()
-		nets, err := cold.GenerateEnsemble(c, count)
-		if err != nil {
-			return nil, err
-		}
-		secs := time.Since(start).Seconds()
-		if par == 1 {
-			base = secs
-			serial = nets
-		} else {
-			for i := range nets {
-				if nets[i].Cost.Total != serial[i].Cost.Total || len(nets[i].Links) != len(serial[i].Links) {
-					return nil, fmt.Errorf("ensemble: parallel output diverged from serial at member %d", i)
-				}
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", par),
-			fmt.Sprintf("%.2f", secs),
-			fmt.Sprintf("%.2f", float64(count)/secs),
-			fmt.Sprintf("%.2fx", base/secs),
-		})
-	}
-	return t, nil
-}
-
-// breedingThroughput times a single large GA run (cold.Generate) with the
-// inner worker pool off and on. Since the per-offspring rng streams made
-// breeding order-independent, both offspring construction and fitness
-// evaluation fan out — and the resulting network must be bit-identical at
-// every parallelism, which this experiment also verifies.
-func breedingThroughput(o experiments.Options, tel *cold.Telemetry) (*experiments.Table, error) {
-	o = experiments.Normalized(o)
-	cfg := cold.Config{
-		NumPoPs:   o.N,
-		Seed:      o.Seed,
-		Telemetry: tel,
-		Optimizer: cold.OptimizerSpec{
-			// Scale the population up so offspring construction, not just
-			// fitness evaluation, is a visible fraction of the run.
-			PopulationSize: 4 * o.GAPop,
-			Generations:    o.GAGens,
-		},
-	}
-	t := &experiments.Table{
-		Title: fmt.Sprintf("GA breeding throughput (one run, n=%d, M=%d, T=%d, %d CPUs)",
-			o.N, 4*o.GAPop, o.GAGens, runtime.GOMAXPROCS(0)),
-		Notes:   []string{"per-offspring rng streams keep the run bit-identical at every parallelism"},
-		Columns: []string{"parallelism", "seconds", "speedup", "cost"},
-	}
-	levels := []int{1}
-	if runtime.GOMAXPROCS(0) > 1 {
-		levels = append(levels, runtime.GOMAXPROCS(0))
-	}
-	var base float64
-	var serial *cold.Network
-	for _, par := range levels {
-		c := cfg
-		c.Parallelism = par
-		start := time.Now()
-		nw, err := cold.Generate(c)
-		if err != nil {
-			return nil, err
-		}
-		secs := time.Since(start).Seconds()
-		if par == 1 {
-			base = secs
-			serial = nw
-		} else if nw.Cost.Total != serial.Cost.Total || len(nw.Links) != len(serial.Links) {
-			return nil, fmt.Errorf("breeding: parallel output diverged from serial (cost %v vs %v)",
-				nw.Cost.Total, serial.Cost.Total)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", par),
-			fmt.Sprintf("%.2f", secs),
-			fmt.Sprintf("%.2fx", base/secs),
-			fmt.Sprintf("%.1f", nw.Cost.Total),
-		})
-	}
-	return t, nil
 }

@@ -52,17 +52,6 @@ func TestRunFig2AndBrute(t *testing.T) {
 	}
 }
 
-func TestRunBreedingThroughput(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(append(fastFlags, "breeding"), &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "GA breeding throughput") || !strings.Contains(s, "-- breeding done") {
-		t.Errorf("output malformed:\n%s", s)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{}, &out); err == nil {
@@ -73,6 +62,17 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-trials", "x"}, &out); err == nil {
 		t.Error("bad flag should error")
+	}
+	// Timing harnesses and their flags live in perfbench, not here.
+	for _, name := range []string{"dijkstra", "csr", "ensemble", "breeding"} {
+		if err := run(append(fastFlags, name), &out); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("experiment %q: err = %v, want unknown experiment", name, err)
+		}
+	}
+	for _, flag := range []string{"-json", "-trace", "-metrics"} {
+		if err := run([]string{flag, "x", "table1"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("flag %s: err = %v, want undefined flag", flag, err)
+		}
 	}
 }
 
@@ -86,58 +86,6 @@ func TestRunRoutersAndExtras(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("missing %q", want)
 		}
-	}
-}
-
-func TestRunDijkstraExperiment(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(append(fastFlags, "dijkstra"), &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "evaluator kernels") || !strings.Contains(s, "heap speedup") {
-		t.Errorf("output malformed:\n%s", s)
-	}
-}
-
-func TestRunJSONOutput(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_COLD.json")
-	var out bytes.Buffer
-	if err := run(append(fastFlags, "-json", path, "table1", "ensemble"), &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("bench JSON malformed: %v\n%s", err, data)
-	}
-	if f.V != 1 {
-		t.Fatalf("file schema version %d, want 1", f.V)
-	}
-	if len(f.Runs) != 2 {
-		t.Fatalf("%d experiment records, want 2", len(f.Runs))
-	}
-	for _, r := range f.Runs {
-		if r.DurNs <= 0 || r.NsPerOp <= 0 || r.Iters <= 0 {
-			t.Fatalf("record %q has empty timings: %+v", r.Experiment, r)
-		}
-	}
-	if f.Runs[0].Experiment != "table1" || f.Runs[1].Experiment != "ensemble" {
-		t.Fatalf("experiment order wrong: %+v", f.Runs)
-	}
-	// table1 runs on internal packages (no public-API telemetry), so it
-	// must omit counters; ensemble drives cold.GenerateEnsemble and must
-	// report them.
-	if f.Runs[0].Counters != nil {
-		t.Fatalf("table1 reported counters: %+v", f.Runs[0].Counters)
-	}
-	ec := f.Runs[1].Counters
-	if ec == nil || ec["replicas"] == 0 || ec["generations"] == 0 || ec["evaluations"] == 0 {
-		t.Fatalf("ensemble counters missing: %+v", ec)
 	}
 }
 

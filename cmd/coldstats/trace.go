@@ -1,8 +1,8 @@
 package main
 
 // The trace subcommand analyzes JSONL telemetry traces (DESIGN.md,
-// "Observability"): the files coldgen/coldbench write with -trace and
-// coldd writes per job under -trace-dir. It groups events into runs and
+// "Observability"): the files coldgen writes with -trace and coldd
+// writes per job under -trace-dir. It groups events into runs and
 // prints, per run, the phase-timing breakdown of every replica, a GA
 // convergence summary (best cost vs generation, diversity, elite
 // survival), and the evaluator counter rollup.
@@ -293,8 +293,17 @@ func printConvergence(w io.Writer, tr *traceRun) {
 	}
 	if ok0 && okN && first > last {
 		impr := first - last
+		// Walk only the generations present: gen numbers come from the
+		// trace, so counting up to maxGen could take ~2^63 steps.
+		present := make([]int, 0, len(tr.gens))
+		for g := range tr.gens {
+			if g >= 0 {
+				present = append(present, g)
+			}
+		}
+		sort.Ints(present)
 		reached := tr.maxGen
-		for g := 0; g <= tr.maxGen; g++ {
+		for _, g := range present {
 			if best, _, _, _, ok := mean(g); ok && first-best >= 0.9*impr {
 				reached = g
 				break
@@ -307,7 +316,9 @@ func printConvergence(w io.Writer, tr *traceRun) {
 
 // sampleGens picks the generations to tabulate: 0, quartiles, and final.
 func sampleGens(maxGen int) []int {
-	gens := []int{0, maxGen / 4, maxGen / 2, 3 * maxGen / 4, maxGen}
+	// 3*maxGen/4 without overflowing on a huge maxGen.
+	q3 := maxGen/4*3 + maxGen%4*3/4
+	gens := []int{0, maxGen / 4, maxGen / 2, q3, maxGen}
 	out := gens[:0]
 	seen := -1
 	for _, g := range gens {

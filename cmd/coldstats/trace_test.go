@@ -3,10 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	cold "github.com/networksynth/cold"
 )
@@ -231,4 +233,73 @@ func TestTraceUsageErrors(t *testing.T) {
 	if err := run([]string{"trace", filepath.Join(t.TempDir(), "absent.jsonl")}, &out); err == nil {
 		t.Fatal("missing file must error")
 	}
+}
+
+// hugeGenTrace is a well-formed trace whose final generation number is
+// MaxInt64: the report must walk the generations present, not count up to
+// the largest one.
+const hugeGenTrace = `{"v":3,"event":"run_start","replicas":1,"workers":1,"n":5,"pop":4,"gens":2}
+{"v":3,"event":"generation","replica":0,"gen":0,"best":10,"mean":10}
+{"v":3,"event":"generation","replica":0,"gen":9223372036854775807,"best":1,"mean":1}
+`
+
+// within runs fn and fails the test if it has not returned after d.
+func within(t testing.TB, d time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("did not return within %v", d)
+	}
+}
+
+func TestTraceHugeGeneration(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.jsonl")
+	if err := os.WriteFile(path, []byte(hugeGenTrace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	var err error
+	within(t, 5*time.Second, func() { err = run([]string{"trace", path}, &out) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "90% of the improvement by gen 9223372036854775807"; !strings.Contains(out.String(), want) {
+		t.Errorf("report missing %q:\n%s", want, out.String())
+	}
+}
+
+// FuzzTrace feeds arbitrary bytes to the trace parser and renders every
+// parsed run: neither step may panic or hang.
+//
+// Run a real session with:
+//
+//	go test ./cmd/coldstats -run '^$' -fuzz FuzzTrace -fuzztime 1m
+func FuzzTrace(f *testing.F) {
+	f.Add([]byte(hugeGenTrace))
+	f.Add([]byte(`{"v":1,"event":"run_start","replicas":1,"workers":1,"n":5,"pop":4,"gens":2}
+{"v":1,"event":"replica_start","replica":0,"worker":0,"queue_ns":10}
+{"v":1,"event":"generation","replica":0,"gen":0,"best":9.5,"mean":11,"diversity":2,"evals":4}
+{"v":1,"event":"generation","replica":0,"gen":1,"best":8.5,"mean":9,"diversity":1,"elite_survived":2,"evals":8}
+{"v":1,"event":"phase","replica":0,"phase":"breed","total_ns":10,"count":2}
+{"v":1,"event":"replica_end","replica":0,"worker":0,"dur_ns":100,"cost":8.5,"links":4}
+{"v":1,"event":"run_end","replicas":1,"workers":1,"dur_ns":120,"busy_ns":100,"utilization":0.83,"cache_hits":3,"cache_misses":5,"full_sweeps":5}
+`))
+	f.Add([]byte(`{"v":2,"event":"generation","replica":-3,"gen":-1,"best":4}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		within(t, 5*time.Second, func() {
+			runs, _, err := parseTrace(bytes.NewReader(data))
+			if err != nil {
+				return
+			}
+			for i, tr := range runs {
+				printRun(io.Discard, i, tr, 16)
+			}
+		})
+	})
 }

@@ -391,33 +391,11 @@ func GenerateEnsembleStreamFrom(ctx context.Context, cfg Config, count, start in
 	run := cfg.Telemetry.startRun(remaining, workers, cfg)
 	defer run.end()
 
-	if workers <= 1 {
-		for i := start; i < count; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			nw, err := generateReplica(ctx, cfg, run, i, 0, 0)
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("cold: ensemble member %d: %w", i, err)
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(i+1, count)
-			}
-			if err := emit(i, nw); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Worker pool: replica indices flow through jobs; each worker runs
-	// whole replicas. Per-replica seeding makes members independent of
-	// which worker (or order) computed them; pending[i] holds completed
-	// members until every earlier replica has been emitted, so emissions
-	// come out in replica order.
+	// Worker pool (of one when Parallelism is 1): replica indices flow
+	// through jobs; each worker runs whole replicas. Per-replica seeding
+	// makes members independent of which worker (or order) computed them;
+	// pending[i] holds completed members until every earlier replica has
+	// been emitted, so emissions come out in replica order.
 	pool, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -517,8 +495,8 @@ const replicaTag = 0xC01DC01D
 // (seed + i*K) made streams collide across ensembles whose base seeds
 // differ by a multiple of K — replicaSeed(s, i+d) == replicaSeed(s+d*K, i)
 // — so two "independent" ensembles could share member networks. Hashing
-// has no such additive relation; serial and parallel paths share the
-// derivation, so outputs never depend on Parallelism.
+// has no such additive relation, and the seed depends only on i, so
+// outputs never depend on Parallelism.
 func replicaSeed(seed int64, i int) int64 {
 	return int64(stats.StreamSeed(uint64(seed), replicaTag, uint64(i)))
 }

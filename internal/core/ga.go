@@ -83,12 +83,6 @@ type Settings struct {
 	// mutation.
 	NodeMutationProb float64
 
-	// InitialEdgeProb is the Erdős–Rényi p used for the random part of the
-	// first generation. Zero means automatic (expected ~1.5 links per
-	// node, between tree and mesh, per the paper's guidance that p·C(n,2)
-	// should approximate the optimal link count).
-	InitialEdgeProb float64
-
 	// Seeds are extra starting topologies, typically heuristic outputs
 	// (the paper's "initialised GA"). They join the MST and the clique in
 	// the first generation.
@@ -168,9 +162,6 @@ func (s Settings) Validate() error {
 	}
 	if s.NodeMutationProb < 0 || s.NodeMutationProb > 1 {
 		return fmt.Errorf("core: node mutation probability %v outside [0,1]", s.NodeMutationProb)
-	}
-	if s.InitialEdgeProb < 0 || s.InitialEdgeProb > 1 {
-		return fmt.Errorf("core: initial edge probability %v outside [0,1]", s.InitialEdgeProb)
 	}
 	if s.Parallelism < 0 {
 		return fmt.Errorf("core: parallelism %d < 0", s.Parallelism)
@@ -377,6 +368,12 @@ func (ga *runner) forSlots(lo, hi int, body func(slot int, sc *breedScratch)) {
 	wg.Wait()
 }
 
+// initialMeanDegree sets the Erdős–Rényi p = initialMeanDegree/n of the
+// random part of generation zero: an expected ~1.5 links per node, between
+// tree and mesh, per the paper's guidance that p·C(n,2) should approximate
+// the optimal link count.
+const initialMeanDegree = 3.0
+
 // initialPopulation builds generation zero per §4.1: slot 0 holds the
 // distance MST, slot 1 the clique, the next slots any provided seeds, and
 // Erdős–Rényi random graphs (repaired to be connected) fill the rest. The
@@ -389,15 +386,9 @@ func (ga *runner) initialPopulation() []*graph.Graph {
 	m := ga.s.PopulationSize
 	pop := make([]*graph.Graph, m)
 	fixed := min(m, 2+len(ga.s.Seeds))
-	p := ga.s.InitialEdgeProb
-	if p == 0 {
-		// Aim for ~1.5 links per node, clamped to a proper probability.
-		if n > 1 {
-			p = 3.0 / float64(n)
-		}
-		if p > 1 {
-			p = 1
-		}
+	var p float64
+	if n > 1 {
+		p = min(initialMeanDegree/float64(n), 1)
 	}
 	ga.forSlots(0, m, func(slot int, sc *breedScratch) {
 		switch {

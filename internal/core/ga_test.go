@@ -50,7 +50,6 @@ func TestSettingsValidation(t *testing.T) {
 		func(s *Settings) { s.LinkMutationGeomP = 0 },
 		func(s *Settings) { s.LinkMutationGeomP = 1.5 },
 		func(s *Settings) { s.NodeMutationProb = -0.1 },
-		func(s *Settings) { s.InitialEdgeProb = 2 },
 	}
 	for i, mutate := range bad {
 		s := DefaultSettings()

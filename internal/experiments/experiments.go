@@ -49,10 +49,6 @@ func Defaults() Options {
 	return Options{Trials: 10, N: 30, GAPop: 100, GAGens: 100, Bootstrap: 1000, Seed: 1}
 }
 
-// Normalized fills zero fields of o from Defaults (for callers outside the
-// package that build workloads from Options, e.g. cmd/coldbench extras).
-func Normalized(o Options) Options { return o.normalize() }
-
 // normalize fills zero fields from Defaults.
 func (o Options) normalize() Options {
 	d := Defaults()

@@ -149,7 +149,8 @@ func (t *Telemetry) TraceErr() error {
 }
 
 // Snapshot returns a point-in-time view of every counter. Safe to call
-// concurrently with runs.
+// concurrently with runs. RegisterMetrics takes an internal type, so
+// Snapshot is the counter read-out for code outside this module.
 func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	if t == nil {
 		return TelemetrySnapshot{}
