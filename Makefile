@@ -26,11 +26,15 @@ check: build vet race
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# Every example must keep compiling — `go build ./...` covers them, but
-# this target makes the gate explicit and CI-visible when they break.
+# Every example must vet clean, compile and run to a zero exit, so an
+# example that breaks at run time fails CI, which runs this target.
 examples:
 	$(GO) vet ./examples/...
 	$(GO) build ./examples/...
+	@for d in examples/*/; do \
+		echo "== go run ./$$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 # Short fuzzing smoke on the evaluator's kernel-equivalence target, the
 # validation distances, the untrusted config JSON boundary and the

@@ -46,7 +46,9 @@ type FieldError struct {
 	Msg   string
 }
 
-func (e *FieldError) Error() string { return fmt.Sprintf("cold: invalid config: %s: %s", e.Field, e.Msg) }
+func (e *FieldError) Error() string {
+	return fmt.Sprintf("cold: invalid config: %s: %s", e.Field, e.Msg)
+}
 
 // Is makes every FieldError match the ErrInvalidConfig sentinel.
 func (e *FieldError) Is(target error) bool { return target == ErrInvalidConfig }
@@ -56,6 +58,9 @@ func (e *FieldError) Is(target error) bool { return target == ErrInvalidConfig }
 // checks are exactly the ones generation applies: Validate(cfg) == nil
 // if and only if buildContext accepts cfg, which is what lets a service
 // reject bad requests up front and cache on Config.Hash() safely.
+// Generation can still reject an accepted config, also with
+// ErrInvalidConfig, when every topology's cost overflows to +Inf; only
+// evaluating the sampled context reveals that.
 func (cfg Config) Validate() error {
 	var errs []error
 	bad := func(field, format string, args ...any) {
@@ -63,8 +68,10 @@ func (cfg Config) Validate() error {
 	}
 	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-	if cfg.NumPoPs < 1 {
-		bad("NumPoPs", "%d must be >= 1", cfg.NumPoPs)
+	if cfg.NumPoPs < 2 {
+		// A single PoP has no link to design, and its summary statistics
+		// (degree CV, mean path length) are undefined, so it cannot export.
+		bad("NumPoPs", "%d must be >= 2", cfg.NumPoPs)
 	}
 	if cfg.Parallelism < 0 {
 		bad("Parallelism", "%d must be >= 0", cfg.Parallelism)
@@ -180,7 +187,7 @@ type canonicalLocation struct {
 
 type canonicalTraffic struct {
 	Kind        string    `json:"kind"`
-	Mean        float64   `json:"mean,omitempty"`        // exponential, pareto, uniform
+	Mean        float64   `json:"mean,omitempty"`         // exponential, pareto, uniform
 	ParetoShape float64   `json:"pareto_shape,omitempty"` // pareto
 	Scale       float64   `json:"scale"`
 	Populations []float64 `json:"populations,omitempty"` // fixed, truncated to NumPoPs

@@ -19,6 +19,7 @@ func TestValidateTypedErrors(t *testing.T) {
 	}{
 		{"zero pops", Config{}, "NumPoPs"},
 		{"negative pops", Config{NumPoPs: -3}, "NumPoPs"},
+		{"single pop", Config{NumPoPs: 1}, "NumPoPs"},
 		{"negative parallelism", Config{NumPoPs: 5, Parallelism: -1}, "Parallelism"},
 		{"negative k2", Config{NumPoPs: 5, Params: Params{K0: 1, K2: -1}}, "Params.K2"},
 		{"unknown location", Config{NumPoPs: 5, Locations: LocationSpec{Kind: LocationKind(42)}}, "Locations.Kind"},

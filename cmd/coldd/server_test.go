@@ -232,6 +232,29 @@ func TestGenerateRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestOverflowingConfigIs400: a config that passes validation but whose
+// every candidate cost overflows once panicked a GA goroutine and killed
+// the daemon. It must be answered 400, and the daemon must keep serving.
+func TestOverflowingConfigIs400(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{})
+	resp := post(t, ts, `{"config":{"NumPoPs":10,"Seed":1,"Params":{"K0":10,"K1":1,"K2":1e306,"K3":1},"Optimizer":{"PopulationSize":10,"Generations":5}}}`)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz status %d after the rejection", health.StatusCode)
+	}
+	resp = post(t, ts, tinyBody(3, 1))
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid request after the rejection: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestCancelFreesQueueSlot is the acceptance path: cancelling an in-flight
 // request must cancel its generation and free the queue slot for the next
 // request.

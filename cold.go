@@ -159,7 +159,7 @@ type ProgressFunc func(done, total int)
 
 // Config describes one synthesis run.
 type Config struct {
-	// NumPoPs is the number of PoPs (n). Required, >= 1.
+	// NumPoPs is the number of PoPs (n). Required, >= 2.
 	NumPoPs int
 
 	// Params are the cost coefficients. The zero value means
@@ -710,6 +710,8 @@ const gaTag = 0x6A5EED
 // runOptimizer executes the GA for a built context, parallelizing both
 // offspring construction and fitness evaluation across cfg.Parallelism
 // workers. rt, when non-nil, observes the GA's per-generation statistics.
+// A context whose every initial topology costs +Inf is rejected with
+// ErrInvalidConfig.
 func runOptimizer(ctx context.Context, cfg Config, sc *synthContext, rt *replicaTracker) (*core.Result, error) {
 	settings := core.DefaultSettings()
 	if cfg.Optimizer.PopulationSize != 0 {
@@ -739,6 +741,11 @@ func runOptimizer(ctx context.Context, cfg Config, sc *synthContext, rt *replica
 			return nil, ctx.Err()
 		}
 		return nil, fmt.Errorf("cold: optimizer: %w", err)
+	}
+	if math.IsInf(res.BestCost, 1) {
+		// Validate cannot see this: the sampled context and parameters
+		// are each in range, but every cost sum overflows.
+		return nil, fmt.Errorf("cold: %w: no topology in the initial population has a finite cost", ErrInvalidConfig)
 	}
 	return res, nil
 }

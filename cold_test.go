@@ -574,3 +574,36 @@ func TestGenerateVariantsErrors(t *testing.T) {
 		t.Error("bad config should error")
 	}
 }
+
+// overflowRepros are configs that pass Validate but whose every candidate
+// topology has a non-finite cost: a huge k2, PoP coordinates whose
+// distance overflows (with k1 = 0, so the sum hits 0·Inf = NaN), huge
+// fixed populations, and a huge gravity scale. Generation must reject them
+// with ErrInvalidConfig rather than panic in the GA's weighted draws.
+var overflowRepros = []string{
+	`{"NumPoPs":10,"Seed":1,"Params":{"K0":10,"K1":1,"K2":1e306,"K3":1},"Optimizer":{"PopulationSize":10,"Generations":5}}`,
+	`{"NumPoPs":2,"Params":{"K0":10,"K1":0,"K2":0.0001,"K3":0},"Locations":{"Kind":3,"Points":[{"X":1e308,"Y":0},{"X":-1e308,"Y":0}]},"Optimizer":{"PopulationSize":10,"Generations":5}}`,
+	`{"NumPoPs":4,"Traffic":{"Kind":3,"Populations":[1e300,1e300,1e300,1e300]},"Optimizer":{"PopulationSize":10,"Generations":5}}`,
+	`{"NumPoPs":6,"Traffic":{"Scale":1e308},"Optimizer":{"PopulationSize":10,"Generations":5}}`,
+}
+
+func TestOverflowingConfigsAreInvalid(t *testing.T) {
+	for i, body := range overflowRepros {
+		var cfg Config
+		if err := json.Unmarshal([]byte(body), &cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("repro %d: Validate rejected it (%v); the repro no longer exercises generation", i, err)
+		}
+		if _, err := Generate(cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("repro %d: Generate err = %v, want ErrInvalidConfig", i, err)
+		}
+		if _, err := GenerateEnsemble(cfg, 2); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("repro %d: GenerateEnsemble err = %v, want ErrInvalidConfig", i, err)
+		}
+		if _, err := GenerateVariants(cfg, 2); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("repro %d: GenerateVariants err = %v, want ErrInvalidConfig", i, err)
+		}
+	}
+}

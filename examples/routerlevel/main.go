@@ -12,7 +12,6 @@ import (
 	"log"
 
 	cold "github.com/networksynth/cold"
-	"github.com/networksynth/cold/internal/graph"
 	"github.com/networksynth/cold/internal/routerlevel"
 )
 
@@ -77,18 +76,4 @@ func main() {
 	fmt.Println("\nNote the Pareto-style spread: the same PoP-level design yields")
 	fmt.Println("very different router counts once per-PoP traffic is applied —")
 	fmt.Println("the paper's reason to start synthesis at the PoP level.")
-
-	// The alternative expansion the paper names (§8): a generalized graph
-	// product with a uniform PoP template — every PoP becomes the same
-	// 2-core + 2-access block, inter-PoP links wired core-to-core.
-	tpl, err := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	un, err := routerlevel.ExpandUniform(net, tpl, []int{0, 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nUniform graph-product expansion: %d routers (= %d PoPs × 4), %d links, connected: %v\n",
-		un.NumRouters(), net.N(), len(un.Links), un.IsConnected())
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -13,7 +14,11 @@ import (
 // must reject only with ErrInvalidConfig, and Hash must be deterministic.
 // An accepted config small enough to sample cheaply must also build its
 // synthesis context — Validate's contract is that generation accepts
-// exactly what it accepts, so no allocation bomb may slip past it.
+// exactly what it accepts, so no allocation bomb may slip past it. An
+// accepted config with at most 12 PoPs is also generated, with the
+// optimizer clamped to a population of 4 over 2 generations: generation
+// must either reject it with ErrInvalidConfig (every cost overflows) or
+// return a network of finite cost that marshals to JSON.
 //
 // Run a real session with:
 //
@@ -26,7 +31,11 @@ func FuzzConfig(f *testing.F) {
 		`{"NumPoPs":8,"Locations":{"Kind":1,"Aspect":2,"Clusters":3,"Sigma":0.07},"Traffic":{"Kind":1,"MeanPopulation":25,"ParetoShape":1.4,"Scale":8}}`,
 		`{"NumPoPs":2,"Locations":{"Kind":3,"Points":[{"X":0,"Y":0},{"X":1,"Y":1}]},"Traffic":{"Kind":3,"Populations":[1,2]}}`,
 		`{"NumPoPs":0}`,
+		`{"NumPoPs":1}`,
 	} {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range overflowRepros {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,6 +67,25 @@ func FuzzConfig(f *testing.F) {
 		}
 		if _, err := buildContext(cfg); err != nil {
 			t.Fatalf("Validate accepted a config buildContext rejects: %v", err)
+		}
+		if cfg.NumPoPs > 12 {
+			return
+		}
+		// coldd owns Parallelism and Telemetry, whatever the body says.
+		cfg.Parallelism, cfg.Telemetry = 1, nil
+		cfg.Optimizer.PopulationSize, cfg.Optimizer.Generations = 4, 2
+		nw, err := Generate(cfg)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidConfig) {
+				t.Fatalf("Generate of an accepted config failed without ErrInvalidConfig: %v", err)
+			}
+			return
+		}
+		if math.IsInf(nw.Cost.Total, 0) || math.IsNaN(nw.Cost.Total) {
+			t.Fatalf("Generate returned a network of cost %v", nw.Cost.Total)
+		}
+		if _, err := json.Marshal(nw); err != nil {
+			t.Fatalf("generated network does not marshal: %v", err)
 		}
 	})
 }

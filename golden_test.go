@@ -31,7 +31,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fixtures under res
 // goldenConfigs are the pinned configurations: A is the paper's default
 // context at a small size; B stresses the alternate code paths (clustered
 // locations, Pareto traffic, hub costs, heuristic seeding); "large" is the
-// default context at n = 64, where the evaluator runs the heap kernel.
+// default context at n = 64, where the evaluator runs the heap kernel;
+// "wide" runs a population of 40, above the size where the GA's cost sort
+// once switched algorithms, so the ordering of larger populations is pinned.
 func goldenConfigs(seed int64) map[string]Config {
 	small := OptimizerSpec{PopulationSize: 24, Generations: 20}
 	return map[string]Config{
@@ -60,6 +62,12 @@ func goldenConfigs(seed int64) map[string]Config {
 			Parallelism: 1,
 			Optimizer:   OptimizerSpec{PopulationSize: 20, Generations: 8},
 		},
+		"wide": {
+			NumPoPs:     12,
+			Seed:        seed,
+			Parallelism: 1,
+			Optimizer:   OptimizerSpec{PopulationSize: 40, Generations: 10},
+		},
 	}
 }
 
@@ -68,6 +76,7 @@ var goldenSeeds = map[string][]int64{
 	"default":   {1, 2, 3},
 	"clustered": {1, 2, 3},
 	"large":     {1, 2},
+	"wide":      {1, 2},
 }
 
 func goldenPath(name string, seed int64) string {
@@ -77,7 +86,7 @@ func goldenPath(name string, seed int64) string {
 // TestGoldenGenerate regenerates every pinned (config, seed) pair and
 // byte-compares the JSON export against the checked-in fixture.
 func TestGoldenGenerate(t *testing.T) {
-	for _, name := range []string{"default", "clustered", "large"} {
+	for _, name := range []string{"default", "clustered", "large", "wide"} {
 		for _, seed := range goldenSeeds[name] {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				cfg := goldenConfigs(seed)[name]

@@ -177,6 +177,8 @@ type Result struct {
 	BestCost float64
 
 	// Final generation, sorted by ascending cost (Population[0] == Best).
+	// When no member of the initial population has a finite cost, the run
+	// stops after generation 0 and BestCost is +Inf.
 	Population []*graph.Graph
 	Costs      []float64
 
@@ -229,6 +231,10 @@ func RunContext(ctx context.Context, e *cost.Evaluator, s Settings, seed uint64)
 	if s.TrackHistory {
 		history = append(history, costs[0])
 	}
+	gens := s.Generations
+	if math.IsInf(costs[0], 1) {
+		gens = 1 // no finite topology to select toward
+	}
 
 	tol := s.StagnationTolerance
 	if tol <= 0 {
@@ -238,7 +244,7 @@ func RunContext(ctx context.Context, e *cost.Evaluator, s Settings, seed uint64)
 	lastBest := costs[0]
 
 	next := make([]*graph.Graph, s.PopulationSize)
-	for gen := 1; gen < s.Generations; gen++ {
+	for gen := 1; gen < gens; gen++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -422,6 +428,7 @@ func (ga *runner) prepBreeding(costs []float64) {
 	for _, c := range costs {
 		ga.weights = append(ga.weights, inverseCostWeight(c))
 	}
+	uniformIfAllZero(ga.weights)
 }
 
 // breed fills next (len PopulationSize) with generation gen: the NumSaved
@@ -499,6 +506,7 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 	for _, pi := range parents {
 		weights = append(weights, inverseCostWeight(costs[pi]))
 	}
+	uniformIfAllZero(weights)
 	sc.parentW = weights
 	child := graph.New(ga.n)
 	for i := 0; i < ga.n; i++ {
@@ -638,6 +646,21 @@ func inverseCostWeight(c float64) float64 {
 	return 1 / c
 }
 
+// uniformIfAllZero sets every weight to 1 when all are zero — every
+// candidate of the draw has infinite cost — so the draw falls back to a
+// uniform pick instead of having nothing to be proportional to. Runs with
+// any finite candidate keep their weights untouched.
+func uniformIfAllZero(weights []float64) {
+	for _, w := range weights {
+		if w > 0 {
+			return
+		}
+	}
+	for i := range weights {
+		weights[i] = 1
+	}
+}
+
 // bestIndices returns the k smallest values of idxs (population indices;
 // smaller index = cheaper because the population is sorted). It reorders
 // idxs in place and returns its prefix.
@@ -663,55 +686,25 @@ func bestIndices(idxs []int, k int) []int {
 // included — is load-bearing for determinism: tournament selection reads
 // population indices ("lower index = cheaper") and crossover walks the
 // 1/cost weights in sorted order, so any reordering feeds back into the
-// run's randomness. That also rules out replacing this with a true partial
-// top-k selection (leaving slots below the elite cut unordered would
-// change parent draws and break bit-compatibility with recorded runs);
-// the win over the historical O(M²) insertion sort is an O(M log M) index
-// sort keyed by (cost, original index), which reproduces the stable
-// permutation bit for bit.
+// run's randomness. That also rules out a partial top-k selection, which
+// would leave the slots below the elite cut in a different order. The
+// evaluator never returns NaN (a non-finite sum comes back as +Inf), so
+// costs are totally ordered and every stable sort yields the same
+// permutation.
 func sortByCost(pop []*graph.Graph, costs []float64) {
-	m := len(pop)
-	useInsertion := m < 32 // tiny populations: skip the permutation indirection
-	for _, c := range costs {
-		if math.IsNaN(c) {
-			// NaN admits no total order, so the comparator-based sort
-			// could diverge from the historical insertion-sort
-			// permutation. Unreachable with the built-in cost model
-			// (disconnection yields +Inf, never NaN) but a custom
-			// LinkCostFunc could produce it.
-			useInsertion = true
-			break
-		}
-	}
-	if useInsertion {
-		for i := 1; i < m; i++ {
-			g, c := pop[i], costs[i]
-			j := i - 1
-			for j >= 0 && costs[j] > c {
-				pop[j+1], costs[j+1] = pop[j], costs[j]
-				j--
-			}
-			pop[j+1], costs[j+1] = g, c
-		}
-		return
-	}
-	perm := make([]int, m)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		pa, pb := perm[a], perm[b]
-		if costs[pa] != costs[pb] {
-			return costs[pa] < costs[pb]
-		}
-		return pa < pb
-	})
-	popOut := make([]*graph.Graph, m)
-	costOut := make([]float64, m)
-	for i, pi := range perm {
-		popOut[i] = pop[pi]
-		costOut[i] = costs[pi]
-	}
-	copy(pop, popOut)
-	copy(costs, costOut)
+	sort.Stable(byCost{pop, costs})
+}
+
+// byCost orders a population by its costs, swapping members and costs
+// together.
+type byCost struct {
+	pop   []*graph.Graph
+	costs []float64
+}
+
+func (b byCost) Len() int           { return len(b.costs) }
+func (b byCost) Less(i, j int) bool { return b.costs[i] < b.costs[j] }
+func (b byCost) Swap(i, j int) {
+	b.pop[i], b.pop[j] = b.pop[j], b.pop[i]
+	b.costs[i], b.costs[j] = b.costs[j], b.costs[i]
 }

@@ -396,6 +396,99 @@ func TestSortByCost(t *testing.T) {
 	}
 }
 
+// insertionSortByCost is the oracle for sortByCost: the historical stable
+// insertion sort, whose permutation every GA run is pinned to.
+func insertionSortByCost(pop []*graph.Graph, costs []float64) {
+	for i := 1; i < len(pop); i++ {
+		g, c := pop[i], costs[i]
+		j := i - 1
+		for j >= 0 && costs[j] > c {
+			pop[j+1], costs[j+1] = pop[j], costs[j]
+			j--
+		}
+		pop[j+1], costs[j+1] = g, c
+	}
+}
+
+// TestSortByCostMatchesInsertionOracle compares sortByCost with the
+// insertion-sort oracle on cost slices with many ties and +Inf entries, at
+// sizes on both sides of the old algorithm switch (M = 32).
+func TestSortByCostMatchesInsertionOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, m := range []int{2, 31, 32, 100, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			pop := make([]*graph.Graph, m)
+			costs := make([]float64, m)
+			for i := range pop {
+				pop[i] = graph.New(1)
+				costs[i] = float64(rng.Intn(5))
+				if rng.Intn(4) == 0 {
+					costs[i] = math.Inf(1)
+				}
+			}
+			wantPop := append([]*graph.Graph(nil), pop...)
+			wantCosts := append([]float64(nil), costs...)
+			insertionSortByCost(wantPop, wantCosts)
+			sortByCost(pop, costs)
+			for i := range pop {
+				if pop[i] != wantPop[i] || costs[i] != wantCosts[i] {
+					t.Fatalf("M=%d trial %d: slot %d differs from the insertion-sort oracle", m, trial, i)
+				}
+			}
+		}
+	}
+}
+
+// overflowContext is a context in which every topology's cost overflows
+// to +Inf: k2 is so large that any positive bandwidth term is infinite.
+func overflowContext(t *testing.T, n int) *cost.Evaluator {
+	t.Helper()
+	e := ctx(t, n, cost.Params{K0: 10, K1: 1, K2: 1e306, K3: 1}, 67)
+	if c := e.Cost(graph.Complete(n)); !math.IsInf(c, 1) {
+		t.Fatalf("clique cost %v, want +Inf", c)
+	}
+	return e
+}
+
+// TestBreedingWithAllInfiniteCosts: when every candidate has infinite cost
+// the weighted draws fall back to uniform picks instead of panicking.
+func TestBreedingWithAllInfiniteCosts(t *testing.T) {
+	e := overflowContext(t, 8)
+	ga := newRunner(e, smallSettings(), 71)
+	pop := ga.initialPopulation()
+	costs := ga.evaluate(pop)
+	sortByCost(pop, costs)
+	ga.prepBreeding(costs)
+	sc := ga.scratches[0]
+	for i := 0; i < 20; i++ {
+		rng := ga.stream(1, i)
+		if !ga.mutate(pop, &rng, sc).IsConnected() {
+			t.Fatal("mutation produced a disconnected child")
+		}
+		if !ga.crossover(pop, costs, &rng, sc).IsConnected() {
+			t.Fatal("crossover produced a disconnected child")
+		}
+	}
+}
+
+// TestRunStopsWithoutFiniteCost: a run whose initial population has no
+// finite cost stops after generation 0 and reports BestCost = +Inf.
+func TestRunStopsWithoutFiniteCost(t *testing.T) {
+	e := overflowContext(t, 8)
+	s := smallSettings()
+	s.TrackHistory = true
+	res, err := Run(e, s, 73)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(res.BestCost, 1) || len(res.History) != 1 {
+		t.Fatalf("BestCost %v after %d generations, want +Inf after 1", res.BestCost, len(res.History))
+	}
+	if res.Evaluations != uint64(s.PopulationSize) {
+		t.Fatalf("evaluations = %d, want one generation's %d", res.Evaluations, s.PopulationSize)
+	}
+}
+
 func TestInitialPopulationComposition(t *testing.T) {
 	e := ctx(t, 10, cost.DefaultParams(), 43)
 	s := smallSettings()

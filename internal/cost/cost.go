@@ -101,8 +101,8 @@ func (r *Routing) NextHop(s, d int) int {
 	return v
 }
 
-// Evaluation is the full breakdown of a topology's cost, with everything a
-// simulation needs: link capacities and the routing that produced them.
+// Evaluation is the full breakdown of a topology's cost, together with the
+// link capacities and the routing that produced them.
 type Evaluation struct {
 	Total         float64
 	LinkTotal     float64 // Σ per-link costs (== Existence+Length+Bandwidth under the linear model)
@@ -284,7 +284,8 @@ func (e *Evaluator) Traffic() *traffic.Matrix { return e.tm }
 func (e *Evaluator) SetCacheLimit(limit int) { e.cache.setLimit(limit) }
 
 // Cost returns the total cost of g, memoized. Disconnected topologies
-// cannot carry the traffic and get +Inf.
+// cannot carry the traffic and get +Inf, as does any topology whose cost
+// sum is not finite: Cost never returns NaN, so costs are totally ordered.
 func (e *Evaluator) Cost(g *graph.Graph) float64 {
 	if g.N() != e.n {
 		panic(fmt.Sprintf("cost: graph has %d nodes, context has %d", g.N(), e.n))
@@ -330,7 +331,7 @@ func (e *Evaluator) computeCost(g *graph.Graph) float64 {
 // lengths come pre-resolved from csr.weights, the iteration order matches
 // the old bitset walk (ascending i, ascending j within each row), and
 // fillBreakdown mirrors it term for term, so Evaluate(g).Total == Cost(g)
-// exactly.
+// exactly. A sum that overflows comes back as +Inf (finiteOrInf).
 func (e *Evaluator) sumCost() float64 {
 	p := e.params
 	var linkCost float64
@@ -356,7 +357,18 @@ func (e *Evaluator) sumCost() float64 {
 			core++
 		}
 	}
-	return linkCost + p.K3*float64(core)
+	return finiteOrInf(linkCost + p.K3*float64(core))
+}
+
+// finiteOrInf maps a non-finite cost sum to +Inf. Overflow can make the
+// sum +Inf or, through 0·Inf, NaN, and so can a custom link-cost function;
+// folding both to +Inf keeps every cost the evaluator returns totally
+// ordered, so the GA's sort and selection never see NaN.
+func finiteOrInf(c float64) float64 {
+	if math.IsNaN(c) || math.IsInf(c, 0) {
+		return math.Inf(1)
+	}
+	return c
 }
 
 // fillCSR rebuilds the pooled CSR snapshot for g: one bitset pass for the
@@ -445,7 +457,7 @@ func (e *Evaluator) fillBreakdown(ev *Evaluation, g *graph.Graph) {
 	}
 	ev.CoreCount = len(g.CoreNodes())
 	ev.NodeCost = p.K3 * float64(ev.CoreCount)
-	ev.Total = ev.LinkTotal + ev.NodeCost
+	ev.Total = finiteOrInf(ev.LinkTotal + ev.NodeCost)
 }
 
 // routeAndLoad runs Dijkstra from every source and accumulates the traffic
@@ -457,8 +469,8 @@ func (e *Evaluator) fillBreakdown(ev *Evaluation, g *graph.Graph) {
 // When rt is non-nil, each source's distance and parent arrays are also
 // copied into it, so one sweep serves both cost accumulation and routing
 // extraction. In that mode all n sources are visited even when the graph
-// turns out disconnected — callers such as failure simulation want the
-// partial tables — whereas with rt == nil the sweep aborts on the first
+// turns out disconnected, so the routing stays usable within each
+// component, whereas with rt == nil the sweep aborts on the first
 // unreachable source.
 func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 	e.counters.fullSweeps.Inc()

@@ -103,6 +103,37 @@ func TestCostPathByHand(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSumIsInf: a cost sum that overflows — to +Inf, or to NaN
+// through 0·Inf — comes back as +Inf from every entry point, so costs stay
+// totally ordered.
+func TestNonFiniteSumIsInf(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name   string
+		dist   float64
+		pop    float64
+		params Params
+	}{
+		{"infinite length", inf, 1, Params{K0: 10, K1: 1, K2: 1e-4}},
+		{"zero times infinite length", inf, 1, Params{K0: 10, K1: 0, K2: 1e-4}},
+		{"bandwidth overflow", 1, 1e3, Params{K0: 10, K1: 1, K2: 1e306}},
+	}
+	for _, tc := range cases {
+		dist := [][]float64{{0, tc.dist}, {tc.dist, 0}}
+		e := MustNewEvaluator(dist, traffic.Gravity([]float64{tc.pop, tc.pop}, 1), tc.params)
+		g := graph.Complete(2)
+		for name, c := range map[string]float64{
+			"Cost":           e.Cost(g),
+			"CostUncached":   e.CostUncached(g),
+			"Evaluate.Total": e.Evaluate(g).Total,
+		} {
+			if !math.IsInf(c, 1) {
+				t.Errorf("%s: %s = %v, want +Inf", tc.name, name, c)
+			}
+		}
+	}
+}
+
 func TestCostTriangleShortcuts(t *testing.T) {
 	// Full triangle on the line context: direct 0-2 link has length 2 and
 	// equals the 0-1-2 path length, but Dijkstra's lower-index tie break

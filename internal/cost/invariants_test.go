@@ -66,7 +66,7 @@ func TestEvaluateMatchesCostExactly(t *testing.T) {
 
 // TestEvaluateDisconnectedKeepsRouting: on a disconnected graph Evaluate
 // reports infinite cost but must still return full per-source routing
-// tables (failure simulation walks them to find stranded demand).
+// tables, usable within each component.
 func TestEvaluateDisconnectedKeepsRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 10

@@ -177,3 +177,24 @@ func TestDiscountChangesRanking(t *testing.T) {
 			linearRnd-linearMST, discRnd-discMST)
 	}
 }
+
+// TestCustomCostNonFiniteIsInf: a link-cost function that returns NaN or
+// overflows still yields a totally ordered cost, +Inf, from both Cost and
+// Evaluate.
+func TestCustomCostNonFiniteIsInf(t *testing.T) {
+	e := randomContext(t, 8, DefaultParams(), 8)
+	rng := rand.New(rand.NewSource(8))
+	g := randomConnected(rng, 8, 0.3, e.Dist())
+	for _, fn := range []LinkCostFunc{
+		func(l, w float64) float64 { return math.NaN() },
+		func(l, w float64) float64 { return math.MaxFloat64 },
+	} {
+		e.SetLinkCostFunc(fn)
+		if c := e.Cost(g); !math.IsInf(c, 1) {
+			t.Errorf("Cost = %v, want +Inf", c)
+		}
+		if c := e.Evaluate(g).Total; !math.IsInf(c, 1) {
+			t.Errorf("Evaluate.Total = %v, want +Inf", c)
+		}
+	}
+}

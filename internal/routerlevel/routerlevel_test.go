@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	cold "github.com/networksynth/cold"
-	"github.com/networksynth/cold/internal/graph"
 )
 
 func testNetwork(t *testing.T) *cold.Network {
@@ -158,60 +157,5 @@ func TestRoleString(t *testing.T) {
 	}
 	if Role(9).String() != "role(9)" {
 		t.Error("unknown role string wrong")
-	}
-}
-
-func TestExpandUniform(t *testing.T) {
-	nw := testNetwork(t)
-	// Template: 2 cores (roles 0,1) + 2 dual-homed access routers.
-	tpl, err := graph.FromEdges(4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn, err := ExpandUniform(nw, tpl, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rn.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if rn.NumRouters() != nw.N()*4 {
-		t.Fatalf("routers = %d, want %d", rn.NumRouters(), nw.N()*4)
-	}
-	if !rn.IsConnected() {
-		t.Fatal("uniform product expansion disconnected")
-	}
-	// Edge count: n·|E(tpl)| intra + 4·|PoP links| inter (2×2 gateways).
-	wantLinks := nw.N()*5 + 4*len(nw.Links)
-	if len(rn.Links) != wantLinks {
-		t.Fatalf("links = %d, want %d", len(rn.Links), wantLinks)
-	}
-	// Every PoP has exactly two core routers.
-	for p := 0; p < nw.N(); p++ {
-		if len(rn.CoreOf[p]) != 2 {
-			t.Fatalf("PoP %d cores = %d", p, len(rn.CoreOf[p]))
-		}
-	}
-	// Access routers never cross PoPs.
-	for _, l := range rn.Links {
-		if l.InterPoP {
-			if rn.Routers[l.A].Role != RoleCore || rn.Routers[l.B].Role != RoleCore {
-				t.Fatal("inter-PoP link touches a non-core router")
-			}
-		}
-	}
-}
-
-func TestExpandUniformErrors(t *testing.T) {
-	nw := testNetwork(t)
-	tpl, _ := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	if _, err := ExpandUniform(nw, graph.New(0), []int{0}); err == nil {
-		t.Error("empty template should error")
-	}
-	if _, err := ExpandUniform(nw, tpl, nil); err == nil {
-		t.Error("no gateways should error")
-	}
-	if _, err := ExpandUniform(nw, tpl, []int{7}); err == nil {
-		t.Error("out-of-range gateway should error")
 	}
 }

@@ -161,20 +161,6 @@ func Gravity(pops []float64, scale float64) *Matrix {
 	return &Matrix{Demand: d}
 }
 
-// TotalUnordered returns the demand summed over unordered PoP pairs —
-// half of Total(), since the matrix is symmetric with a zero diagonal.
-// This is the normalizer for quantities that also sum each pair once,
-// like simulate's StrandedTraffic and ReroutedTraffic.
-func (m *Matrix) TotalUnordered() float64 {
-	var s float64
-	for i, row := range m.Demand {
-		for _, v := range row[i+1:] {
-			s += v
-		}
-	}
-	return s
-}
-
 // Validate checks structural invariants: squareness, symmetry, zero
 // diagonal and non-negative finite entries.
 func (m *Matrix) Validate() error {

@@ -113,12 +113,6 @@ func TestGravity(t *testing.T) {
 	if m.Total() != 2*(6+10+15) {
 		t.Fatalf("Total = %v", m.Total())
 	}
-	if m.TotalUnordered() != 6+10+15 {
-		t.Fatalf("TotalUnordered = %v, want %v", m.TotalUnordered(), 6+10+15)
-	}
-	if m.TotalUnordered()*2 != m.Total() {
-		t.Fatal("TotalUnordered is not half of Total")
-	}
 }
 
 func TestGravityScale(t *testing.T) {
