@@ -37,13 +37,15 @@ examples:
 	done
 
 # Short fuzzing smoke on the evaluator's kernel-equivalence target, the
-# validation distances, the untrusted config JSON boundary and the
-# `coldstats trace` parser (CI runs this; crank -fuzztime locally for a
+# validation distances, the untrusted config JSON boundary, the network
+# JSON encoder against its reflection oracle and the `coldstats trace`
+# parser (CI runs this; crank -fuzztime locally for a
 # real session). The evaluator corpus lives under
 # internal/cost/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test . -run '^$$' -fuzz FuzzConfig -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzNetworkJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzDijkstraEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzDistances -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/coldstats -run '^$$' -fuzz FuzzTrace -fuzztime $(FUZZTIME)

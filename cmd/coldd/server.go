@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -263,7 +262,9 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 	}
 
 	err := cold.GenerateEnsembleStreamFrom(ctx, cfg, count, from, func(i int, nw *cold.Network) error {
-		line, err := json.Marshal(nw)
+		// MarshalJSON's output is already compact and holds no string
+		// HTML escaping could change, so json.Marshal would only copy it.
+		line, err := nw.MarshalJSON()
 		if err != nil {
 			return err
 		}

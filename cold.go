@@ -273,9 +273,16 @@ func (nw *Network) N() int { return len(nw.Points) }
 func (nw *Network) HasLink(i, j int) bool { return nw.adj[i][j] }
 
 // Path returns the PoP sequence of the shortest (by physical length) route
-// from s to d, inclusive; nil if s == d is false and no route exists
-// (never for generated networks, which are connected by construction).
-func (nw *Network) Path(s, d int) []int { return nw.routing.Path(s, d) }
+// from s to d, inclusive: [s] when s == d, and nil when no route exists.
+// Generated networks are connected by construction, so every pair has a
+// route; a network decoded by UnmarshalJSON carries no routing tables, so
+// Path reports no route between two different PoPs.
+func (nw *Network) Path(s, d int) []int {
+	if nw.routing == nil && s != d {
+		return nil
+	}
+	return nw.routing.Path(s, d)
+}
 
 // Stats returns the network's topology statistics.
 func (nw *Network) Stats() Stats {

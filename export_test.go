@@ -3,9 +3,94 @@ package cold
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// marshalOracle is the reference encoder: encoding/json over networkJSON.
+// MarshalJSON must write exactly its bytes and fail exactly when it fails.
+func marshalOracle(nw *Network) ([]byte, error) {
+	return json.Marshal(networkJSON{
+		Points:      nw.Points,
+		Populations: nw.Populations,
+		Demand:      nw.Demand,
+		Links:       nw.Links,
+		Cost:        nw.Cost,
+		Stats:       nw.Stats(),
+		History:     nw.History,
+	})
+}
+
+// checkAgainstOracle fails t unless MarshalJSON and the oracle agree on
+// the bytes, or both fail with the same *json.UnsupportedValueError. On
+// success json.Marshal(nw), which coldd's stored artifacts were written
+// with, must give the same bytes too.
+func checkAgainstOracle(t *testing.T, nw *Network) {
+	t.Helper()
+	got, err := nw.MarshalJSON()
+	want, werr := marshalOracle(nw)
+	if werr != nil {
+		var uerr *json.UnsupportedValueError
+		if !errors.As(err, &uerr) || err.Error() != werr.Error() {
+			t.Fatalf("oracle fails with %v, MarshalJSON with %v", werr, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("MarshalJSON fails with %v, oracle succeeds", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("MarshalJSON differs from the oracle:\n got %.300s\nwant %.300s", got, want)
+	}
+	viaMarshal, err := json.Marshal(nw)
+	if err != nil || !bytes.Equal(viaMarshal, got) {
+		t.Fatalf("json.Marshal differs from MarshalJSON (err %v)", err)
+	}
+}
+
+func TestMarshalJSONMatchesOracle(t *testing.T) {
+	for _, n := range []int{2, 5, 20, 30, 64, 128} {
+		for _, history := range []bool{false, true} {
+			cfg := Config{NumPoPs: n, Seed: int64(n), Optimizer: OptimizerSpec{
+				PopulationSize: 6, Generations: 3, TrackHistory: history}}
+			nw, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, nw)
+			data, err := nw.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded Network
+			if err := json.Unmarshal(data, &decoded); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, &decoded)
+		}
+	}
+}
+
+// TestPathOnDecodedNetwork: a decoded network has no routing tables, so
+// Path reports no route between distinct PoPs instead of panicking.
+func TestPathOnDecodedNetwork(t *testing.T) {
+	data, err := json.Marshal(exportNetwork(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Network
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if p := decoded.Path(0, 1); p != nil {
+		t.Errorf("Path(0, 1) = %v on a decoded network, want nil", p)
+	}
+	if p := decoded.Path(2, 2); !reflect.DeepEqual(p, []int{2}) {
+		t.Errorf("Path(2, 2) = %v, want [2]", p)
+	}
+}
 
 func exportNetwork(t *testing.T) *Network {
 	t.Helper()

@@ -2,6 +2,7 @@ package cold
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -88,4 +89,126 @@ func FuzzConfig(f *testing.F) {
 			t.Fatalf("generated network does not marshal: %v", err)
 		}
 	})
+}
+
+// FuzzNetworkJSON builds a Network from the fuzz bytes and requires
+// MarshalJSON to agree with the reflection oracle (marshalOracle) on the
+// bytes and on whether an error is returned. The bytes choose nil or
+// empty slices, float bit patterns (NaN, ±Inf, -0, subnormals and values
+// either side of encoding/json's 1e-6 and 1e21 format switches) and a
+// demand matrix with nil rows, ragged rows and entries equal to or
+// different from their mirror.
+//
+// Run a real session with:
+//
+//	go test . -run '^$' -fuzz FuzzNetworkJSON -fuzztime 1m
+func FuzzNetworkJSON(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 0, 4, 0, 5, 3, 3, 7, 7, 7, 2, 0, 9, 3, 1, 2})
+	f.Add([]byte{4, 0, 0, 0, 1, 0, 2, 0, 3, 0, 8, 0, 10, 0, 11, 4, 7, 5, 3, 2, 6})
+	f.Add(bytes.Repeat([]byte{5, 1, 0xff, 0xf8, 0, 0, 0, 0, 0, 0, 0}, 8))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := fuzzBytes(data)
+		nw := &Network{}
+		if n, ok := r.length(); ok {
+			nw.Points = make([]Point, n)
+			for i := range nw.Points {
+				nw.Points[i] = Point{r.float(), r.float()}
+			}
+		}
+		nw.Populations = r.floats()
+		if n, ok := r.length(); ok {
+			nw.Demand = make([][]float64, n)
+			for i := range nw.Demand {
+				if r.byte()%6 == 0 {
+					continue // nil row
+				}
+				row := make([]float64, max(0, n+int(r.byte()%3)-1))
+				for j := range row {
+					if j < i && i < len(nw.Demand[j]) && r.byte()%4 != 0 {
+						row[j] = nw.Demand[j][i]
+					} else {
+						row[j] = r.float()
+					}
+				}
+				nw.Demand[i] = row
+			}
+		}
+		if n, ok := r.length(); ok {
+			nw.Links = make([]Link, n)
+			for i := range nw.Links {
+				nw.Links[i] = Link{A: r.int(), B: r.int(), Length: r.float(), Capacity: r.float()}
+			}
+		}
+		nw.Cost = CostBreakdown{r.float(), r.float(), r.float(), r.float(), r.float()}
+		nw.stats.N, nw.stats.Edges, nw.stats.Diameter = r.int(), r.int(), r.int()
+		nw.stats.Hubs, nw.stats.Leaves = r.int(), r.int()
+		nw.stats.AverageDegree, nw.stats.DegreeCV = r.float(), r.float()
+		nw.stats.Clustering, nw.stats.AvgPathLen = r.float(), r.float()
+		nw.History = r.floats()
+		checkAgainstOracle(t, nw)
+	})
+}
+
+// fuzzBytes hands out fuzz input piece by piece, reading zeros once the
+// input is used up.
+type fuzzBytes []byte
+
+func (r *fuzzBytes) byte() byte {
+	if len(*r) == 0 {
+		return 0
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return b
+}
+
+func (r *fuzzBytes) uint64() uint64 {
+	var buf [8]byte
+	for i := range buf {
+		buf[i] = r.byte()
+	}
+	return binary.LittleEndian.Uint64(buf[:])
+}
+
+// length returns a slice length below 6, or false for a nil slice.
+func (r *fuzzBytes) length() (int, bool) {
+	b := r.byte()
+	return int(b/7) % 6, b%7 != 0
+}
+
+func (r *fuzzBytes) int() int { return int(int32(uint32(r.uint64()))) }
+
+// fuzzFloats are the values at and around the points where encoding/json
+// changes float format or rejects a float.
+var fuzzFloats = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	1e-6, math.Nextafter(1e-6, 0), -1e-6, 1e21, math.Nextafter(1e21, 0), -1e21,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308 / 3,
+	math.MaxFloat64, 1e-7, 1.5e-300, 123456789.125, 0.1, 1,
+}
+
+func (r *fuzzBytes) float() float64 {
+	switch b := r.byte(); b % 4 {
+	case 0:
+		return fuzzFloats[int(b/4)%len(fuzzFloats)]
+	case 1:
+		return math.Float64frombits(r.uint64())
+	case 2:
+		return float64(int8(b)) / 8
+	default:
+		return float64(r.uint64()>>11) / (1 << 20)
+	}
+}
+
+func (r *fuzzBytes) floats() []float64 {
+	n, ok := r.length()
+	if !ok {
+		return nil
+	}
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = r.float()
+	}
+	return xs
 }

@@ -105,10 +105,10 @@ func (r *Routing) NextHop(s, d int) int {
 // link capacities and the routing that produced them.
 type Evaluation struct {
 	Total         float64
-	LinkTotal     float64 // Σ per-link costs (== Existence+Length+Bandwidth under the linear model)
-	ExistenceCost float64 // Σ k0 (linear model only)
-	LengthCost    float64 // Σ k1·ℓ (linear model only)
-	BandwidthCost float64 // Σ k2·ℓ·w (linear model only)
+	LinkTotal     float64 // Σ per-link costs (Existence+Length+Bandwidth, to rounding)
+	ExistenceCost float64 // Σ k0
+	LengthCost    float64 // Σ k1·ℓ
+	BandwidthCost float64 // Σ k2·ℓ·w
 	NodeCost      float64 // k3·|core nodes|
 	Connected     bool
 	CoreCount     int
@@ -128,10 +128,6 @@ type Evaluator struct {
 	dist   [][]float64
 	tm     *traffic.Matrix
 	params Params
-
-	// linkCost, when non-nil, replaces the linear per-link model (see
-	// SetLinkCostFunc).
-	linkCost LinkCostFunc
 
 	n int
 
@@ -244,13 +240,12 @@ func (e *Evaluator) initScratch() {
 
 // Clone returns an Evaluator for the same context that may be used from a
 // different goroutine than e. The clone shares the (immutable) distance
-// matrix, traffic matrix, parameters and link-cost function, the
-// thread-safe memoization cache — a topology costed by any clone is a
-// cache hit for all of them — and the observability counters and duration
-// histogram, but owns its scratch buffers. Each goroutine must still use
-// its own Evaluator.
+// matrix, traffic matrix and parameters, the thread-safe memoization
+// cache — a topology costed by any clone is a cache hit for all of them —
+// and the observability counters and duration histogram, but owns its
+// scratch buffers. Each goroutine must still use its own Evaluator.
 func (e *Evaluator) Clone() *Evaluator {
-	c := &Evaluator{dist: e.dist, tm: e.tm, params: e.params, linkCost: e.linkCost, n: e.n,
+	c := &Evaluator{dist: e.dist, tm: e.tm, params: e.params, n: e.n,
 		dflat: e.dflat, cache: e.cache, counters: e.counters, durHist: e.durHist}
 	c.setOptions(e.opts)
 	c.initScratch()
@@ -345,12 +340,7 @@ func (e *Evaluator) sumCost() float64 {
 			j := int(cols[k])
 			if j > i {
 				l := weights[k]
-				w := load[i*n+j]
-				if e.linkCost != nil {
-					linkCost += e.linkCost(l, w)
-				} else {
-					linkCost += p.K0 + p.K1*l + p.K2*l*w
-				}
+				linkCost += p.K0 + p.K1*l + p.K2*l*load[i*n+j]
 			}
 		}
 		if end-start > 1 {
@@ -361,9 +351,9 @@ func (e *Evaluator) sumCost() float64 {
 }
 
 // finiteOrInf maps a non-finite cost sum to +Inf. Overflow can make the
-// sum +Inf or, through 0·Inf, NaN, and so can a custom link-cost function;
-// folding both to +Inf keeps every cost the evaluator returns totally
-// ordered, so the GA's sort and selection never see NaN.
+// sum +Inf or, through 0·Inf, NaN; folding both to +Inf keeps every cost
+// the evaluator returns totally ordered, so the GA's sort and selection
+// never see NaN.
 func finiteOrInf(c float64) float64 {
 	if math.IsNaN(c) || math.IsInf(c, 0) {
 		return math.Inf(1)
@@ -446,14 +436,10 @@ func (e *Evaluator) fillBreakdown(ev *Evaluation, g *graph.Graph) {
 		// Accumulate LinkTotal with the same fused expression and edge
 		// order as sumCost; the per-term breakdown fields are summed
 		// separately and agree only to rounding.
-		if e.linkCost != nil {
-			ev.LinkTotal += e.linkCost(l, w)
-		} else {
-			ev.LinkTotal += p.K0 + p.K1*l + p.K2*l*w
-			ev.ExistenceCost += p.K0
-			ev.LengthCost += p.K1 * l
-			ev.BandwidthCost += p.K2 * l * w
-		}
+		ev.LinkTotal += p.K0 + p.K1*l + p.K2*l*w
+		ev.ExistenceCost += p.K0
+		ev.LengthCost += p.K1 * l
+		ev.BandwidthCost += p.K2 * l * w
 	}
 	ev.CoreCount = len(g.CoreNodes())
 	ev.NodeCost = p.K3 * float64(ev.CoreCount)

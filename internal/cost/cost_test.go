@@ -134,6 +134,17 @@ func TestNonFiniteSumIsInf(t *testing.T) {
 	}
 }
 
+func TestEvaluateLinearLinkTotal(t *testing.T) {
+	e := randomContext(t, 10, DefaultParams(), 5)
+	rng := rand.New(rand.NewSource(5))
+	g := randomConnected(rng, 10, 0.3, e.Dist())
+	ev := e.Evaluate(g)
+	want := ev.ExistenceCost + ev.LengthCost + ev.BandwidthCost
+	if math.Abs(ev.LinkTotal-want) > 1e-9*want {
+		t.Fatalf("LinkTotal %v != component sum %v", ev.LinkTotal, want)
+	}
+}
+
 func TestCostTriangleShortcuts(t *testing.T) {
 	// Full triangle on the line context: direct 0-2 link has length 2 and
 	// equals the 0-1-2 path length, but Dijkstra's lower-index tie break

@@ -308,28 +308,43 @@ func (g *Graph) Components() [][]int {
 }
 
 // IsConnected reports whether the graph is connected. The empty graph and
-// the single-node graph are connected.
+// the single-node graph are connected. It floods node 0's component a row
+// of the adjacency bitset at a time, and allocates nothing for graphs of
+// up to 64·stackWords nodes.
 func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	seen := make([]bool, g.n)
-	count := 1
-	seen[0] = true
-	queue := []int{0}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		g.EachNeighbor(v, func(u int) {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				queue = append(queue, u)
+	var seenBuf, doneBuf [stackWords]uint64
+	seen, done := seenBuf[:], doneBuf[:]
+	if g.words > stackWords {
+		seen, done = make([]uint64, g.words), make([]uint64, g.words)
+	}
+	seen, done = seen[:g.words], done[:g.words]
+	seen[0] = 1
+	for grew := true; grew; {
+		grew = false
+		for wi := range seen {
+			todo := seen[wi] &^ done[wi]
+			done[wi] |= todo
+			for w := todo; w != 0; w &= w - 1 {
+				v := wi*64 + trailingZeros(w)
+				for k, r := range g.bits[v*g.words : (v+1)*g.words] {
+					seen[k] |= r
+				}
+				grew = true
 			}
-		})
+		}
+	}
+	count := 0
+	for _, w := range seen {
+		count += popcount(w)
 	}
 	return count == g.n
 }
+
+// stackWords is the bitset width IsConnected keeps on the stack.
+const stackWords = 4
 
 // BFSHops returns hop distances from src to every node; unreachable nodes
 // get -1.
@@ -402,11 +417,11 @@ func MST(n int, weight [][]float64) *Graph {
 // over the component graph selects which of those links to add. This is the
 // repair step of §4.1.3 and returns the number of links added.
 func (g *Graph) Connect(dist [][]float64) int {
-	comps := g.Components()
-	k := len(comps)
-	if k <= 1 {
+	if g.IsConnected() {
 		return 0
 	}
+	comps := g.Components()
+	k := len(comps)
 	// Shortest cross link between each pair of components.
 	type link struct {
 		a, b int

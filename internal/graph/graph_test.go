@@ -252,6 +252,28 @@ func TestIsConnected(t *testing.T) {
 	}
 }
 
+// TestIsConnectedMatchesComponents: the bitset flood fill agrees with
+// the component search on random graphs either side of the connectivity
+// threshold, at sizes around each 64-node word boundary and past the
+// stack-held bitset.
+func TestIsConnectedMatchesComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 64*stackWords + 1} {
+		for _, scale := range []float64{0, 0.5, 1, 1.5, 3} {
+			p := 1.0
+			if n > 1 {
+				p = math.Min(1, scale*math.Log(float64(n))/float64(n))
+			}
+			for trial := 0; trial < 10; trial++ {
+				g := randomGraph(rng, n, p)
+				if got, want := g.IsConnected(), len(g.Components()) <= 1; got != want {
+					t.Fatalf("n=%d p=%.3f: IsConnected = %v, components say %v", n, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBFSHops(t *testing.T) {
 	g, _ := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	d := g.BFSHops(0)
@@ -352,6 +374,19 @@ func TestConnectAlreadyConnected(t *testing.T) {
 	g, _ := FromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	if added := g.Connect(randomMetric(rand.New(rand.NewSource(1)), 3)); added != 0 {
 		t.Fatalf("repairing connected graph added %d links", added)
+	}
+}
+
+// TestConnectConnectedAllocatesNothing: the repair step runs on every
+// GA offspring, most of which are already connected.
+func TestConnectConnectedAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{30, 128} {
+		dist := randomMetric(rng, n)
+		g := MST(n, dist)
+		if allocs := testing.AllocsPerRun(100, func() { g.Connect(dist) }); allocs != 0 {
+			t.Errorf("n=%d: Connect on a connected graph made %v allocations", n, allocs)
+		}
 	}
 }
 
