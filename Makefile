@@ -1,11 +1,18 @@
-# Development targets. `make check` is the pre-merge gate: it builds and
-# vets the tree and runs every test under the race detector, so the
-# concurrent paths (parallel ensemble engine, parallel GA breeding, shared
-# cost cache) are race-checked on every PR. CI runs the same target.
+# Development targets. `make check` is the pre-merge gate: it checks
+# formatting, builds and vets the tree and runs every test under the race
+# detector, so the concurrent paths (parallel ensemble engine, parallel GA
+# breeding, shared cost cache) are race-checked on every PR. CI runs the
+# same target.
 
 GO ?= go
 
-.PHONY: build test vet race check examples bench fuzz coldd-smoke validate-smoke trace-smoke perfbench-check
+.PHONY: fmt build test vet race check examples bench fuzz coldd-smoke validate-smoke trace-smoke perfbench-check
+
+# gofmt gate: fails listing every file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed:"; echo "$$out"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -21,7 +28,7 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: build vet race
+check: fmt build vet race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
@@ -38,9 +45,9 @@ examples:
 
 # Short fuzzing smoke on the evaluator's kernel-equivalence target, the
 # validation distances, the untrusted config JSON boundary, the network
-# JSON encoder against its reflection oracle and the `coldstats trace`
-# parser (CI runs this; crank -fuzztime locally for a
-# real session). The evaluator corpus lives under
+# JSON encoder against its reflection oracle, the store's checkpoint-key
+# parser and the `coldstats trace` parser (CI runs this; crank -fuzztime
+# locally for a real session). The evaluator corpus lives under
 # internal/cost/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
@@ -48,6 +55,7 @@ fuzz:
 	$(GO) test . -run '^$$' -fuzz FuzzNetworkJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzDijkstraEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzDistances -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzPartialKey -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/coldstats -run '^$$' -fuzz FuzzTrace -fuzztime $(FUZZTIME)
 
 # Ensemble-scale validation smoke: the determinism/self-comparison pins

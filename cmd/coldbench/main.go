@@ -131,15 +131,14 @@ func run(args []string, stdout io.Writer) error {
 // streaming every per-topology JSONL record to recordsPath.
 func runValidate(o experiments.Options, count int, recordsPath string) ([]*experiments.Table, error) {
 	if recordsPath == "" {
-		tables, _, err := experiments.Validate(o, count, nil)
-		return tables, err
+		return experiments.Validate(o, count, nil)
 	}
 	f, err := os.Create(recordsPath)
 	if err != nil {
 		return nil, err
 	}
 	bw := bufio.NewWriter(f)
-	tables, _, err := experiments.Validate(o, count, bw)
+	tables, err := experiments.Validate(o, count, bw)
 	if err != nil {
 		f.Close() //nolint:errcheck
 		return nil, err

@@ -1,31 +1,24 @@
 // Command coldstats prints topology statistics for a network stored as
 // coldgen JSON, or — with -zoo — for the Topology-Zoo stand-in ensemble.
-// The validate subcommand characterizes a whole generated ensemble against
-// the zoo reference and writes a machine-readable scorecard. The trace
-// subcommand summarizes a JSONL telemetry trace: per-replica phase
+// The trace subcommand summarizes a JSONL telemetry trace: per-replica phase
 // timings, GA convergence and evaluator counter rollups.
 //
 // Usage:
 //
 //	coldgen -n 30 -out net.json && coldstats net.json
 //	coldstats -zoo
-//	coldstats validate -count 1000 -out records.jsonl -scorecard scorecard.json
 //	coldgen -n 30 -count 4 -trace trace.jsonl -out /dev/null && coldstats trace trace.jsonl
 package main
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/stats"
-	"github.com/networksynth/cold/internal/validate"
 	"github.com/networksynth/cold/internal/zoo"
 )
 
@@ -37,9 +30,6 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) error {
-	if len(args) > 0 && args[0] == "validate" {
-		return runValidate(args[1:], stdout)
-	}
 	if len(args) > 0 && args[0] == "trace" {
 		return runTrace(args[1:], stdout)
 	}
@@ -77,100 +67,6 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  length:        %.4f\n", nw.Cost.Length)
 	fmt.Fprintf(stdout, "  bandwidth:     %.4f\n", nw.Cost.Bandwidth)
 	fmt.Fprintf(stdout, "  node:          %.4f\n", nw.Cost.Node)
-	return nil
-}
-
-// runValidate streams a COLD ensemble and the zoo reference through the
-// validation pipeline, prints the verdict, and optionally writes the
-// per-topology JSONL records (-out) and the scorecard JSON (-scorecard).
-// It fails if the built-in self-comparison sanity check fails, and exits
-// nonzero when the subject-vs-reference scorecard does not pass -strict.
-func runValidate(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("coldstats validate", flag.ContinueOnError)
-	count := fs.Int("count", 1000, "COLD ensemble size")
-	n := fs.Int("n", 30, "PoPs per network")
-	pop := fs.Int("pop", 100, "GA population size M")
-	gens := fs.Int("gens", 100, "GA generations T")
-	seed := fs.Int64("seed", 1, "master seed")
-	parallel := fs.Int("parallel", 0, "metric/generation workers (0 = GOMAXPROCS; output is identical at every setting)")
-	bootstrap := fs.Int("bootstrap", 1000, "bootstrap resamples for CIs")
-	out := fs.String("out", "", "write per-topology JSONL records to this file")
-	scorecardPath := fs.String("scorecard", "", "write the scorecard JSON to this file")
-	strict := fs.Bool("strict", false, "error when the scorecard does not pass")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("validate takes no positional arguments")
-	}
-
-	var records io.Writer
-	var flushRecords func() error
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(f)
-		records = bw
-		flushRecords = func() error {
-			if err := bw.Flush(); err != nil {
-				f.Close() //nolint:errcheck
-				return err
-			}
-			return f.Close()
-		}
-		defer f.Close() //nolint:errcheck // no-op after flushRecords's close
-	}
-
-	cfg := cold.Config{
-		NumPoPs:     *n,
-		Seed:        *seed,
-		Parallelism: *parallel,
-		Optimizer:   cold.OptimizerSpec{PopulationSize: *pop, Generations: *gens},
-	}
-	popts := validate.Options{Parallelism: *parallel, Records: records}
-	ctx := context.Background()
-	subject, err := validate.Run(ctx, validate.ColdSource(cfg, *count), popts)
-	if err != nil {
-		return err
-	}
-	refGraphs := zoo.Graphs(zoo.Ensemble(zoo.DefaultSize, rand.New(rand.NewSource(*seed+zoo.DefaultSeed))))
-	ref, err := validate.Run(ctx, validate.GraphsSource("zoo", refGraphs), popts)
-	if err != nil {
-		return err
-	}
-	if flushRecords != nil {
-		if err := flushRecords(); err != nil {
-			return fmt.Errorf("records: %w", err)
-		}
-	}
-
-	sopts := validate.ScoreOptions{Bootstrap: *bootstrap, Seed: *seed}
-	if self := validate.Score(subject, subject, sopts); !self.Pass {
-		return fmt.Errorf("self-comparison failed — the pipeline cannot match the ensemble to itself (dist1k=%v dist2k=%v overlap=%v)",
-			self.Dist1K, self.Dist2K, self.OverlapFrac)
-	}
-	sc := validate.Score(subject, ref, sopts)
-	if *scorecardPath != "" {
-		b, err := json.MarshalIndent(sc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*scorecardPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-
-	fmt.Fprintf(stdout, "validated %d COLD networks against %d zoo references\n", sc.Count, sc.RefCount)
-	fmt.Fprintf(stdout, "dist_1k: %.4f (max %.2f)\n", float64(sc.Dist1K), sc.Thresholds.MaxDist1K)
-	fmt.Fprintf(stdout, "dist_2k: %.4f (max %.2f)\n", float64(sc.Dist2K), sc.Thresholds.MaxDist2K)
-	fmt.Fprintf(stdout, "CI overlap: %.2f over %d metrics (min %.2f)\n",
-		float64(sc.OverlapFrac), sc.Scored, sc.Thresholds.MinOverlapFrac)
-	fmt.Fprintf(stdout, "pass: %v\n", sc.Pass)
-	if *strict && !sc.Pass {
-		return fmt.Errorf("scorecard failed under -strict")
-	}
 	return nil
 }
 

@@ -73,58 +73,3 @@ func TestStatsErrors(t *testing.T) {
 		t.Error("corrupt file should error")
 	}
 }
-
-func TestValidateSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	records := filepath.Join(dir, "records.jsonl")
-	scorecard := filepath.Join(dir, "scorecard.json")
-	var out bytes.Buffer
-	err := run([]string{"validate",
-		"-count", "6", "-n", "8", "-pop", "12", "-gens", "6", "-bootstrap", "50",
-		"-out", records, "-scorecard", scorecard}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"validated 6 COLD networks", "dist_1k:", "dist_2k:", "pass:"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	data, err := os.ReadFile(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	if len(lines) != 6+250 {
-		t.Errorf("%d record lines, want %d (6 cold + 250 zoo)", len(lines), 6+250)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("first record not JSON: %v", err)
-	}
-	if rec["source"] != "cold" {
-		t.Errorf("first record source = %v, want cold", rec["source"])
-	}
-	scData, err := os.ReadFile(scorecard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc map[string]any
-	if err := json.Unmarshal(scData, &sc); err != nil {
-		t.Fatalf("scorecard not JSON: %v", err)
-	}
-	if sc["subject"] != "cold" || sc["reference"] != "zoo" {
-		t.Errorf("scorecard labels wrong: %v vs %v", sc["subject"], sc["reference"])
-	}
-}
-
-func TestValidateSubcommandErrors(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"validate", "-count", "x"}, &out); err == nil {
-		t.Error("bad flag should error")
-	}
-	if err := run([]string{"validate", "extra"}, &out); err == nil {
-		t.Error("positional arg should error")
-	}
-}

@@ -255,12 +255,6 @@ type Network struct {
 	// OptimizerSpec.TrackHistory was set.
 	History []float64
 
-	// Eval snapshots the context evaluator's counters at the moment this
-	// network was materialized: memoization hits/misses, full sweeps, CSR
-	// snapshots and the selected shortest-path kernel. Counter values are not part of the determinism
-	// contract (see EvalStats) and are excluded from ExportJSON.
-	Eval EvalStats
-
 	routing *cost.Routing
 	adj     [][]bool
 	stats   metrics.Summary
@@ -769,7 +763,6 @@ func materialize(cfg Config, sc *synthContext, g *graph.Graph, history []float64
 		Populations: append([]float64(nil), sc.pops...),
 		Demand:      sc.tm.Demand,
 		History:     history,
-		Eval:        newEvalStats(sc.eval.Stats()),
 		routing:     ev.Routing,
 		stats:       metrics.Summarize(g),
 	}

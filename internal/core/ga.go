@@ -56,9 +56,28 @@ type GenStats struct {
 	Evals uint64
 }
 
+// The GA's operators are fixed at the paper's values (§4.1).
+const (
+	// Tournament parent selection: pick tournamentB candidates uniformly,
+	// keep the best tournamentA as parents.
+	tournamentA = 2
+	tournamentB = 10
+
+	// linkMutationGeomP is the geometric parameter for the number of links
+	// added and removed by a link mutation, giving on average two link
+	// changes per mutation.
+	linkMutationGeomP = 0.5
+
+	// nodeMutationProb is the probability a mutation is a node mutation
+	// (collapse a random non-leaf into a leaf) rather than a link
+	// mutation.
+	nodeMutationProb = 0.5
+)
+
 // Settings control the genetic algorithm. The zero value is not runnable;
-// use DefaultSettings (the paper's T = M = 100 with its a=2, b=10
-// tournament and geometric(0.5) link mutation).
+// use DefaultSettings (the paper's T = M = 100). The tournament and
+// mutation operators are not settings: they are fixed at the paper's
+// values.
 type Settings struct {
 	PopulationSize int // M: topologies per generation
 	Generations    int // T
@@ -68,21 +87,6 @@ type Settings struct {
 	NumSaved    int // elite topologies copied unchanged
 	NumMutation int // mutated topologies
 
-	// Tournament parent selection: pick TournamentB candidates uniformly,
-	// keep the best TournamentA as parents (paper: a=2, b=10).
-	TournamentA int
-	TournamentB int
-
-	// LinkMutationGeomP is the geometric parameter for the number of links
-	// added and removed by a link mutation (paper: 0.5, giving on average
-	// two link changes per mutation).
-	LinkMutationGeomP float64
-
-	// NodeMutationProb is the probability a mutation is a node mutation
-	// (collapse a random non-leaf into a leaf) rather than a link
-	// mutation.
-	NodeMutationProb float64
-
 	// Seeds are extra starting topologies, typically heuristic outputs
 	// (the paper's "initialised GA"). They join the MST and the clique in
 	// the first generation.
@@ -91,17 +95,6 @@ type Settings struct {
 	// TrackHistory records the best cost after every generation in
 	// Result.History (used for convergence tests and plots).
 	TrackHistory bool
-
-	// StopAfterStagnant, when positive, stops the run early once the best
-	// cost has not improved by more than StagnationTolerance (relative)
-	// for that many consecutive generations — the paper's alternative to
-	// a fixed T ("stop the GA once the relative rate of change of best
-	// cost was sufficiently low", §5). Generations remains the hard cap.
-	StopAfterStagnant int
-
-	// StagnationTolerance is the relative improvement below which a
-	// generation counts as stagnant. Zero means 1e-9.
-	StagnationTolerance float64
 
 	// Observer, when non-nil, is called synchronously on the GA goroutine
 	// after every generation is evaluated and sorted, with that
@@ -124,18 +117,13 @@ type Settings struct {
 }
 
 // DefaultSettings returns the paper's configuration: M = T = 100, 10%
-// elite, 30% mutation, a=2/b=10 tournament, geometric(0.5) link mutation,
-// equal chance of node mutation.
+// elite and 30% mutation.
 func DefaultSettings() Settings {
 	return Settings{
-		PopulationSize:    100,
-		Generations:       100,
-		NumSaved:          10,
-		NumMutation:       30,
-		TournamentA:       2,
-		TournamentB:       10,
-		LinkMutationGeomP: 0.5,
-		NodeMutationProb:  0.5,
+		PopulationSize: 100,
+		Generations:    100,
+		NumSaved:       10,
+		NumMutation:    30,
 	}
 }
 
@@ -153,15 +141,6 @@ func (s Settings) Validate() error {
 	if s.NumSaved+s.NumMutation > s.PopulationSize {
 		return fmt.Errorf("core: NumSaved + NumMutation = %d exceeds population %d",
 			s.NumSaved+s.NumMutation, s.PopulationSize)
-	}
-	if s.TournamentA < 1 || s.TournamentB < s.TournamentA {
-		return fmt.Errorf("core: tournament a=%d, b=%d invalid (need 1 <= a <= b)", s.TournamentA, s.TournamentB)
-	}
-	if s.LinkMutationGeomP <= 0 || s.LinkMutationGeomP > 1 {
-		return fmt.Errorf("core: link mutation geometric parameter %v outside (0,1]", s.LinkMutationGeomP)
-	}
-	if s.NodeMutationProb < 0 || s.NodeMutationProb > 1 {
-		return fmt.Errorf("core: node mutation probability %v outside [0,1]", s.NodeMutationProb)
 	}
 	if s.Parallelism < 0 {
 		return fmt.Errorf("core: parallelism %d < 0", s.Parallelism)
@@ -236,13 +215,6 @@ func RunContext(ctx context.Context, e *cost.Evaluator, s Settings, seed uint64)
 		gens = 1 // no finite topology to select toward
 	}
 
-	tol := s.StagnationTolerance
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	stagnant := 0
-	lastBest := costs[0]
-
 	next := make([]*graph.Graph, s.PopulationSize)
 	for gen := 1; gen < gens; gen++ {
 		if err := ctx.Err(); err != nil {
@@ -258,17 +230,6 @@ func RunContext(ctx context.Context, e *cost.Evaluator, s Settings, seed uint64)
 		obs.emit(gen, pop, costs, breedNs, evalSpan.ElapsedNs())
 		if s.TrackHistory {
 			history = append(history, costs[0])
-		}
-		if s.StopAfterStagnant > 0 {
-			if lastBest-costs[0] <= tol*math.Abs(lastBest) {
-				stagnant++
-				if stagnant >= s.StopAfterStagnant {
-					break
-				}
-			} else {
-				stagnant = 0
-			}
-			lastBest = costs[0]
 		}
 	}
 
@@ -488,13 +449,8 @@ func (ga *runner) evaluate(pop []*graph.Graph) []float64 {
 // best a as parents, then copy each potential link from a parent chosen
 // with probability inversely proportional to its cost.
 func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG, sc *breedScratch) *graph.Graph {
-	a, b := ga.s.TournamentA, ga.s.TournamentB
-	if b > len(pop) {
-		b = len(pop)
-	}
-	if a > b {
-		a = b
-	}
+	b := min(tournamentB, len(pop))
+	a := min(tournamentA, b)
 	// Draw b distinct candidate indices with a partial Fisher–Yates:
 	// exactly b rng draws and no O(M) permutation allocation (the old
 	// rng.Perm consumed M draws per offspring). pop is sorted by cost, so
@@ -527,7 +483,7 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 func (ga *runner) mutate(pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) *graph.Graph {
 	pi := stats.WeightedIndex(ga.weights, rng)
 	child := pop[pi].Clone()
-	if rng.Float64() < ga.s.NodeMutationProb {
+	if rng.Float64() < nodeMutationProb {
 		ga.nodeMutation(child, rng, sc)
 	} else {
 		ga.linkMutation(child, rng, sc)
@@ -539,8 +495,8 @@ func (ga *runner) mutate(pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) *
 // linkMutation removes m+ existing links and adds m− absent links, both
 // geometric(p) counts.
 func (ga *runner) linkMutation(g *graph.Graph, rng *stats.RNG, sc *breedScratch) {
-	removals := stats.Geometric(ga.s.LinkMutationGeomP, rng)
-	additions := stats.Geometric(ga.s.LinkMutationGeomP, rng)
+	removals := stats.Geometric(linkMutationGeomP, rng)
+	additions := stats.Geometric(linkMutationGeomP, rng)
 	edges := g.Edges()
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	for i := 0; i < removals && i < len(edges); i++ {

@@ -31,8 +31,8 @@ func TestTournamentPrefersCheap(t *testing.T) {
 	rng := stats.NewRNG(stats.StreamSeed(20))
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		cand := sc.sampleIndices(len(pop), ga.s.TournamentB, &rng)
-		for _, idx := range bestIndices(cand, ga.s.TournamentA) {
+		cand := sc.sampleIndices(len(pop), tournamentB, &rng)
+		for _, idx := range bestIndices(cand, tournamentA) {
 			counts[idx]++
 		}
 	}

@@ -40,7 +40,6 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 // TestObserverStats checks the invariants of the emitted statistics.
 func TestObserverStats(t *testing.T) {
 	s := smallSettings()
-	s.StopAfterStagnant = 0 // run all generations
 	var got []GenStats
 	s.Observer = func(st GenStats) { got = append(got, st) }
 	res, err := Run(ctx(t, 14, cost.DefaultParams(), 5), s, 11)

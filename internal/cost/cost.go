@@ -7,10 +7,11 @@
 // The Evaluator is the hot path of the whole system — the genetic algorithm
 // calls Cost on every candidate in every generation — so it routes with one
 // of two bit-identical Dijkstra kernels (an array-based linear scan for
-// small contexts, an indexed binary heap with decrease-key above
-// Options.HeapThreshold), accumulates link loads along shortest-path trees
-// in O(n) per source, reuses scratch buffers, and memoizes results by graph
-// hash (GA populations converge, so identical candidates recur constantly).
+// small contexts, an indexed binary heap with decrease-key from
+// DefaultHeapThreshold PoPs up), accumulates link loads along
+// shortest-path trees in O(n) per source, reuses scratch buffers, and
+// memoizes results by graph hash (GA populations converge, so identical
+// candidates recur constantly).
 // Every evaluation that misses the memo is one full all-sources sweep over
 // a pooled CSR snapshot of the candidate; the equivalence test suite
 // enforces that both kernels agree bit for bit.
@@ -131,8 +132,7 @@ type Evaluator struct {
 
 	n int
 
-	// Resolved Options: which Dijkstra kernel runs.
-	opts    Options
+	// useHeap is the resolved Options.Heap: which Dijkstra kernel runs.
 	useHeap bool
 
 	// dflat is the traffic matrix flattened to n² (dflat[s*n+d] ==
@@ -212,15 +212,9 @@ func NewEvaluatorOptions(dist [][]float64, tm *traffic.Matrix, params Params, op
 	for s := 0; s < n; s++ {
 		copy(e.dflat[s*n:(s+1)*n], tm.Demand[s])
 	}
-	e.setOptions(opts)
+	e.useHeap = opts.Heap.enabled(n)
 	e.initScratch()
 	return e, nil
-}
-
-// setOptions resolves opts against the context size.
-func (e *Evaluator) setOptions(opts Options) {
-	e.opts = opts
-	e.useHeap = opts.Heap.enabled(e.n, opts.heapThreshold())
 }
 
 func (e *Evaluator) initScratch() {
@@ -245,9 +239,8 @@ func (e *Evaluator) initScratch() {
 // and the observability counters and duration histogram, but owns its
 // scratch buffers. Each goroutine must still use its own Evaluator.
 func (e *Evaluator) Clone() *Evaluator {
-	c := &Evaluator{dist: e.dist, tm: e.tm, params: e.params, n: e.n,
+	c := &Evaluator{dist: e.dist, tm: e.tm, params: e.params, n: e.n, useHeap: e.useHeap,
 		dflat: e.dflat, cache: e.cache, counters: e.counters, durHist: e.durHist}
-	c.setOptions(e.opts)
 	c.initScratch()
 	return c
 }

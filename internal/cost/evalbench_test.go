@@ -1,6 +1,6 @@
 package cost
 
-// Kernel benchmarks behind the Options.HeapThreshold default: the linear
+// Kernel benchmarks behind DefaultHeapThreshold: the linear
 // scan wins small-n, the heap wins large sparse-n. Run with:
 //
 //	go test ./internal/cost -run '^$' -bench 'Evaluate(Linear|Heap)' -benchtime 3x

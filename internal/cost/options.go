@@ -37,50 +37,36 @@ func (s Switch) String() string {
 const DefaultHeapThreshold = 32
 
 // Options tune how the Evaluator routes. The zero value is the production
-// default: the heap Dijkstra on Auto with the default threshold. The
+// default: the kernel chosen on Auto. The
 // selection changes only speed — both kernels return bit-identical costs,
 // loads and routing (the equivalence test suite enforces this).
 type Options struct {
 	// Heap selects the per-source shortest-path kernel: Auto uses the
-	// indexed-heap Dijkstra for contexts with at least HeapThreshold PoPs
-	// and the linear scan below, ForceOn/ForceOff pin one kernel. Both
+	// indexed-heap Dijkstra for contexts with at least DefaultHeapThreshold
+	// PoPs and the linear scan below, ForceOn/ForceOff pin one kernel. Both
 	// kernels run over the same pooled CSR snapshot of the candidate graph
 	// (built once per evaluation, reused across all n sources), so the
 	// choice affects only the frontier-selection strategy.
 	Heap Switch
-
-	// HeapThreshold overrides the Auto cutover size; 0 means
-	// DefaultHeapThreshold.
-	HeapThreshold int
 }
 
-// Validate rejects unknown switch states and negative thresholds.
+// Validate rejects unknown switch states.
 func (o Options) Validate() error {
 	if o.Heap > ForceOff {
 		return fmt.Errorf("cost: options: unknown Heap switch %d", o.Heap)
 	}
-	if o.HeapThreshold < 0 {
-		return fmt.Errorf("cost: options: negative HeapThreshold %d", o.HeapThreshold)
-	}
 	return nil
 }
 
-// heapThreshold resolves the Auto cutover size.
-func (o Options) heapThreshold() int {
-	if o.HeapThreshold > 0 {
-		return o.HeapThreshold
-	}
-	return DefaultHeapThreshold
-}
-
-// enabled resolves a switch against the Auto rule "on when n >= threshold".
-func (s Switch) enabled(n, threshold int) bool {
+// enabled resolves a switch against the Auto rule "on when n >=
+// DefaultHeapThreshold".
+func (s Switch) enabled(n int) bool {
 	switch s {
 	case ForceOn:
 		return true
 	case ForceOff:
 		return false
 	default:
-		return n >= threshold
+		return n >= DefaultHeapThreshold
 	}
 }

@@ -42,9 +42,6 @@ type Stats struct {
 	// sweep and RouteCost call. The snapshot is pooled per evaluator, so
 	// this counts fills, not allocations.
 	CSRBuilds uint64
-	// Kernel is the Dijkstra kernel this evaluator resolved to: "heap" or
-	// "linear".
-	Kernel string
 
 	// DeltaEvals is always 0.
 	//
@@ -61,16 +58,11 @@ type Stats struct {
 // Stats returns the evaluator's current counter snapshot.
 func (e *Evaluator) Stats() Stats {
 	hits, misses := e.cache.stats()
-	kernel := "linear"
-	if e.useHeap {
-		kernel = "heap"
-	}
 	return Stats{
 		CacheHits:   hits,
 		CacheMisses: misses,
 		FullSweeps:  e.counters.fullSweeps.Load(),
 		CSRBuilds:   e.counters.csrBuilds.Load(),
-		Kernel:      kernel,
 	}
 }
 

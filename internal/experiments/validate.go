@@ -27,7 +27,7 @@ import (
 // When records is non-nil, every family's per-topology JSONL records are
 // appended to it in family order (cold, zoo, er, ba). Output is
 // deterministic for fixed Options regardless of Parallelism or machine.
-func Validate(o Options, count int, records io.Writer) ([]*Table, []*validate.Scorecard, error) {
+func Validate(o Options, count int, records io.Writer) ([]*Table, error) {
 	o = o.normalize()
 	if count <= 0 {
 		count = 1000
@@ -56,7 +56,7 @@ func Validate(o Options, count int, records io.Writer) ([]*Table, []*validate.Sc
 	for _, src := range sources {
 		ens, err := validate.Run(ctx, src, popts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ensembles[src.Name] = ens
 	}
@@ -64,7 +64,7 @@ func Validate(o Options, count int, records io.Writer) ([]*Table, []*validate.Sc
 	sopts := validate.ScoreOptions{Bootstrap: o.Bootstrap, Seed: o.Seed}
 	self := validate.Score(ensembles["cold"], ensembles["cold"], sopts)
 	if !self.Pass {
-		return nil, nil, fmt.Errorf("validate: self-comparison failed — the pipeline cannot match the COLD ensemble to itself (dist1k=%v dist2k=%v overlap=%v)",
+		return nil, fmt.Errorf("validate: self-comparison failed — the pipeline cannot match the COLD ensemble to itself (dist1k=%v dist2k=%v overlap=%v)",
 			self.Dist1K, self.Dist2K, self.OverlapFrac)
 	}
 	cards := []*validate.Scorecard{
@@ -76,7 +76,7 @@ func Validate(o Options, count int, records io.Writer) ([]*Table, []*validate.Sc
 	return []*Table{
 		validateFamilies(count, ensembles),
 		validateScorecards(cards),
-	}, cards, nil
+	}, nil
 }
 
 // validateFamilies summarizes each family's streaming aggregates.

@@ -61,17 +61,24 @@ func PartialKey(base string, lines int) string {
 }
 
 // parsePartialKey splits a checkpoint key into its base key and line
-// count; ok is false for keys outside the partial namespace.
+// count; ok is false for keys outside the partial namespace. It accepts
+// exactly the keys PartialKey writes for a valid base: the count must be
+// canonical decimal, so "<base>.part-02" or "<base>.part-+2" is not a
+// second checkpoint of "<base>.part-2" that PutPartial's pruning misses.
 func parsePartialKey(key string) (base string, lines int, ok bool) {
 	i := strings.LastIndex(key, partialSep)
-	if i <= 0 {
+	if i < 0 {
 		return "", 0, false
 	}
-	n, err := strconv.Atoi(key[i+len(partialSep):])
-	if err != nil || n < 1 {
+	base, digits := key[:i], key[i+len(partialSep):]
+	if !validKey(base) || digits == "" || digits[0] < '1' || digits[0] > '9' {
 		return "", 0, false
 	}
-	return key[:i], n, true
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return "", 0, false
+	}
+	return base, n, true
 }
 
 // Options bound the store.

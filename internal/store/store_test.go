@@ -416,3 +416,61 @@ func TestRestartPreservesLRUOrder(t *testing.T) {
 		t.Fatalf("oldest key should be evicted first after restart, got %v", err)
 	}
 }
+
+// TestNonCanonicalPartialIsNotACheckpoint pins "one partial per base": a
+// file whose line count is not written the way PartialKey writes it (a
+// leading zero) is not a checkpoint of that base, so PutPartial cannot
+// leave it beside the canonical one.
+func TestNonCanonicalPartialIsNotACheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	base := "abc123-c8-a1"
+	if err := os.MkdirAll(filepath.Join(dir, "ab"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ab", base+partialSep+"02"), []byte("x0\nx1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutPartial(base, 2, []byte("l0\nl1\n")); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Partials != 1 {
+		t.Fatalf("%d checkpoints of one base after PutPartial, want 1: %+v", st.Partials, st)
+	}
+	data, lines, err := s.NewestPartial(base)
+	if err != nil || lines != 2 || string(data) != "l0\nl1\n" {
+		t.Fatalf("NewestPartial = %q, %d, %v; want the canonical checkpoint", data, lines, err)
+	}
+}
+
+// FuzzPartialKey checks that parsePartialKey accepts exactly the keys
+// PartialKey writes: every accepted key round-trips, and every key written
+// for a valid base and a positive count parses back to its parts.
+func FuzzPartialKey(f *testing.F) {
+	for _, k := range []string{
+		"abc123-c8-a1.part-2", "abc123-c8-a1.part-02", "abc123-c8-a1.part-+2",
+		"abc123-c8-a1.part-0", "ab.part-3.part-2", ".part-1", "a.part-1",
+		"abc.part-", "abc.part-99999999999999999999", "AB.part-1", "abc",
+	} {
+		f.Add(k, "ab", 1)
+	}
+	f.Add("", "abc123-c8-a1", 4)
+	f.Add("", "x.part-7", 12)
+	f.Fuzz(func(t *testing.T, key, b string, n int) {
+		if base, lines, ok := parsePartialKey(key); ok {
+			if !validKey(base) || lines < 1 || PartialKey(base, lines) != key {
+				t.Fatalf("parsePartialKey(%q) = (%q, %d, true), which PartialKey does not write", key, base, lines)
+			}
+		}
+		if !validKey(b) || n < 1 {
+			return
+		}
+		k := PartialKey(b, n)
+		if base, lines, ok := parsePartialKey(k); !ok || base != b || lines != n {
+			t.Fatalf("parsePartialKey(PartialKey(%q, %d)) = (%q, %d, %v)", b, n, base, lines, ok)
+		}
+	})
+}

@@ -1,7 +1,7 @@
 // Package telemetry provides the zero-dependency instruments behind COLD's
 // observability layer: atomic counters and gauges, fixed-bucket histograms,
-// monotonic span timers, and a Recorder interface with a JSONL
-// implementation for machine-readable trace events.
+// monotonic span timers, and a JSONL recorder for machine-readable trace
+// events.
 //
 // The package is deliberately passive. Instruments never consume random
 // numbers, never mutate the data they observe, and never block the caller
@@ -190,29 +190,13 @@ func (s Span) ElapsedNs() int64 {
 	return int64(time.Since(s.start))
 }
 
-// Recorder receives trace events. name identifies the event type (see the
-// payload structs in events.go); payload must marshal to a JSON object.
-// Implementations must be safe for concurrent use — ensemble replicas emit
-// events from multiple goroutines.
-type Recorder interface {
-	Record(name string, payload any)
-}
-
-// Nop returns a Recorder that discards every event. Components should
-// prefer a nil check over calling into Nop on hot paths; Nop exists for
-// call sites that want a non-nil Recorder unconditionally.
-func Nop() Recorder { return nopRecorder{} }
-
-type nopRecorder struct{}
-
-func (nopRecorder) Record(string, any) {}
-
 // JSONLRecorder writes one JSON object per event line:
 //
 //	{"v":1,"event":"generation","replica":0,"gen":3,...}
 //
 // The schema version and event name are stamped by the recorder; payload
-// fields follow. Writes are serialized by a mutex; the first write or
+// fields follow. It is safe for concurrent use — ensemble replicas emit
+// events from multiple goroutines: writes are serialized by a mutex; the first write or
 // encoding error is retained (Err) and subsequent events are dropped, so a
 // broken sink cannot wedge a run.
 type JSONLRecorder struct {
@@ -221,10 +205,11 @@ type JSONLRecorder struct {
 	err error
 }
 
-// NewJSONL returns a Recorder emitting JSONL trace events to w.
+// NewJSONL returns a recorder emitting JSONL trace events to w.
 func NewJSONL(w io.Writer) *JSONLRecorder { return &JSONLRecorder{w: w} }
 
-// Record implements Recorder.
+// Record emits one trace event. name identifies the event type (see the
+// payload structs in events.go); payload must marshal to a JSON object.
 func (r *JSONLRecorder) Record(name string, payload any) {
 	body, err := json.Marshal(payload)
 	r.mu.Lock()

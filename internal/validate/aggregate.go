@@ -79,8 +79,8 @@ type Ensemble struct {
 	Pooled2K map[[2]int]int
 
 	// PeakInFlight is the maximum number of topologies that were past
-	// generation but not yet folded at any moment — bounded by
-	// Options.Window by construction.
+	// generation but not yet folded at any moment — bounded by the
+	// pipeline window (4×Parallelism, minimum 8) by construction.
 	PeakInFlight int
 
 	aggs []metricAgg // indexed like metricDefs

@@ -33,30 +33,25 @@ func DefaultThresholds() Thresholds {
 	return Thresholds{MaxDist1K: 0.35, MaxDist2K: 0.5, MinOverlapFrac: 0.5}
 }
 
-// ScoreOptions configures Score.
+// confidence is the two-sided level of every bootstrap confidence
+// interval a scorecard reports.
+const confidence = 0.95
+
+// ScoreOptions configures Score. Scorecards are judged under
+// DefaultThresholds with 95% bootstrap confidence intervals.
 type ScoreOptions struct {
 	// Bootstrap is the number of bootstrap resamples per confidence
-	// interval (zero means 1000); Confidence is the two-sided level
-	// (zero means 0.95).
-	Bootstrap  int
-	Confidence float64
+	// interval (zero means 1000).
+	Bootstrap int
 
 	// Seed drives the bootstrap rng; equal inputs and seed give
 	// byte-identical scorecards.
 	Seed int64
-
-	Thresholds Thresholds // zero value means DefaultThresholds
 }
 
 func (o ScoreOptions) normalize() ScoreOptions {
 	if o.Bootstrap <= 0 {
 		o.Bootstrap = 1000
-	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
-	}
-	if o.Thresholds == (Thresholds{}) {
-		o.Thresholds = DefaultThresholds()
 	}
 	return o
 }
@@ -127,13 +122,13 @@ func Score(subject, ref *Ensemble, opts ScoreOptions) *Scorecard {
 		RefCount:   ref.Count,
 		Dist1K:     Float(Dist1K(subject.Pooled1K, ref.Pooled1K)),
 		Dist2K:     Float(Dist2K(subject.Pooled2K, ref.Pooled2K)),
-		Thresholds: opts.Thresholds,
+		Thresholds: DefaultThresholds(),
 	}
 	overlaps := 0
 	for i, def := range metricDefs {
 		sa, ra := &subject.aggs[i], &ref.aggs[i]
-		ci := stats.BootstrapMeanCI(sa.samples, opts.Confidence, opts.Bootstrap, rng)
-		rci := stats.BootstrapMeanCI(ra.samples, opts.Confidence, opts.Bootstrap, rng)
+		ci := stats.BootstrapMeanCI(sa.samples, confidence, opts.Bootstrap, rng)
+		rci := stats.BootstrapMeanCI(ra.samples, confidence, opts.Bootstrap, rng)
 		ms := MetricScore{
 			Name:      def.name,
 			Mean:      Float(ci.Mean),
@@ -164,8 +159,8 @@ func Score(subject, ref *Ensemble, opts ScoreOptions) *Scorecard {
 		sc.OverlapFrac = Float(math.NaN())
 	}
 	sc.Pass = sc.Scored > 0 &&
-		float64(sc.Dist1K) <= opts.Thresholds.MaxDist1K &&
-		float64(sc.Dist2K) <= opts.Thresholds.MaxDist2K &&
-		float64(sc.OverlapFrac) >= opts.Thresholds.MinOverlapFrac
+		float64(sc.Dist1K) <= sc.Thresholds.MaxDist1K &&
+		float64(sc.Dist2K) <= sc.Thresholds.MaxDist2K &&
+		float64(sc.OverlapFrac) >= sc.Thresholds.MinOverlapFrac
 	return sc
 }

@@ -5,8 +5,8 @@
 // aggregates — Welford mean/variance per scalar metric, pooled 1K/2K
 // distributions, finite-sample vectors for bootstrap confidence intervals —
 // with bounded memory: no graph is retained past its characterization, and
-// at most Options.Window topologies are in flight between generation and
-// aggregation.
+// at most window(Parallelism) topologies are in flight between generation
+// and aggregation.
 //
 // On top of the per-family Ensemble aggregates, Score builds the COLD
 // scorecard: "does the generated ensemble match the target family?" —
@@ -51,13 +51,6 @@ type Options struct {
 	// byte-identical for every setting.
 	Parallelism int
 
-	// Window bounds how many topologies may be past generation but not
-	// yet folded into the aggregates (the reorder buffer between the
-	// out-of-order workers and the in-order collector). Zero means
-	// 4×Parallelism, minimum 8. Generation backpressures when the window
-	// is full, so pipeline memory is O(Window), independent of Count.
-	Window int
-
 	// Records, when non-nil, receives one JSON record per topology, each
 	// terminated by '\n', in index order.
 	Records io.Writer
@@ -67,11 +60,15 @@ func (o Options) normalize() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if o.Window <= 0 {
-		o.Window = max(8, 4*o.Parallelism)
-	}
 	return o
 }
+
+// window bounds how many topologies may be past generation but not yet
+// folded into the aggregates (the reorder buffer between the out-of-order
+// workers and the in-order collector): 4×parallelism, minimum 8.
+// Generation backpressures when the window is full, so pipeline memory is
+// O(window), independent of the source's Count.
+func window(parallelism int) int { return max(8, 4*parallelism) }
 
 // Run streams src through the metric workers and returns the family's
 // aggregates. Records (if Options.Records is set) are written in index
@@ -114,7 +111,7 @@ func Run(ctx context.Context, src Source, opts Options) (*Ensemble, error) {
 	// pending; whichever worker completes the next-in-order index flushes
 	// the in-order prefix into the aggregates (same reorder discipline as
 	// cold.GenerateEnsembleStream). Slots release only at fold time, so
-	// graphs-in-worker + parked characterizations never exceed Window.
+	// graphs-in-worker + parked characterizations never exceed the window.
 	type job struct {
 		i    int
 		g    *graph.Graph
@@ -131,7 +128,7 @@ func Run(ctx context.Context, src Source, opts Options) (*Ensemble, error) {
 	)
 	pending := make([]*characterization, src.Count)
 	jobs := make(chan job)
-	slots := make(chan struct{}, opts.Window)
+	slots := make(chan struct{}, window(opts.Parallelism))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

@@ -104,17 +104,17 @@ func TestRecordOrderAndSchema(t *testing.T) {
 }
 
 // TestWindowBoundsInFlight pins the bounded-memory contract: the number of
-// topologies past generation but not yet folded never exceeds Options.Window,
-// enforced structurally by the slot semaphore.
+// topologies past generation but not yet folded never exceeds the window
+// (4×Parallelism, minimum 8), enforced structurally by the slot semaphore.
 func TestWindowBoundsInFlight(t *testing.T) {
 	for _, par := range []int{2, 8} {
 		ens, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(60)),
-			Options{Parallelism: par, Window: 3})
+			Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ens.PeakInFlight > 3 {
-			t.Errorf("Parallelism %d: peak in-flight %d exceeds window 3", par, ens.PeakInFlight)
+		if w := window(par); ens.PeakInFlight > w {
+			t.Errorf("Parallelism %d: peak in-flight %d exceeds window %d", par, ens.PeakInFlight, w)
 		}
 		if ens.Count != 60 {
 			t.Errorf("Parallelism %d: folded %d topologies, want 60", par, ens.Count)
@@ -144,7 +144,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestSelfScorecardPasses is the smoke invariant `coldstats validate`
+// TestSelfScorecardPasses is the smoke invariant `coldbench validate`
 // asserts on every run: an ensemble scored against itself has zero
 // distances, zero KS, full CI overlap, and passes the default thresholds.
 func TestSelfScorecardPasses(t *testing.T) {

@@ -13,61 +13,26 @@ import (
 // event line as "v". The schema is documented in DESIGN.md ("Observability").
 const TraceSchemaVersion = telemetry.SchemaVersion
 
-// EvalStats are the cost evaluator's counters: memoization effectiveness,
-// full shortest-path sweeps and CSR snapshots. Counter values are NOT part
-// of the determinism contract — generated networks are bit-identical across
-// Parallelism and telemetry settings, but parallel workers racing to
+// evalTotals sums the cost evaluator's counters (memoization, full
+// sweeps, CSR snapshots) over finished replicas. Counter values are NOT
+// part of the determinism contract — generated networks are bit-identical
+// across Parallelism and telemetry settings, but parallel workers racing to
 // evaluate the same topology can shift hit/miss and sweep counts between
 // runs.
-type EvalStats struct {
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	// FullSweeps counts all-sources shortest-path sweeps.
-	FullSweeps uint64 `json:"full_sweeps"`
-	// CSRBuilds counts flat-memory CSR graph snapshots built (one per
-	// routed graph; the buffers themselves are pooled per evaluator).
-	CSRBuilds uint64 `json:"csr_builds"`
-	// Kernel is the shortest-path kernel the evaluator selected: "heap" or
-	// "linear". Empty in aggregated (multi-replica) stats.
-	Kernel string `json:"kernel,omitempty"`
+type evalTotals struct {
+	cacheHits   uint64
+	cacheMisses uint64
+	fullSweeps  uint64
+	csrBuilds   uint64
 }
 
-func newEvalStats(s cost.Stats) EvalStats {
-	return EvalStats{
-		CacheHits:   s.CacheHits,
-		CacheMisses: s.CacheMisses,
-		FullSweeps:  s.FullSweeps,
-		CSRBuilds:   s.CSRBuilds,
-		Kernel:      s.Kernel,
-	}
-}
-
-// add folds one replica's evaluator counters into the aggregate (Kernel is
-// per-evaluator, so it is dropped). Callers hold whatever lock guards a.
-func (a *EvalStats) add(s cost.Stats) {
-	a.CacheHits += s.CacheHits
-	a.CacheMisses += s.CacheMisses
-	a.FullSweeps += s.FullSweeps
-	a.CSRBuilds += s.CSRBuilds
-}
-
-// TelemetrySnapshot is a point-in-time view of a Telemetry's aggregated
-// counters, safe to read while runs are in flight. The same values, plus
-// the evaluation latency histogram, are what RegisterMetrics publishes.
-type TelemetrySnapshot struct {
-	Runs            uint64 `json:"runs"`             // ensemble runs started
-	ReplicasStarted uint64 `json:"replicas_started"` // replicas picked up
-	ReplicasDone    uint64 `json:"replicas_done"`    // replicas finished (incl. failed)
-	ActiveReplicas  int64  `json:"active_replicas"`  // currently executing
-	Generations     uint64 `json:"generations"`      // GA generations completed
-	Evaluations     uint64 `json:"evaluations"`      // cost-function calls (incl. memoized)
-
-	BusyNs  int64 `json:"busy_ns"`  // Σ replica wall time
-	QueueNs int64 `json:"queue_ns"` // Σ replica queue wait before pickup
-
-	// Eval aggregates evaluator counters across all finished replicas
-	// (in-flight replicas contribute after they end).
-	Eval EvalStats `json:"eval"`
+// add folds one replica's evaluator counters into the totals. Callers hold
+// whatever lock guards a.
+func (a *evalTotals) add(s cost.Stats) {
+	a.cacheHits += s.CacheHits
+	a.cacheMisses += s.CacheMisses
+	a.fullSweeps += s.FullSweeps
+	a.csrBuilds += s.CSRBuilds
 }
 
 // Telemetry collects metrics and (optionally) a JSONL event trace from every
@@ -75,8 +40,8 @@ type TelemetrySnapshot struct {
 // with NewTelemetry. A nil *Telemetry disables all collection — the hot
 // paths then pay a single nil check.
 //
-// One Telemetry may be shared by concurrent runs; instruments are atomic
-// and Snapshot is safe at any time. Attaching telemetry never changes
+// One Telemetry may be shared by concurrent runs; instruments are atomic,
+// and RegisterMetrics reads them at scrape time. Attaching telemetry never changes
 // generated networks: instruments observe the clock and already-computed
 // state, never the random streams (TestTelemetryDoesNotChangeResults
 // enforces this bit-for-bit).
@@ -106,7 +71,7 @@ type telemetryInstruments struct {
 	queueNs         telemetry.Counter
 
 	mu  sync.Mutex
-	agg EvalStats // evaluator counters summed over finished replicas
+	agg evalTotals // evaluator counters summed over finished replicas
 }
 
 // NewTelemetry returns a ready Telemetry with no trace sink attached.
@@ -130,8 +95,7 @@ func (t *Telemetry) TraceTo(w io.Writer) *Telemetry {
 }
 
 // WithTrace returns a derived handle that shares t's instruments (every
-// counter, gauge and histogram — and therefore Snapshot and
-// RegisterMetrics output) but writes JSONL trace events to its own sink.
+// counter, gauge and histogram — and therefore RegisterMetrics output) but writes JSONL trace events to its own sink.
 // Use it to give each run its own trace file while aggregating metrics
 // service-wide; pair with Config.RunID so the trace carries a correlation
 // ID. The receiver must be non-nil.
@@ -148,38 +112,13 @@ func (t *Telemetry) TraceErr() error {
 	return t.rec.Err()
 }
 
-// Snapshot returns a point-in-time view of every counter. Safe to call
-// concurrently with runs. RegisterMetrics takes an internal type, so
-// Snapshot is the counter read-out for code outside this module.
-func (t *Telemetry) Snapshot() TelemetrySnapshot {
-	if t == nil {
-		return TelemetrySnapshot{}
-	}
-	t.mu.Lock()
-	agg := t.agg
-	t.mu.Unlock()
-	return TelemetrySnapshot{
-		Runs:            t.runs.Load(),
-		ReplicasStarted: t.replicasStarted.Load(),
-		ReplicasDone:    t.replicasDone.Load(),
-		ActiveReplicas:  t.activeReplicas.Load(),
-		Generations:     t.generations.Load(),
-		Evaluations:     t.evaluations.Load(),
-		BusyNs:          int64(t.busyNs.Load()),
-		QueueNs:         int64(t.queueNs.Load()),
-		Eval:            agg,
-	}
-}
-
 // RegisterMetrics publishes every engine instrument into reg under the
 // documented cold_* Prometheus names (DESIGN.md, "Observability"): run and
 // replica counters, GA generation and evaluation totals, the evaluator's
 // aggregated cache, sweep and CSR counters, and the evaluation latency
-// histogram, exposed in seconds per
-// the Prometheus base-unit convention. Values are read at scrape time from
-// the same instruments Snapshot reads. The receiver must be
-// non-nil; in-module consumers (cmd/coldd, internal/diag) serve the
-// registry as GET /metrics.
+// histogram, exposed in seconds per the Prometheus base-unit convention.
+// Values are read at scrape time. The receiver must be non-nil; cmd/coldd
+// and coldgen -metrics serve the registry as GET /metrics.
 func (t *Telemetry) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Counter("cold_runs_total", "Ensemble runs started.", &t.runs)
 	reg.Counter("cold_replicas_started_total", "Replicas picked up by a worker.", &t.replicasStarted)
@@ -193,7 +132,7 @@ func (t *Telemetry) RegisterMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(t.queueNs.Load()) / 1e9 })
 	reg.DurationHistogram("cold_eval_duration_seconds", "Wall time of real (non-memoized) cost evaluations.", t.evalDur)
 
-	agg := func(get func(EvalStats) uint64) func() float64 {
+	agg := func(get func(evalTotals) uint64) func() float64 {
 		return func() float64 {
 			t.mu.Lock()
 			defer t.mu.Unlock()
@@ -201,13 +140,13 @@ func (t *Telemetry) RegisterMetrics(reg *telemetry.Registry) {
 		}
 	}
 	reg.CounterFunc("cold_eval_cache_hits_total", "Evaluator memo-cache hits (finished replicas).",
-		agg(func(s EvalStats) uint64 { return s.CacheHits }))
+		agg(func(s evalTotals) uint64 { return s.cacheHits }))
 	reg.CounterFunc("cold_eval_cache_misses_total", "Evaluator memo-cache misses (finished replicas).",
-		agg(func(s EvalStats) uint64 { return s.CacheMisses }))
+		agg(func(s evalTotals) uint64 { return s.cacheMisses }))
 	reg.CounterFunc("cold_eval_full_sweeps_total", "All-sources shortest-path sweeps.",
-		agg(func(s EvalStats) uint64 { return s.FullSweeps }))
+		agg(func(s evalTotals) uint64 { return s.fullSweeps }))
 	reg.CounterFunc("cold_eval_csr_builds_total", "Flat-memory CSR graph snapshots built.",
-		agg(func(s EvalStats) uint64 { return s.CSRBuilds }))
+		agg(func(s evalTotals) uint64 { return s.csrBuilds }))
 }
 
 // RecordCheckpoint emits a service-side "checkpoint" trace event: the
@@ -231,9 +170,9 @@ func (t *Telemetry) record(name string, payload any) {
 	t.rec.Record(name, payload)
 }
 
-// addEvalStats folds one finished replica's evaluator counters into the
+// addEvalTotals folds one finished replica's evaluator counters into the
 // aggregate.
-func (t *Telemetry) addEvalStats(s cost.Stats) {
+func (t *Telemetry) addEvalTotals(s cost.Stats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.agg.add(s)
@@ -250,7 +189,7 @@ type runTracker struct {
 	busyNs   telemetry.Counter
 
 	mu  sync.Mutex
-	agg EvalStats
+	agg evalTotals
 }
 
 // startRun opens an ensemble run scope and emits run_start.
@@ -299,13 +238,13 @@ func (r *runTracker) end() {
 		DurNs:       dur,
 		BusyNs:      busy,
 		Utilization: util,
-		CacheHits:   agg.CacheHits,
-		CacheMisses: agg.CacheMisses,
-		FullSweeps:  agg.FullSweeps,
+		CacheHits:   agg.cacheHits,
+		CacheMisses: agg.cacheMisses,
+		FullSweeps:  agg.fullSweeps,
 	})
 }
 
-func (r *runTracker) addEvalStats(s cost.Stats) {
+func (r *runTracker) addEvalTotals(s cost.Stats) {
 	if r == nil {
 		return
 	}
@@ -408,8 +347,8 @@ func (rt *replicaTracker) end(nw *Network, e *cost.Evaluator, err error) {
 	t.record("replica_end", ev)
 	if e != nil {
 		st := e.Stats()
-		t.addEvalStats(st)
-		rt.run.addEvalStats(st)
+		t.addEvalTotals(st)
+		rt.run.addEvalTotals(st)
 	}
 }
 

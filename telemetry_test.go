@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -130,14 +131,37 @@ func TestTelemetryTraceSchema(t *testing.T) {
 	}
 }
 
-// TestTelemetrySnapshot checks the aggregated counters after runs.
-func TestTelemetrySnapshot(t *testing.T) {
-	var nilTel *Telemetry
-	if s := nilTel.Snapshot(); s != (TelemetrySnapshot{}) {
-		t.Fatalf("nil telemetry snapshot = %+v", s)
+// scrape renders tel's RegisterMetrics output and returns every unlabeled
+// series by name: the counters as an operator reads them from /metrics.
+func scrape(t *testing.T, tel *Telemetry) map[string]float64 {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	tel.RegisterMetrics(reg)
+	var out bytes.Buffer
+	if err := reg.WriteText(&out); err != nil {
+		t.Fatal(err)
 	}
+	series := make(map[string]float64)
+	for _, line := range strings.Split(out.String(), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		series[name] = v
+	}
+	return series
+}
 
-	tel := NewTelemetry()
+// TestTelemetryCounters checks the aggregated counters after runs, read
+// through the registry that backs /metrics, and that the run's run_end
+// trace event carries the same evaluator totals.
+func TestTelemetryCounters(t *testing.T) {
+	var trace bytes.Buffer
+	tel := NewTelemetry().TraceTo(&trace)
 	const count = 3
 	cfg := fastConfig(9, 4)
 	cfg.Parallelism = 2
@@ -145,67 +169,64 @@ func TestTelemetrySnapshot(t *testing.T) {
 	if _, err := GenerateEnsemble(cfg, count); err != nil {
 		t.Fatal(err)
 	}
-	s := tel.Snapshot()
-	if s.Runs != 1 {
-		t.Fatalf("runs = %d, want 1", s.Runs)
+	s := scrape(t, tel)
+	for name, want := range map[string]float64{
+		"cold_runs_total":             1,
+		"cold_replicas_started_total": count,
+		"cold_replicas_done_total":    count,
+		"cold_active_replicas":        0,
+		"cold_ga_generations_total":   count * 25,
+	} {
+		if got, ok := s[name]; !ok || got != want {
+			t.Fatalf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
 	}
-	if s.ReplicasStarted != count || s.ReplicasDone != count {
-		t.Fatalf("replicas started %d done %d, want %d", s.ReplicasStarted, s.ReplicasDone, count)
+	for _, name := range []string{
+		"cold_evaluations_total",
+		"cold_eval_cache_misses_total",
+		"cold_eval_full_sweeps_total",
+		"cold_eval_csr_builds_total",
+		"cold_eval_duration_seconds_count",
+		"cold_eval_duration_seconds_sum",
+		"cold_replica_busy_seconds_total",
+	} {
+		if s[name] <= 0 {
+			t.Fatalf("%s = %v, want > 0", name, s[name])
+		}
 	}
-	if s.ActiveReplicas != 0 {
-		t.Fatalf("active replicas %d after run", s.ActiveReplicas)
+	var end telemetry.RunEnd
+	sc := bufio.NewScanner(&trace)
+	for sc.Scan() {
+		if bytes.Contains(sc.Bytes(), []byte(`"event":"run_end"`)) {
+			if err := json.Unmarshal(sc.Bytes(), &end); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if s.Generations != count*25 {
-		t.Fatalf("generations = %d, want %d", s.Generations, count*25)
-	}
-	if s.Evaluations == 0 || s.Eval.CacheMisses == 0 || s.Eval.FullSweeps == 0 {
-		t.Fatalf("evaluator counters empty: %+v", s)
-	}
-	if h := tel.evalDur.Snapshot(); h.Count == 0 || h.Sum <= 0 {
-		t.Fatalf("duration histogram empty: %+v", h)
-	}
-	if s.BusyNs <= 0 {
-		t.Fatalf("busy ns = %d", s.BusyNs)
+	for name, got := range map[string]uint64{
+		"cold_eval_cache_hits_total":   end.CacheHits,
+		"cold_eval_cache_misses_total": end.CacheMisses,
+		"cold_eval_full_sweeps_total":  end.FullSweeps,
+	} {
+		if want, ok := s[name]; !ok || float64(got) != want {
+			t.Fatalf("run_end carries %d for %s, /metrics reads %v (present %v)", got, name, want, ok)
+		}
 	}
 
 	// A second run on the same Telemetry accumulates.
 	if _, err := Generate(cfg); err != nil {
 		t.Fatal(err)
 	}
-	s2 := tel.Snapshot()
-	if s2.ReplicasDone != count+1 {
-		t.Fatalf("replicas done = %d after single run, want %d", s2.ReplicasDone, count+1)
+	s2 := scrape(t, tel)
+	if s2["cold_replicas_done_total"] != count+1 {
+		t.Fatalf("replicas done = %v after single run, want %d", s2["cold_replicas_done_total"], count+1)
 	}
-	if s2.Runs != 1 {
-		t.Fatalf("single-network Generate must not count as a run, got %d", s2.Runs)
+	if s2["cold_runs_total"] != 1 {
+		t.Fatalf("single-network Generate must not count as a run, got %v", s2["cold_runs_total"])
 	}
-}
-
-// TestNetworkEvalStats checks the per-network evaluator counter snapshot.
-func TestNetworkEvalStats(t *testing.T) {
-	nw, err := Generate(fastConfig(12, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.Eval.CacheMisses == 0 || nw.Eval.FullSweeps == 0 {
-		t.Fatalf("network eval stats empty: %+v", nw.Eval)
-	}
-	if nw.Eval.Kernel != "heap" && nw.Eval.Kernel != "linear" {
-		t.Fatalf("kernel %q", nw.Eval.Kernel)
-	}
-	total := nw.Eval.CacheHits + nw.Eval.CacheMisses
-	if total == 0 {
-		t.Fatal("no cache lookups recorded")
-	}
-	// The export schema deliberately excludes counters (they are not
-	// deterministic); round-tripping must zero them, not fail.
-	b := exportBytes(t, nw)
-	var back Network
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Eval.CacheMisses != 0 {
-		t.Fatal("Eval stats leaked into the JSON export schema")
+	if s2["cold_eval_cache_misses_total"] <= s["cold_eval_cache_misses_total"] {
+		t.Fatalf("cache misses did not accumulate: %v then %v",
+			s["cold_eval_cache_misses_total"], s2["cold_eval_cache_misses_total"])
 	}
 }
 
@@ -366,8 +387,9 @@ func TestWithTraceSharesInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if s := tel.Snapshot(); s.Runs != 2 || s.ReplicasDone != 3 {
-		t.Fatalf("shared instruments saw runs=%d replicas=%d, want 2 and 3", s.Runs, s.ReplicasDone)
+	if s := scrape(t, tel); s["cold_runs_total"] != 2 || s["cold_replicas_done_total"] != 3 {
+		t.Fatalf("shared instruments saw runs=%v replicas=%v, want 2 and 3",
+			s["cold_runs_total"], s["cold_replicas_done_total"])
 	}
 	for name, buf := range map[string]*bytes.Buffer{"a": &traceA, "b": &traceB} {
 		if !bytes.Contains(buf.Bytes(), []byte(`"run_id":"`+name+`"`)) {
