@@ -92,7 +92,7 @@ coldd-smoke:
 # convergence/phase profile is inspectable per commit.
 trace-smoke:
 	$(GO) run ./cmd/coldgen -n 16 -count 4 -pop 24 -gens 12 \
-		-trace TRACE_COLD.jsonl -out /dev/null
+		-trace TRACE_COLD.jsonl > /dev/null
 	$(GO) run ./cmd/coldstats trace TRACE_COLD.jsonl
 
 # perfbench (the end-to-end benchmark harness) is its own Go module, so

@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
+	"github.com/networksynth/cold/internal/core"
 	"github.com/networksynth/cold/internal/traffic"
 )
 
@@ -54,13 +56,13 @@ func (e *FieldError) Error() string {
 func (e *FieldError) Is(target error) bool { return target == ErrInvalidConfig }
 
 // Validate checks every Config field and returns nil or an error joining
-// one *FieldError per problem (all of them, not just the first). The
-// checks are exactly the ones generation applies: Validate(cfg) == nil
-// if and only if buildContext accepts cfg, which is what lets a service
-// reject bad requests up front and cache on Config.Hash() safely.
-// Generation can still reject an accepted config, also with
-// ErrInvalidConfig, when every topology's cost overflows to +Inf; only
-// evaluating the sampled context reveals that.
+// one *FieldError per problem (all of them, not just the first). Every
+// Generate* function generates from the config's normal form (normalize),
+// which exists exactly when Validate accepts, so a service can reject bad
+// requests up front and cache on Config.Hash() safely. Generation can
+// still reject an accepted config, also with ErrInvalidConfig, when every
+// topology's cost overflows to +Inf; only evaluating the sampled context
+// reveals that.
 func (cfg Config) Validate() error {
 	var errs []error
 	bad := func(field, format string, args ...any) {
@@ -163,7 +165,7 @@ func (cfg Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-// canonicalConfig is the versioned normal form behind Canonical. Field
+// canonicalConfig is the versioned encoding of the normal form. Field
 // order is fixed (encoding/json emits struct fields in declaration order)
 // and enum kinds are encoded as names, so renumbering the Go constants can
 // never silently change hashes.
@@ -171,7 +173,7 @@ type canonicalConfig struct {
 	V       int               `json:"v"`
 	NumPoPs int               `json:"num_pops"`
 	Seed    int64             `json:"seed"`
-	Params  [4]float64        `json:"params"` // k0, k1, k2, k3 after default resolution
+	Params  [4]float64        `json:"params"` // k0, k1, k2, k3
 	Loc     canonicalLocation `json:"locations"`
 	Traffic canonicalTraffic  `json:"traffic"`
 	Opt     canonicalOpt      `json:"optimizer"`
@@ -182,7 +184,7 @@ type canonicalLocation struct {
 	Aspect   float64      `json:"aspect,omitempty"`   // uniform, clustered, grid
 	Clusters int          `json:"clusters,omitempty"` // clustered
 	Sigma    float64      `json:"sigma,omitempty"`    // clustered
-	Points   [][2]float64 `json:"points,omitempty"`   // fixed, truncated to NumPoPs
+	Points   [][2]float64 `json:"points,omitempty"`   // fixed
 }
 
 type canonicalTraffic struct {
@@ -190,7 +192,7 @@ type canonicalTraffic struct {
 	Mean        float64   `json:"mean,omitempty"`         // exponential, pareto, uniform
 	ParetoShape float64   `json:"pareto_shape,omitempty"` // pareto
 	Scale       float64   `json:"scale"`
-	Populations []float64 `json:"populations,omitempty"` // fixed, truncated to NumPoPs
+	Populations []float64 `json:"populations,omitempty"` // fixed
 }
 
 type canonicalOpt struct {
@@ -216,90 +218,112 @@ var trafficKindNames = map[TrafficKind]string{
 	TrafficFixed:       "fixed",
 }
 
-// Canonical returns the deterministic, versioned JSON encoding of the
-// config — its normal form. Two configs have equal canonical bytes exactly
-// when they generate identical output:
+// normalize returns the config's normal form, the one value Canonical
+// encodes and generation reads, so equal hashes build equal contexts by
+// construction. It validates cfg, then:
 //
-//   - Defaults are resolved (zero Params becomes DefaultParams, zero
-//     optimizer sizes become the paper's 100×100, and so on), so a config
-//     spelled with explicit defaults encodes the same as one relying on
-//     zero values.
-//   - Fields that cannot affect generated networks — Parallelism, Progress,
-//     Telemetry, RunID — are excluded: outputs are bit-identical across all
-//     of them by construction.
-//   - Fields irrelevant to the selected Kind (e.g. Clusters under
-//     LocUniform, Points beyond NumPoPs) are dropped.
+//   - fills every zero "use the default" field (zero Params becomes
+//     DefaultParams, zero optimizer sizes the paper's 100×100, zero
+//     Parallelism runtime.GOMAXPROCS(0), and so on);
+//   - clears every field the selected Kinds ignore (e.g. Clusters under
+//     LocUniform, MeanPopulation under TrafficFixed);
+//   - cuts Points and Populations to NumPoPs.
+//
+// normalize is applied once per run: a normal form need not validate
+// again (the default 5 clusters may exceed NumPoPs).
+func (cfg Config) normalize() (Config, error) {
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
+	c := cfg
+	if c.Params == (Params{}) {
+		c.Params = DefaultParams()
+	}
+	c.Parallelism = resolve(c.Parallelism, runtime.GOMAXPROCS(0))
+
+	c.Locations = LocationSpec{Kind: cfg.Locations.Kind}
+	switch c.Locations.Kind {
+	case LocClustered:
+		c.Locations.Clusters = resolve(cfg.Locations.Clusters, 5)
+		c.Locations.Sigma = resolve(cfg.Locations.Sigma, 0.05)
+		fallthrough
+	case LocUniform, LocGrid:
+		c.Locations.Aspect = resolve(cfg.Locations.Aspect, 1)
+	case LocFixed:
+		c.Locations.Points = cfg.Locations.Points[:cfg.NumPoPs]
+	}
+
+	c.Traffic = TrafficSpec{Kind: cfg.Traffic.Kind, Scale: resolve(cfg.Traffic.Scale, traffic.DefaultGravityScale)}
+	switch c.Traffic.Kind {
+	case TrafficPareto:
+		c.Traffic.ParetoShape = resolve(cfg.Traffic.ParetoShape, 1.5)
+		fallthrough
+	case TrafficExponential, TrafficUniform:
+		c.Traffic.MeanPopulation = resolve(cfg.Traffic.MeanPopulation, traffic.DefaultMeanPopulation)
+	case TrafficFixed:
+		c.Traffic.Populations = cfg.Traffic.Populations[:cfg.NumPoPs]
+	}
+
+	def := core.DefaultSettings()
+	c.Optimizer.PopulationSize = resolve(c.Optimizer.PopulationSize, def.PopulationSize)
+	c.Optimizer.Generations = resolve(c.Optimizer.Generations, def.Generations)
+	return c, nil
+}
+
+// resolve returns v, or def when v is the zero "use the default" value.
+func resolve[T int | float64](v, def T) T {
+	if v == 0 {
+		return def
+	}
+	return v
+}
+
+// Canonical returns the deterministic, versioned JSON encoding of the
+// config's normal form (see normalize), which generation reads too, so
+// configs with equal canonical bytes generate identical output. A config
+// spelled with explicit defaults encodes the same as one relying on zero
+// values, and fields that cannot affect generated networks — the
+// execution-only Parallelism, Telemetry and RunID, and fields irrelevant
+// to the selected Kinds — are left out.
 //
 // The encoding is versioned by ConfigSchemaVersion (the "v" field); see
 // its doc for the stability contract. Canonical returns the validation
 // error (wrapping ErrInvalidConfig) for invalid configs.
 func (cfg Config) Canonical() ([]byte, error) {
-	if err := cfg.Validate(); err != nil {
+	nc, err := cfg.normalize()
+	if err != nil {
 		return nil, err
 	}
-	params := cfg.Params
-	if params == (Params{}) {
-		params = DefaultParams()
-	}
+	p, loc, tr, opt := nc.Params, nc.Locations, nc.Traffic, nc.Optimizer
 	c := canonicalConfig{
 		V:       ConfigSchemaVersion,
-		NumPoPs: cfg.NumPoPs,
-		Seed:    cfg.Seed,
-		Params:  [4]float64{params.K0, params.K1, params.K2, params.K3},
+		NumPoPs: nc.NumPoPs,
+		Seed:    nc.Seed,
+		Params:  [4]float64{p.K0, p.K1, p.K2, p.K3},
+		Loc: canonicalLocation{
+			Kind:     locationKindNames[loc.Kind],
+			Aspect:   loc.Aspect,
+			Clusters: loc.Clusters,
+			Sigma:    loc.Sigma,
+		},
+		Traffic: canonicalTraffic{
+			Kind:        trafficKindNames[tr.Kind],
+			Mean:        tr.MeanPopulation,
+			ParetoShape: tr.ParetoShape,
+			Scale:       tr.Scale,
+			Populations: tr.Populations,
+		},
+		Opt: canonicalOpt{
+			PopulationSize: opt.PopulationSize,
+			Generations:    opt.Generations,
+			Heuristics:     opt.SeedWithHeuristics,
+			TrackHistory:   opt.TrackHistory,
+		},
 	}
-
-	c.Loc.Kind = locationKindNames[cfg.Locations.Kind]
-	switch cfg.Locations.Kind {
-	case LocUniform, LocGrid:
-		c.Loc.Aspect = resolve(cfg.Locations.Aspect, 1)
-	case LocClustered:
-		c.Loc.Aspect = resolve(cfg.Locations.Aspect, 1)
-		c.Loc.Clusters = cfg.Locations.Clusters
-		if c.Loc.Clusters == 0 {
-			c.Loc.Clusters = 5
-		}
-		c.Loc.Sigma = resolve(cfg.Locations.Sigma, 0.05)
-	case LocFixed:
-		c.Loc.Points = make([][2]float64, cfg.NumPoPs)
-		for i, p := range cfg.Locations.Points[:cfg.NumPoPs] {
-			c.Loc.Points[i] = [2]float64{p.X, p.Y}
-		}
+	for _, pt := range loc.Points {
+		c.Loc.Points = append(c.Loc.Points, [2]float64{pt.X, pt.Y})
 	}
-
-	c.Traffic.Kind = trafficKindNames[cfg.Traffic.Kind]
-	c.Traffic.Scale = resolve(cfg.Traffic.Scale, traffic.DefaultGravityScale)
-	switch cfg.Traffic.Kind {
-	case TrafficExponential, TrafficUniform:
-		c.Traffic.Mean = resolve(cfg.Traffic.MeanPopulation, traffic.DefaultMeanPopulation)
-	case TrafficPareto:
-		c.Traffic.Mean = resolve(cfg.Traffic.MeanPopulation, traffic.DefaultMeanPopulation)
-		c.Traffic.ParetoShape = resolve(cfg.Traffic.ParetoShape, 1.5)
-	case TrafficFixed:
-		c.Traffic.Populations = append([]float64(nil), cfg.Traffic.Populations[:cfg.NumPoPs]...)
-	}
-
-	c.Opt = canonicalOpt{
-		PopulationSize: cfg.Optimizer.PopulationSize,
-		Generations:    cfg.Optimizer.Generations,
-		Heuristics:     cfg.Optimizer.SeedWithHeuristics,
-		TrackHistory:   cfg.Optimizer.TrackHistory,
-	}
-	if c.Opt.PopulationSize == 0 {
-		c.Opt.PopulationSize = 100
-	}
-	if c.Opt.Generations == 0 {
-		c.Opt.Generations = 100
-	}
-
 	return json.Marshal(c)
-}
-
-// resolve returns v, or def when v is the zero "use the default" value.
-func resolve(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // Hash returns the lower-case hex SHA-256 of Canonical(): a stable,

@@ -1,9 +1,11 @@
 package cold
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -154,11 +156,8 @@ func TestHashIgnoresExecutionFields(t *testing.T) {
 	}
 	variants := []Config{
 		{NumPoPs: 12, Seed: 3, Parallelism: 8},
-		{NumPoPs: 12, Seed: 3, Progress: func(done, total int) {}},
 		{NumPoPs: 12, Seed: 3, Telemetry: NewTelemetry()},
-		// Fields irrelevant to the selected kinds are dropped too.
-		{NumPoPs: 12, Seed: 3, Locations: LocationSpec{Kind: LocUniform, Clusters: 7, Sigma: 0.3}},
-		{NumPoPs: 12, Seed: 3, Traffic: TrafficSpec{Kind: TrafficExponential, ParetoShape: 3}},
+		// Fields irrelevant to the selected kinds: TestIgnoredFieldsGenerateIdentically.
 	}
 	for i, v := range variants {
 		got, err := v.Hash()
@@ -166,8 +165,70 @@ func TestHashIgnoresExecutionFields(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("variant %d: execution/irrelevant field changed the hash", i)
+			t.Errorf("variant %d: execution field changed the hash", i)
 		}
+	}
+}
+
+// TestIgnoredFieldsGenerateIdentically: configs that differ only in fields
+// their Kinds ignore hash equally and generate identical networks, so the
+// hash alone decides the output. An ignored field is not validated either:
+// a LocFixed Aspect of -1 or NaN once passed Validate, shared its twin's
+// hash and then failed generation.
+func TestIgnoredFieldsGenerateIdentically(t *testing.T) {
+	tiny := OptimizerSpec{PopulationSize: 8, Generations: 3}
+	pts := []Point{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
+	fixedLoc := Config{NumPoPs: 4, Seed: 1, Optimizer: tiny,
+		Locations: LocationSpec{Kind: LocFixed, Points: pts}}
+	fixedTraffic := Config{NumPoPs: 4, Seed: 1, Optimizer: tiny,
+		Traffic: TrafficSpec{Kind: TrafficFixed, Populations: []float64{1, 2, 3, 4}}}
+	uniform := Config{NumPoPs: 6, Seed: 3, Optimizer: tiny}
+	cases := []struct {
+		name string
+		base Config
+		mut  func(*Config)
+	}{
+		{"LocFixed Aspect -1", fixedLoc, func(c *Config) { c.Locations.Aspect = -1 }},
+		{"LocFixed Aspect NaN", fixedLoc, func(c *Config) { c.Locations.Aspect = math.NaN() }},
+		{"LocFixed Clusters and Sigma", fixedLoc, func(c *Config) { c.Locations.Clusters, c.Locations.Sigma = 9, -1 }},
+		{"LocFixed Points beyond NumPoPs", fixedLoc, func(c *Config) {
+			c.Locations.Points = append(pts[:4:4], Point{math.Inf(1), 0})
+		}},
+		{"TrafficFixed MeanPopulation -1", fixedTraffic, func(c *Config) { c.Traffic.MeanPopulation = -1 }},
+		{"TrafficFixed ParetoShape", fixedTraffic, func(c *Config) { c.Traffic.ParetoShape = 0.5 }},
+		{"TrafficFixed Populations beyond NumPoPs", fixedTraffic, func(c *Config) {
+			c.Traffic.Populations = []float64{1, 2, 3, 4, -5}
+		}},
+		{"LocUniform Clusters and Sigma", uniform, func(c *Config) { c.Locations.Clusters, c.Locations.Sigma = 7, 0.3 }},
+		{"LocUniform Points", uniform, func(c *Config) { c.Locations.Points = pts }},
+		{"TrafficExponential ParetoShape", uniform, func(c *Config) { c.Traffic.ParetoShape = 3 }},
+		{"TrafficExponential Populations", uniform, func(c *Config) { c.Traffic.Populations = []float64{-1} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			twin := tc.base
+			tc.mut(&twin)
+			want, err := tc.base.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := twin.Hash(); err != nil || got != want {
+				t.Fatalf("twin hash %s (err %v), want %s", got, err, want)
+			}
+			a, err := Generate(tc.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Generate(twin)
+			if err != nil {
+				t.Fatalf("twin with an equal hash fails to generate: %v", err)
+			}
+			ja, _ := json.Marshal(a)
+			jb, _ := json.Marshal(b)
+			if !bytes.Equal(ja, jb) {
+				t.Fatal("twins with one hash generated different networks")
+			}
+		})
 	}
 }
 

@@ -24,7 +24,7 @@ const maxBodyBytes = 16 << 20
 const maxPopulation = 10000
 
 // generateRequest is the POST /v1/generate body: a cold.Config (Go field
-// names; Parallelism/Progress/Telemetry are ignored — the service owns
+// names; Parallelism/Telemetry/RunID are ignored — the service owns
 // execution concerns) plus the ensemble size.
 type generateRequest struct {
 	Config cold.Config `json:"config"`

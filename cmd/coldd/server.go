@@ -221,11 +221,10 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 	s.log.Info("job started", "job_id", j.id, "key", j.key, "queue_wait", wait)
 	start := time.Now()
 
-	// The request's parallelism/progress/telemetry are service concerns:
-	// results are bit-identical across all of them, and the canonical hash
+	// The request's parallelism/telemetry are service concerns: results
+	// are bit-identical across all of them, and the canonical hash
 	// excludes them, so the server always substitutes its own.
 	cfg.Parallelism = s.opts.parallel
-	cfg.Progress = nil
 	cfg.Telemetry, cfg.RunID = s.jobTelemetry(j)
 
 	// Resume: replay the newest valid checkpoint's lines into the tail

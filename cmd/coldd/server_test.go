@@ -255,6 +255,42 @@ func TestOverflowingConfigIs400(t *testing.T) {
 	}
 }
 
+// TestIgnoredFieldTwinsServeSameBytes: a config and its twin that differ
+// only in fields their Kinds ignore share a hash, so each must be served,
+// from an empty cache, with the same bytes. The LocFixed twin with
+// Aspect -1 was once answered 500 on an empty cache yet 200 from the
+// cache once its twin had been served.
+func TestIgnoredFieldTwinsServeSameBytes(t *testing.T) {
+	for _, c := range []struct{ name, spec, ignored string }{
+		{"LocFixed", `"Locations":{"Kind":3%s,"Points":[{"X":0,"Y":0},{"X":1,"Y":0},{"X":0,"Y":1},{"X":1,"Y":1}]}`, `,"Aspect":-1`},
+		{"TrafficFixed", `"Traffic":{"Kind":3%s,"Populations":[1,2,3,4]}`, `,"MeanPopulation":-1`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var bodies [2][]byte
+			var hashes [2]string
+			for i, ignored := range []string{"", c.ignored} {
+				_, ts := newTestServer(t, serverOptions{}) // an empty cache each time
+				resp := post(t, ts, `{"config":{"NumPoPs":4,"Seed":1,`+fmt.Sprintf(c.spec, ignored)+
+					`,"Optimizer":{"PopulationSize":8,"Generations":4}},"count":2}`)
+				bodies[i] = readAll(t, resp)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, bodies[i])
+				}
+				if got := resp.Header.Get("X-Cold-Cache"); got != "miss" {
+					t.Fatalf("request %d: X-Cold-Cache = %q, want miss", i, got)
+				}
+				hashes[i] = resp.Header.Get("X-Cold-Config-Hash")
+			}
+			if hashes[0] != hashes[1] {
+				t.Errorf("twin hashes differ: %s vs %s", hashes[0], hashes[1])
+			}
+			if !bytes.Equal(bodies[0], bodies[1]) {
+				t.Error("twins with one hash were served different bytes")
+			}
+		})
+	}
+}
+
 // TestCancelFreesQueueSlot is the acceptance path: cancelling an in-flight
 // request must cancel its generation and free the queue slot for the next
 // request.

@@ -21,6 +21,7 @@ import (
 	"os/signal"
 
 	cold "github.com/networksynth/cold"
+	"github.com/networksynth/cold/internal/core"
 	"github.com/networksynth/cold/internal/diag"
 	"github.com/networksynth/cold/internal/geom"
 	"github.com/networksynth/cold/internal/graph"
@@ -41,19 +42,20 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("coldgen", flag.ContinueOnError)
 	n := fs.Int("n", 30, "number of PoPs")
-	k0 := fs.Float64("k0", 10, "link existence cost")
-	k1 := fs.Float64("k1", 1, "cost per unit link length")
-	k2 := fs.Float64("k2", 1e-4, "cost per unit length per unit bandwidth")
-	k3 := fs.Float64("k3", 0, "complexity cost per hub PoP")
+	params, ga := cold.DefaultParams(), core.DefaultSettings()
+	k0 := fs.Float64("k0", params.K0, "link existence cost")
+	k1 := fs.Float64("k1", params.K1, "cost per unit link length")
+	k2 := fs.Float64("k2", params.K2, "cost per unit length per unit bandwidth")
+	k3 := fs.Float64("k3", params.K3, "complexity cost per hub PoP")
 	seed := fs.Int64("seed", 1, "random seed")
 	count := fs.Int("count", 1, "number of networks to generate")
 	format := fs.String("format", "json", "output format: json, dot, tsv, ascii")
 	out := fs.String("out", "", "output file (default stdout; with count > 1 a numbered suffix is added)")
 	locations := fs.String("locations", "uniform", "PoP location model: uniform, clustered, grid")
 	trafficModel := fs.String("traffic", "exponential", "population model: exponential, pareto, uniform")
-	paretoShape := fs.Float64("pareto-shape", 1.5, "Pareto tail exponent (traffic=pareto)")
-	pop := fs.Int("pop", 100, "GA population size M")
-	gens := fs.Int("gens", 100, "GA generations T")
+	paretoShape := fs.Float64("pareto-shape", 0, "Pareto tail exponent (traffic=pareto; 0 = the library default)")
+	pop := fs.Int("pop", ga.PopulationSize, "GA population size M")
+	gens := fs.Int("gens", ga.Generations, "GA generations T")
 	heur := fs.Bool("heuristics", true, "seed the GA with greedy heuristic solutions (initialised GA)")
 	parallel := fs.Int("parallel", 0, "worker goroutines (0 = all CPUs); results are identical for every setting")
 	progress := fs.Bool("progress", false, "report ensemble progress on stderr")
@@ -107,16 +109,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Seed:        *seed,
 		Parallelism: *parallel,
 		Telemetry:   tel,
+		Traffic:     cold.TrafficSpec{ParetoShape: *paretoShape},
 		Optimizer: cold.OptimizerSpec{
 			PopulationSize:     *pop,
 			Generations:        *gens,
 			SeedWithHeuristics: *heur,
 		},
-	}
-	if *progress {
-		cfg.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "coldgen: %d/%d networks\n", done, total)
-		}
 	}
 	switch *locations {
 	case "uniform":
@@ -133,39 +131,50 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cfg.Traffic.Kind = cold.TrafficExponential
 	case "pareto":
 		cfg.Traffic.Kind = cold.TrafficPareto
-		cfg.Traffic.ParetoShape = *paretoShape
 	case "uniform":
 		cfg.Traffic.Kind = cold.TrafficUniform
 	default:
 		return fmt.Errorf("unknown traffic model %q", *trafficModel)
 	}
 
-	nets, err := cold.GenerateEnsembleContext(ctx, cfg, *count)
-	if err != nil {
-		return err
-	}
-	for i, nw := range nets {
-		w := stdout
-		if *out != "" {
-			name := *out
-			if *count > 1 {
-				name = fmt.Sprintf("%s.%d", *out, i)
-			}
-			f, err := os.Create(name)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := write(nw, *format, w); err != nil {
+	// Each network is written (and its file closed) as it arrives, in
+	// replica order.
+	err := cold.GenerateEnsembleStream(ctx, cfg, *count, func(i int, nw *cold.Network) error {
+		if err := save(nw, i, *count, *out, *format, stdout); err != nil {
 			return err
 		}
+		if *progress {
+			fmt.Fprintf(os.Stderr, "coldgen: %d/%d networks\n", i+1, *count)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if flushTrace != nil {
 		return flushTrace()
 	}
 	return nil
+}
+
+// save writes network i of count to stdout, or to the file out (suffixed
+// ".i" when count > 1).
+func save(nw *cold.Network, i, count int, out, format string, stdout io.Writer) error {
+	if out == "" {
+		return write(nw, format, stdout)
+	}
+	if count > 1 {
+		out = fmt.Sprintf("%s.%d", out, i)
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	if err := write(nw, format, f); err != nil {
+		f.Close() //nolint:errcheck // the write error is the one to report
+		return err
+	}
+	return f.Close()
 }
 
 func write(nw *cold.Network, format string, w io.Writer) error {

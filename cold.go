@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -146,17 +145,6 @@ type OptimizerSpec struct {
 	TrackHistory bool
 }
 
-// ProgressFunc observes ensemble runs: after each completed replica it is
-// called with the number of replicas finished so far and the total replica
-// count. Calls are serialized (never concurrent) and done is strictly
-// increasing, reaching total exactly once on a completed run — with
-// Parallelism > 1 replicas can finish out of order, but done still counts
-// completions, so the sequence is 1, 2, …, total regardless of which
-// replicas they were. Calls may come from a goroutine other than the
-// caller's; once GenerateEnsembleContext returns (including on
-// cancellation or error), no further calls are made.
-type ProgressFunc func(done, total int)
-
 // Config describes one synthesis run.
 type Config struct {
 	// NumPoPs is the number of PoPs (n). Required, >= 2.
@@ -178,10 +166,6 @@ type Config struct {
 	// parallelism changes wall-clock time, never results.
 	Parallelism int
 
-	// Progress, when non-nil, is called after each completed ensemble
-	// member (GenerateEnsemble and GenerateEnsembleContext only).
-	Progress ProgressFunc
-
 	// Telemetry, when non-nil, collects metrics and (optionally) a JSONL
 	// event trace from the run; see NewTelemetry. Generated networks are
 	// bit-identical with and without it.
@@ -197,14 +181,6 @@ type Config struct {
 	Locations LocationSpec
 	Traffic   TrafficSpec
 	Optimizer OptimizerSpec
-}
-
-// parallelism resolves Config.Parallelism to a concrete worker count.
-func (cfg Config) parallelism() int {
-	if cfg.Parallelism > 0 {
-		return cfg.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Link is one PoP-level link of a generated network, with everything a
@@ -257,7 +233,7 @@ type Network struct {
 
 	routing *cost.Routing
 	adj     [][]bool
-	stats   metrics.Summary
+	stats   Stats
 }
 
 // N returns the number of PoPs.
@@ -279,19 +255,7 @@ func (nw *Network) Path(s, d int) []int {
 }
 
 // Stats returns the network's topology statistics.
-func (nw *Network) Stats() Stats {
-	return Stats{
-		NumPoPs:       nw.stats.N,
-		NumLinks:      nw.stats.Edges,
-		AverageDegree: nw.stats.AverageDegree,
-		DegreeCV:      nw.stats.DegreeCV,
-		Diameter:      nw.stats.Diameter,
-		Clustering:    nw.stats.Clustering,
-		Hubs:          nw.stats.Hubs,
-		Leaves:        nw.stats.Leaves,
-		AvgPathLen:    nw.stats.AvgPathLen,
-	}
-}
+func (nw *Network) Stats() Stats { return nw.stats }
 
 // Generate synthesizes one network for a fresh random context.
 func Generate(cfg Config) (*Network, error) {
@@ -303,11 +267,15 @@ func Generate(cfg Config) (*Network, error) {
 // ctx.Err(). The result is independent of ctx — an uncancelled
 // GenerateContext matches Generate.
 func GenerateContext(ctx context.Context, cfg Config) (*Network, error) {
-	return generate(ctx, cfg, cfg.Telemetry.replica(nil, 0, 0, 0))
+	nc, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	return generate(ctx, nc, cfg.Telemetry.replica(nil, 0, 0, 0))
 }
 
-// generate synthesizes one network inside an optional replica telemetry
-// scope (rt is nil when telemetry is off).
+// generate synthesizes one network from a normal-form config inside an
+// optional replica telemetry scope (rt is nil when telemetry is off).
 func generate(ctx context.Context, cfg Config, rt *replicaTracker) (*Network, error) {
 	sc, err := buildContext(cfg)
 	if err != nil {
@@ -315,7 +283,7 @@ func generate(ctx context.Context, cfg Config, rt *replicaTracker) (*Network, er
 		return nil, err
 	}
 	rt.attach(sc.eval)
-	nw, err := optimize(ctx, cfg, sc, rt)
+	nw, err := optimize(ctx, sc, rt)
 	rt.end(nw, sc.eval, err)
 	return nw, err
 }
@@ -334,7 +302,7 @@ func GenerateEnsemble(cfg Config, count int) ([]*Network, error) {
 // member seeded deterministically from cfg.Seed and its replica index, and
 // results are returned in replica order — so the output is bit-identical
 // to a serial run with the same Config. On cancellation it stops promptly
-// and returns ctx.Err(); cfg.Progress (if set) observes completions.
+// and returns ctx.Err().
 func GenerateEnsembleContext(ctx context.Context, cfg Config, count int) ([]*Network, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("cold: negative ensemble size %d", count)
@@ -352,16 +320,16 @@ func GenerateEnsembleContext(ctx context.Context, cfg Config, count int) ([]*Net
 // GenerateEnsembleStream is GenerateEnsembleContext for consumers that
 // want members as they become available instead of one final slice. emit
 // is called exactly once per completed member, in replica order (0, 1, …,
-// count-1): calls are serialized (never concurrent, including with
-// cfg.Progress), may come from a goroutine other than the caller's, and
-// stop once GenerateEnsembleStream returns. Workers complete replicas out
-// of order, so an emission can lag its completion while earlier replicas
-// finish — but the emitted sequence is bit-identical to the slice
-// GenerateEnsembleContext returns for the same Config: streaming changes
-// delivery, never results. Emitted members are released by the engine as
-// they are handed over, so peak memory is bounded by the reorder window
-// rather than by count. If emit returns an error, the run is canceled and
-// that error is returned verbatim (not wrapped).
+// count-1): calls are serialized (never concurrent), may come from a
+// goroutine other than the caller's, and stop once GenerateEnsembleStream
+// returns, so emit doubles as a progress report. Workers complete
+// replicas out of order, so an emission can lag its completion while
+// earlier replicas finish — but the emitted sequence is bit-identical to
+// the slice GenerateEnsembleContext returns for the same Config: streaming
+// changes delivery, never results. Emitted members are released by the
+// engine as they are handed over, so peak memory is bounded by the
+// reorder window rather than by count. If emit returns an error, the run
+// is canceled and that error is returned verbatim (not wrapped).
 func GenerateEnsembleStream(ctx context.Context, cfg Config, count int, emit func(i int, nw *Network) error) error {
 	return GenerateEnsembleStreamFrom(ctx, cfg, count, 0, emit)
 }
@@ -373,10 +341,9 @@ func GenerateEnsembleStream(ctx context.Context, cfg Config, count int, emit fun
 // replicas — the emitted suffix is bit-identical to the tail of a
 // from-zero run of the same Config: a consumer that already holds members
 // 0..start-1 (say, from a checkpoint of an interrupted run) ends up with
-// exactly the ensemble an uninterrupted run would have produced.
-// cfg.Progress still reports absolute positions: done ranges over
-// start+1..count with total == count. start must lie in [0, count];
-// start == count is a valid no-op.
+// exactly the ensemble an uninterrupted run would have produced. start
+// must lie in [0, count]; start == count is a valid no-op. The config is
+// validated and normalized once, before any replica starts.
 func GenerateEnsembleStreamFrom(ctx context.Context, cfg Config, count, start int, emit func(i int, nw *Network) error) error {
 	if count < 0 {
 		return fmt.Errorf("cold: negative ensemble size %d", count)
@@ -387,8 +354,12 @@ func GenerateEnsembleStreamFrom(ctx context.Context, cfg Config, count, start in
 	if count == 0 || start == count {
 		return nil
 	}
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return err
+	}
 	remaining := count - start
-	workers := min(cfg.parallelism(), remaining)
+	workers := min(cfg.Parallelism, remaining)
 	run := cfg.Telemetry.startRun(remaining, workers, cfg)
 	defer run.end()
 
@@ -402,7 +373,6 @@ func GenerateEnsembleStreamFrom(ctx context.Context, cfg Config, count, start in
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		done     int
 		emitErr  error
 		firstErr error
 		errIdx   int
@@ -441,13 +411,9 @@ func GenerateEnsembleStreamFrom(ctx context.Context, cfg Config, count, start in
 					continue
 				}
 				pending[i] = nw
-				done++
-				if cfg.Progress != nil {
-					cfg.Progress(start+done, count)
-				}
 				// Flush the in-order prefix. Emit runs under mu, which is
-				// what serializes it with Progress and other emissions; a
-				// slow emit backpressures the workers.
+				// what serializes emissions; a slow emit backpressures the
+				// workers.
 				for emitErr == nil && next < count && pending[next] != nil {
 					if err := emit(next, pending[next]); err != nil {
 						emitErr = err
@@ -502,15 +468,14 @@ func replicaSeed(seed int64, i int) int64 {
 	return int64(stats.StreamSeed(uint64(seed), replicaTag, uint64(i)))
 }
 
-// generateReplica synthesizes ensemble member i. Replicas run serially
-// inside one worker (inner GA parallelism off): with many members in
-// flight the replica level already saturates the workers, and nested
-// fan-out would only oversubscribe the scheduler.
+// generateReplica synthesizes ensemble member i from the run's normal-form
+// config. Replicas run serially inside one worker (inner GA parallelism
+// off): with many members in flight the replica level already saturates
+// the workers, and nested fan-out would only oversubscribe the scheduler.
 func generateReplica(ctx context.Context, cfg Config, run *runTracker, i, worker int, queueNs int64) (*Network, error) {
 	c := cfg
 	c.Seed = replicaSeed(cfg.Seed, i)
 	c.Parallelism = 1
-	c.Progress = nil
 	return generate(ctx, c, cfg.Telemetry.replica(run, i, worker, queueNs))
 }
 
@@ -532,11 +497,15 @@ func GenerateVariantsContext(ctx context.Context, cfg Config, count int) ([]*Net
 	if count < 1 {
 		return nil, fmt.Errorf("cold: variant count %d must be >= 1", count)
 	}
-	sc, err := buildContext(cfg)
+	nc, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	res, err := runOptimizer(ctx, cfg, sc, nil)
+	sc, err := buildContext(nc)
+	if err != nil {
+		return nil, err
+	}
+	res, err := runOptimizer(ctx, sc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -555,7 +524,7 @@ func GenerateVariantsContext(ctx context.Context, cfg Config, count int) ([]*Net
 		if dup {
 			continue
 		}
-		nw, err := materialize(cfg, sc, g, res.History)
+		nw, err := materialize(sc, g, res.History)
 		if err != nil {
 			return nil, err
 		}
@@ -576,156 +545,94 @@ func sameLinks(nw *Network, edges []graph.Edge) bool {
 	return true
 }
 
-// synthContext bundles the sampled inputs of one run.
+// synthContext bundles one run's normal-form config and the context
+// sampled from it.
 type synthContext struct {
+	cfg    Config
 	points []geom.Point
 	pops   []float64
 	tm     *traffic.Matrix
 	eval   *cost.Evaluator
 }
 
+// buildContext samples the context of a normal-form config (normalize):
+// every Generate* entry point normalizes first, so all of them return the
+// same typed, errors.Is-able validation errors (ErrInvalidConfig,
+// *FieldError), and a config generates exactly what its hash describes.
 func buildContext(cfg Config) (*synthContext, error) {
-	// Validate is the single gatekeeper: every Generate* entry point funnels
-	// through here, so all of them return the same typed, errors.Is-able
-	// validation errors (ErrInvalidConfig, *FieldError).
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := cfg.NumPoPs
-	params := cfg.Params
-	if params == (Params{}) {
-		params = DefaultParams()
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	pts, err := samplePoints(cfg.Locations, n, rng)
+	pts, err := samplePoints(cfg.Locations, cfg.NumPoPs, rng)
 	if err != nil {
 		return nil, err
 	}
-	pops, err := samplePopulations(cfg.Traffic, n, rng)
+	pops := samplePopulations(cfg.Traffic, cfg.NumPoPs, rng)
+	tm := traffic.Gravity(pops, cfg.Traffic.Scale)
+	p := cfg.Params
+	eval, err := cost.NewEvaluator(geom.DistanceMatrix(pts), tm, cost.Params{K0: p.K0, K1: p.K1, K2: p.K2, K3: p.K3})
 	if err != nil {
 		return nil, err
 	}
-	scale := cfg.Traffic.Scale
-	if scale == 0 {
-		scale = traffic.DefaultGravityScale
-	}
-	tm := traffic.Gravity(pops, scale)
-	eval, err := cost.NewEvaluator(geom.DistanceMatrix(pts), tm, cost.Params{
-		K0: params.K0, K1: params.K1, K2: params.K2, K3: params.K3,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &synthContext{points: pts, pops: pops, tm: tm, eval: eval}, nil
+	return &synthContext{cfg: cfg, points: pts, pops: pops, tm: tm, eval: eval}, nil
 }
 
+// samplePoints draws n PoP locations for a normal-form spec.
 func samplePoints(spec LocationSpec, n int, rng *rand.Rand) ([]geom.Point, error) {
-	aspect := spec.Aspect
-	if aspect == 0 {
-		aspect = 1
+	if spec.Kind == LocFixed {
+		pts := make([]geom.Point, n)
+		for i, p := range spec.Points {
+			pts[i] = geom.Point{X: p.X, Y: p.Y}
+		}
+		return pts, nil
 	}
-	region, err := geom.NewRect(aspect)
+	region, err := geom.NewRect(spec.Aspect)
 	if err != nil {
 		return nil, fmt.Errorf("cold: %w", err)
 	}
 	switch spec.Kind {
-	case LocUniform:
-		return geom.Uniform{Region: region}.Sample(n, rng), nil
 	case LocClustered:
-		clusters := spec.Clusters
-		if clusters == 0 {
-			clusters = 5
-		}
-		sigma := spec.Sigma
-		if sigma == 0 {
-			sigma = 0.05
-		}
-		return geom.ThomasCluster{Region: region, Clusters: clusters, Sigma: sigma}.Sample(n, rng), nil
+		return geom.ThomasCluster{Region: region, Clusters: spec.Clusters, Sigma: spec.Sigma}.Sample(n, rng), nil
 	case LocGrid:
 		return geom.Grid{Region: region, Jitter: 0.3}.Sample(n, rng), nil
-	case LocFixed:
-		if len(spec.Points) < n {
-			return nil, fmt.Errorf("cold: LocFixed has %d points, need %d", len(spec.Points), n)
-		}
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			pts[i] = geom.Point{X: spec.Points[i].X, Y: spec.Points[i].Y}
-		}
-		return pts, nil
 	default:
-		return nil, fmt.Errorf("cold: unknown location kind %d", spec.Kind)
+		return geom.Uniform{Region: region}.Sample(n, rng), nil
 	}
 }
 
-func samplePopulations(spec TrafficSpec, n int, rng *rand.Rand) ([]float64, error) {
-	mean := spec.MeanPopulation
-	if mean == 0 {
-		mean = traffic.DefaultMeanPopulation
-	}
-	if mean < 0 {
-		return nil, fmt.Errorf("cold: negative mean population %v", mean)
-	}
+// samplePopulations draws n PoP populations for a normal-form spec.
+func samplePopulations(spec TrafficSpec, n int, rng *rand.Rand) []float64 {
 	switch spec.Kind {
-	case TrafficExponential:
-		return traffic.Exponential{Mean: mean}.Sample(n, rng), nil
 	case TrafficPareto:
-		shape := spec.ParetoShape
-		if shape == 0 {
-			shape = 1.5
-		}
-		if shape <= 1 {
-			return nil, fmt.Errorf("cold: Pareto shape %v must exceed 1", shape)
-		}
-		return traffic.Pareto{Shape: shape, Mean: mean}.Sample(n, rng), nil
+		return traffic.Pareto{Shape: spec.ParetoShape, Mean: spec.MeanPopulation}.Sample(n, rng)
 	case TrafficUniform:
-		return traffic.Uniform{Value: mean}.Sample(n, rng), nil
+		return traffic.Uniform{Value: spec.MeanPopulation}.Sample(n, rng)
 	case TrafficFixed:
-		if len(spec.Populations) < n {
-			return nil, fmt.Errorf("cold: TrafficFixed has %d populations, need %d", len(spec.Populations), n)
-		}
-		pops := make([]float64, n)
-		for i, p := range spec.Populations[:n] {
-			if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-				return nil, fmt.Errorf("cold: TrafficFixed population %d = %v must be positive and finite", i, p)
-			}
-			pops[i] = p
-		}
-		return pops, nil
+		return spec.Populations
 	default:
-		return nil, fmt.Errorf("cold: unknown traffic kind %d", spec.Kind)
+		return traffic.Exponential{Mean: spec.MeanPopulation}.Sample(n, rng)
 	}
 }
 
-func optimize(ctx context.Context, cfg Config, sc *synthContext, rt *replicaTracker) (*Network, error) {
-	res, err := runOptimizer(ctx, cfg, sc, rt)
+func optimize(ctx context.Context, sc *synthContext, rt *replicaTracker) (*Network, error) {
+	res, err := runOptimizer(ctx, sc, rt)
 	if err != nil {
 		return nil, err
 	}
-	return materialize(cfg, sc, res.Best, res.History)
+	return materialize(sc, res.Best, res.History)
 }
 
 // gaTag domain-separates the GA run seed from replica-seed derivation.
 const gaTag = 0x6A5EED
 
 // runOptimizer executes the GA for a built context, parallelizing both
-// offspring construction and fitness evaluation across cfg.Parallelism
-// workers. rt, when non-nil, observes the GA's per-generation statistics.
-// A context whose every initial topology costs +Inf is rejected with
-// ErrInvalidConfig.
-func runOptimizer(ctx context.Context, cfg Config, sc *synthContext, rt *replicaTracker) (*core.Result, error) {
-	settings := core.DefaultSettings()
-	if cfg.Optimizer.PopulationSize != 0 {
-		settings.PopulationSize = cfg.Optimizer.PopulationSize
-	}
-	if cfg.Optimizer.Generations != 0 {
-		settings.Generations = cfg.Optimizer.Generations
-	}
-	// Keep the elite/mutation split proportional for non-default sizes.
-	settings.NumSaved = max(1, settings.PopulationSize/10)
-	settings.NumMutation = settings.PopulationSize * 3 / 10
+// offspring construction and fitness evaluation across the config's
+// Parallelism workers. rt, when non-nil, observes the GA's per-generation
+// statistics. A context whose every initial topology costs +Inf is
+// rejected with ErrInvalidConfig.
+func runOptimizer(ctx context.Context, sc *synthContext, rt *replicaTracker) (*core.Result, error) {
+	cfg := sc.cfg
+	settings := core.SizedSettings(cfg.Optimizer.PopulationSize, cfg.Optimizer.Generations)
 	settings.TrackHistory = cfg.Optimizer.TrackHistory
-	settings.Parallelism = cfg.parallelism()
+	settings.Parallelism = cfg.Parallelism
 	settings.Observer = rt.observer()
 
 	// Separate rng stream for the heuristic seeds so context and search
@@ -752,19 +659,30 @@ func runOptimizer(ctx context.Context, cfg Config, sc *synthContext, rt *replica
 }
 
 // materialize turns one optimized topology into a fully evaluated Network.
-func materialize(cfg Config, sc *synthContext, g *graph.Graph, history []float64) (*Network, error) {
+func materialize(sc *synthContext, g *graph.Graph, history []float64) (*Network, error) {
 	ev := sc.eval.Evaluate(g)
 	if !ev.Connected {
 		return nil, fmt.Errorf("cold: internal error: optimizer returned a disconnected network")
 	}
 	n := sc.eval.N()
+	st := metrics.Summarize(g)
 	nw := &Network{
 		Points:      make([]Point, n),
 		Populations: append([]float64(nil), sc.pops...),
 		Demand:      sc.tm.Demand,
 		History:     history,
 		routing:     ev.Routing,
-		stats:       metrics.Summarize(g),
+		stats: Stats{
+			NumPoPs:       st.N,
+			NumLinks:      st.Edges,
+			AverageDegree: st.AverageDegree,
+			DegreeCV:      st.DegreeCV,
+			Diameter:      st.Diameter,
+			Clustering:    st.Clustering,
+			Hubs:          st.Hubs,
+			Leaves:        st.Leaves,
+			AvgPathLen:    st.AvgPathLen,
+		},
 	}
 	for i, p := range sc.points {
 		nw.Points[i] = Point{X: p.X, Y: p.Y}

@@ -237,15 +237,7 @@ func (nw *Network) UnmarshalJSON(data []byte) error {
 		nw.adj[l.B][l.A] = true
 	}
 	nw.routing = nil
-	nw.stats.N = raw.Stats.NumPoPs
-	nw.stats.Edges = raw.Stats.NumLinks
-	nw.stats.AverageDegree = raw.Stats.AverageDegree
-	nw.stats.DegreeCV = raw.Stats.DegreeCV
-	nw.stats.Diameter = raw.Stats.Diameter
-	nw.stats.Clustering = raw.Stats.Clustering
-	nw.stats.Hubs = raw.Stats.Hubs
-	nw.stats.Leaves = raw.Stats.Leaves
-	nw.stats.AvgPathLen = raw.Stats.AvgPathLen
+	nw.stats = raw.Stats
 	return nil
 }
 

@@ -33,6 +33,10 @@ func FuzzConfig(f *testing.F) {
 		`{"NumPoPs":2,"Locations":{"Kind":3,"Points":[{"X":0,"Y":0},{"X":1,"Y":1}]},"Traffic":{"Kind":3,"Populations":[1,2]}}`,
 		`{"NumPoPs":0}`,
 		`{"NumPoPs":1}`,
+		// Fields their Kind ignores; both once passed Validate and then
+		// failed generation.
+		`{"NumPoPs":4,"Seed":1,"Locations":{"Kind":3,"Aspect":-1,"Points":[{"X":0,"Y":0},{"X":1,"Y":0},{"X":0,"Y":1},{"X":1,"Y":1}]}}`,
+		`{"NumPoPs":4,"Seed":1,"Traffic":{"Kind":3,"MeanPopulation":-1,"Populations":[1,2,3,4]}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -66,7 +70,11 @@ func FuzzConfig(f *testing.F) {
 		if cfg.NumPoPs > 64 {
 			return
 		}
-		if _, err := buildContext(cfg); err != nil {
+		nc, err := cfg.normalize()
+		if err != nil {
+			t.Fatalf("Validate accepted a config normalize rejects: %v", err)
+		}
+		if _, err := buildContext(nc); err != nil {
 			t.Fatalf("Validate accepted a config buildContext rejects: %v", err)
 		}
 		if cfg.NumPoPs > 12 {
@@ -141,7 +149,7 @@ func FuzzNetworkJSON(f *testing.F) {
 			}
 		}
 		nw.Cost = CostBreakdown{r.float(), r.float(), r.float(), r.float(), r.float()}
-		nw.stats.N, nw.stats.Edges, nw.stats.Diameter = r.int(), r.int(), r.int()
+		nw.stats.NumPoPs, nw.stats.NumLinks, nw.stats.Diameter = r.int(), r.int(), r.int()
 		nw.stats.Hubs, nw.stats.Leaves = r.int(), r.int()
 		nw.stats.AverageDegree, nw.stats.DegreeCV = r.float(), r.float()
 		nw.stats.Clustering, nw.stats.AvgPathLen = r.float(), r.float()

@@ -118,12 +118,17 @@ type Settings struct {
 
 // DefaultSettings returns the paper's configuration: M = T = 100, 10%
 // elite and 30% mutation.
-func DefaultSettings() Settings {
+func DefaultSettings() Settings { return SizedSettings(100, 100) }
+
+// SizedSettings returns the settings for a population of pop over gens
+// generations, keeping the paper's 10% elite (at least one) and 30%
+// mutation split.
+func SizedSettings(pop, gens int) Settings {
 	return Settings{
-		PopulationSize: 100,
-		Generations:    100,
-		NumSaved:       10,
-		NumMutation:    30,
+		PopulationSize: pop,
+		Generations:    gens,
+		NumSaved:       max(1, pop/10),
+		NumMutation:    pop * 3 / 10,
 	}
 }
 

@@ -258,9 +258,6 @@ func MustNewEvaluator(dist [][]float64, tm *traffic.Matrix, params Params) *Eval
 // N returns the number of PoPs in the context.
 func (e *Evaluator) N() int { return e.n }
 
-// Params returns the cost coefficients.
-func (e *Evaluator) Params() Params { return e.params }
-
 // Dist returns the PoP distance matrix (shared, not copied).
 func (e *Evaluator) Dist() [][]float64 { return e.dist }
 

@@ -142,15 +142,9 @@ func newContext(n int, p cost.Params, rng *rand.Rand) *cost.Evaluator {
 	return e
 }
 
-// gaSettings builds GA settings from options, proportioning elite and
-// mutation counts.
+// gaSettings builds GA settings from options.
 func gaSettings(o Options) core.Settings {
-	s := core.DefaultSettings()
-	s.PopulationSize = o.GAPop
-	s.Generations = o.GAGens
-	s.NumSaved = max(1, o.GAPop/10)
-	s.NumMutation = o.GAPop * 3 / 10
-	return s
+	return core.SizedSettings(o.GAPop, o.GAGens)
 }
 
 // runGA runs the plain GA on a context.

@@ -28,7 +28,6 @@ const (
 	KindCounter MetricKind = iota
 	KindGauge
 	KindHistogram
-	KindUntyped
 )
 
 func (k MetricKind) String() string {
@@ -52,7 +51,7 @@ type Label struct{ Name, Value string }
 func L(name, value string) Label { return Label{Name: name, Value: value} }
 
 // Sample is one series a Collector emits: its label set plus either a
-// scalar value (counter/gauge/untyped) or a histogram snapshot.
+// scalar value (counter/gauge) or a histogram snapshot.
 type Sample struct {
 	Labels []Label
 	Value  float64

@@ -22,9 +22,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of folded values.
-func (w *Welford) N() int64 { return w.count }
-
 // Mean returns the running mean, or NaN with no values.
 func (w *Welford) Mean() float64 {
 	if w.count == 0 {

@@ -2,9 +2,10 @@ package cold
 
 // Tests for the parallel ensemble engine and the context-based API:
 // bit-identical results at every parallelism, prompt cancellation, and
-// serialized progress reporting.
+// up-front config validation.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -122,27 +123,6 @@ func TestGenerateContextMatchesGenerate(t *testing.T) {
 	networksEqual(t, a, b)
 }
 
-func TestEnsembleProgress(t *testing.T) {
-	for _, par := range []int{1, 3} {
-		cfg := fastConfig(8, 2)
-		cfg.Parallelism = par
-		var calls [][2]int
-		cfg.Progress = func(done, total int) { calls = append(calls, [2]int{done, total}) }
-		const count = 5
-		if _, err := GenerateEnsemble(cfg, count); err != nil {
-			t.Fatal(err)
-		}
-		if len(calls) != count {
-			t.Fatalf("parallelism %d: %d progress calls, want %d", par, len(calls), count)
-		}
-		for i, c := range calls {
-			if c[0] != i+1 || c[1] != count {
-				t.Fatalf("parallelism %d: call %d = %v, want (%d,%d)", par, i, c, i+1, count)
-			}
-		}
-	}
-}
-
 func TestGenerateVariantsContextMatchesVariants(t *testing.T) {
 	a, err := GenerateVariants(fastConfig(10, 4), 3)
 	if err != nil {
@@ -170,10 +150,17 @@ func TestEnsembleEmptyAndNegative(t *testing.T) {
 	}
 }
 
+// TestEnsembleInvalidConfigError: an invalid config fails with
+// ErrInvalidConfig before the run starts, so the trace stays empty.
 func TestEnsembleInvalidConfigError(t *testing.T) {
-	cfg := fastConfig(0, 1) // NumPoPs 0 fails in buildContext
+	var trace bytes.Buffer
+	cfg := fastConfig(0, 1) // NumPoPs 0 is invalid
 	cfg.Parallelism = 4
-	if _, err := GenerateEnsemble(cfg, 6); err == nil {
-		t.Fatal("invalid config must error from the parallel path")
+	cfg.Telemetry = NewTelemetry().TraceTo(&trace)
+	if _, err := GenerateEnsemble(cfg, 6); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("invalid config: err = %v, want ErrInvalidConfig", err)
+	}
+	if trace.Len() != 0 {
+		t.Fatalf("invalid config traced events:\n%s", trace.String())
 	}
 }

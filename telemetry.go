@@ -192,26 +192,20 @@ type runTracker struct {
 	agg evalTotals
 }
 
-// startRun opens an ensemble run scope and emits run_start.
+// startRun opens an ensemble run scope for a normal-form config and emits
+// run_start.
 func (t *Telemetry) startRun(replicas, workers int, cfg Config) *runTracker {
 	if t == nil {
 		return nil
 	}
 	t.runs.Inc()
-	settings := core.DefaultSettings()
-	if cfg.Optimizer.PopulationSize != 0 {
-		settings.PopulationSize = cfg.Optimizer.PopulationSize
-	}
-	if cfg.Optimizer.Generations != 0 {
-		settings.Generations = cfg.Optimizer.Generations
-	}
 	t.record("run_start", telemetry.RunStart{
 		RunID:    cfg.RunID,
 		Replicas: replicas,
 		Workers:  workers,
 		NumPoPs:  cfg.NumPoPs,
-		Pop:      settings.PopulationSize,
-		Gens:     settings.Generations,
+		Pop:      cfg.Optimizer.PopulationSize,
+		Gens:     cfg.Optimizer.Generations,
 	})
 	return &runTracker{t: t, runID: cfg.RunID, replicas: replicas, workers: workers, span: telemetry.StartSpan()}
 }

@@ -230,45 +230,10 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 }
 
-// TestEnsembleProgressOrdering pins the ProgressFunc contract: done is
-// strictly increasing and reaches total exactly once, for every
-// parallelism.
-func TestEnsembleProgressOrdering(t *testing.T) {
-	const count = 7
-	for _, par := range []int{1, 2, 8} {
-		cfg := fastConfig(8, 3)
-		cfg.Parallelism = par
-		var mu sync.Mutex
-		var calls [][2]int
-		cfg.Progress = func(done, total int) {
-			mu.Lock()
-			calls = append(calls, [2]int{done, total})
-			mu.Unlock()
-		}
-		if _, err := GenerateEnsemble(cfg, count); err != nil {
-			t.Fatal(err)
-		}
-		if len(calls) != count {
-			t.Fatalf("parallelism %d: %d progress calls, want %d", par, len(calls), count)
-		}
-		for i, c := range calls {
-			if c[0] != i+1 {
-				t.Fatalf("parallelism %d: call %d reported done=%d, want strictly increasing %d", par, i, c[0], i+1)
-			}
-			if c[1] != count {
-				t.Fatalf("parallelism %d: call %d reported total=%d, want %d", par, i, c[1], count)
-			}
-		}
-		if calls[len(calls)-1][0] != count {
-			t.Fatalf("parallelism %d: final done=%d never reached total", par, calls[len(calls)-1][0])
-		}
-	}
-}
-
-// TestEnsembleProgressStopsAfterCancel pins the other half of the
-// contract: once GenerateEnsembleContext has returned (here: cancelled),
-// Progress is never called again.
-func TestEnsembleProgressStopsAfterCancel(t *testing.T) {
+// TestEnsembleEmitStopsAfterCancel pins the end of GenerateEnsembleStream's
+// emit contract: once a cancelled run has returned, emit is never called
+// again.
+func TestEnsembleEmitStopsAfterCancel(t *testing.T) {
 	cfg := fastConfig(14, 8)
 	cfg.Parallelism = 2
 	cfg.Optimizer.Generations = 200 // long enough to cancel mid-flight
@@ -278,7 +243,7 @@ func TestEnsembleProgressStopsAfterCancel(t *testing.T) {
 	returned := false
 	late := false
 	calls := 0
-	cfg.Progress = func(done, total int) {
+	err := GenerateEnsembleStream(ctx, cfg, 8, func(i int, nw *Network) error {
 		mu.Lock()
 		calls++
 		if returned {
@@ -288,8 +253,8 @@ func TestEnsembleProgressStopsAfterCancel(t *testing.T) {
 			cancel()
 		}
 		mu.Unlock()
-	}
-	_, err := GenerateEnsembleContext(ctx, cfg, 8)
+		return nil
+	})
 	mu.Lock()
 	returned = true
 	mu.Unlock()
@@ -301,7 +266,7 @@ func TestEnsembleProgressStopsAfterCancel(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if late {
-		t.Fatal("Progress called after GenerateEnsembleContext returned")
+		t.Fatal("emit called after GenerateEnsembleStream returned")
 	}
 }
 
