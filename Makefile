@@ -31,7 +31,7 @@ race:
 check: fmt build vet race
 
 bench:
-	$(GO) test -bench=. -benchtime=1x ./...
+	$(GO) test -bench=. -benchtime=1x -benchmem ./...
 
 # Every example must vet clean, compile and run to a zero exit, so an
 # example that breaks at run time fails CI, which runs this target.

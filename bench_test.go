@@ -240,6 +240,7 @@ func BenchmarkGenerateEnsemble(b *testing.B) {
 				if telemetry {
 					cfg.Telemetry = cold.NewTelemetry()
 				}
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					cfg.Seed = int64(i)
 					if _, err := cold.GenerateEnsemble(cfg, 8); err != nil {

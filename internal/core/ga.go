@@ -265,16 +265,24 @@ type runner struct {
 	// weights are the parent-selection weights (1/cost) of the current
 	// generation, rebuilt by prepBreeding and read-only during fan-out.
 	weights []float64
+
+	// job is the generation the current fan-out is building.
+	job breedJob
 }
 
 // breedScratch holds the per-goroutine buffers offspring construction
 // reuses: the partial Fisher–Yates pool for tournament draws, the parent
-// weights, the absent-pair pool for link mutation, and the neighbor buffer
-// for node mutation. One scratch is never shared between goroutines.
+// weights, the edge list and absent-pair pool for link mutation, the
+// core-node, target and neighbor lists for node mutation, and the slot's
+// rng stream. One scratch is never shared between goroutines.
 type breedScratch struct {
+	rng     stats.RNG
 	idx     []int
 	parentW []float64
+	edges   []graph.Edge
 	pairs   []int
+	core    []int
+	targets []int
 	nbuf    []int
 }
 
@@ -303,12 +311,13 @@ func (ga *runner) stream(gen, slot int) stats.RNG {
 	return stats.NewRNG(stats.StreamSeed(ga.runSeed, uint64(gen), uint64(slot)))
 }
 
-// forSlots runs body(slot, scratch) for every slot in [lo, hi), chunking
-// the range across the worker pool when Parallelism > 1. Bodies must write
-// only at their own slot and read shared state (population, costs, weights,
-// distance matrix) immutably — per-slot streams then make the outcome
-// identical for every worker count.
-func (ga *runner) forSlots(lo, hi int, body func(slot int, sc *breedScratch)) {
+// forSlots runs body(ga, slot, scratch) for every slot in [lo, hi),
+// chunking the range across the worker pool when Parallelism > 1. Bodies
+// must write only at their own slot and read shared state (ga.job,
+// weights, distance matrix) immutably — per-slot streams then make the
+// outcome identical for every worker count. body is a method expression,
+// not a closure, so a serial fan-out allocates nothing.
+func (ga *runner) forSlots(lo, hi int, body func(ga *runner, slot int, sc *breedScratch)) {
 	count := hi - lo
 	if count <= 0 {
 		return
@@ -317,7 +326,7 @@ func (ga *runner) forSlots(lo, hi int, body func(slot int, sc *breedScratch)) {
 	if nw <= 1 {
 		sc := ga.scratches[0]
 		for slot := lo; slot < hi; slot++ {
-			body(slot, sc)
+			body(ga, slot, sc)
 		}
 		return
 	}
@@ -333,7 +342,7 @@ func (ga *runner) forSlots(lo, hi int, body func(slot int, sc *breedScratch)) {
 		go func(l, h int, sc *breedScratch) {
 			defer wg.Done()
 			for slot := l; slot < h; slot++ {
-				body(slot, sc)
+				body(ga, slot, sc)
 			}
 		}(l, h, ga.scratches[k])
 	}
@@ -354,37 +363,36 @@ const initialMeanDegree = 3.0
 // its own generation-0 stream, so the slot→member mapping (and with it the
 // whole run) is identical for every Parallelism value.
 func (ga *runner) initialPopulation() []*graph.Graph {
-	n := ga.n
-	m := ga.s.PopulationSize
-	pop := make([]*graph.Graph, m)
-	fixed := min(m, 2+len(ga.s.Seeds))
-	var p float64
-	if n > 1 {
-		p = min(initialMeanDegree/float64(n), 1)
-	}
-	ga.forSlots(0, m, func(slot int, sc *breedScratch) {
-		switch {
-		case slot == 0:
-			pop[slot] = graph.MST(n, ga.e.Dist())
-		case slot == 1:
-			pop[slot] = graph.Complete(n)
-		case slot < fixed:
-			pop[slot] = ga.s.Seeds[slot-2].Clone()
-		default:
-			rng := ga.stream(0, slot)
-			g := graph.New(n)
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					if rng.Float64() < p {
-						g.AddEdge(i, j)
-					}
+	pop := make([]*graph.Graph, ga.s.PopulationSize)
+	ga.job = breedJob{next: pop}
+	ga.forSlots(0, len(pop), (*runner).initSlot)
+	return pop
+}
+
+// initSlot builds the generation-zero member at one slot of ga.job.next.
+func (ga *runner) initSlot(slot int, _ *breedScratch) {
+	n, pop := ga.n, ga.job.next
+	switch {
+	case slot == 0:
+		pop[slot] = graph.MST(n, ga.e.Dist())
+	case slot == 1:
+		pop[slot] = graph.Complete(n)
+	case slot < 2+len(ga.s.Seeds):
+		pop[slot] = ga.s.Seeds[slot-2].Clone()
+	default:
+		p := min(initialMeanDegree/float64(n), 1)
+		rng := ga.stream(0, slot)
+		g := graph.New(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < p {
+					g.AddEdge(i, j)
 				}
 			}
-			g.Connect(ga.e.Dist())
-			pop[slot] = g
 		}
-	})
-	return pop
+		g.Connect(ga.e.Dist())
+		pop[slot] = g
+	}
 }
 
 // prepBreeding rebuilds the shared parent-selection weights for a
@@ -402,19 +410,48 @@ func (ga *runner) prepBreeding(costs []float64) {
 // offspring, and crossover offspring fill the remainder. Non-elite slots
 // are constructed in parallel, each from its own (runSeed, gen, slot)
 // stream.
+//
+// Each non-elite child is written into the graph next already holds at its
+// slot, allocated only where that slot is still nil. RunContext passes the
+// population from two generations back as next, sorted: its elite are
+// shared with pop (the elite survived into it) and are overwritten here as
+// pointers, but every member from NumSaved on was replaced in pop and
+// nothing references it any more, so a generation reuses those graphs
+// instead of allocating M − NumSaved new ones.
 func (ga *runner) breed(gen int, pop []*graph.Graph, costs []float64, next []*graph.Graph) {
 	ga.prepBreeding(costs)
 	elite := min(ga.s.NumSaved, len(pop))
 	copy(next[:elite], pop[:elite])
-	mutEnd := elite + ga.s.NumMutation
-	ga.forSlots(elite, len(next), func(slot int, sc *breedScratch) {
-		rng := ga.stream(gen, slot)
-		if slot < mutEnd {
-			next[slot] = ga.mutate(pop, &rng, sc)
-		} else {
-			next[slot] = ga.crossover(pop, costs, &rng, sc)
-		}
-	})
+	ga.job = breedJob{gen: gen, pop: pop, costs: costs, next: next, mutEnd: elite + ga.s.NumMutation}
+	ga.forSlots(elite, len(next), (*runner).breedSlot)
+}
+
+// breedJob is the generation a fan-out is building — breed's offspring, or
+// generation zero (next only) for initialPopulation — shared read-only by
+// the slot calls of the fan-out, each of which writes only next[slot].
+type breedJob struct {
+	gen       int
+	pop, next []*graph.Graph
+	costs     []float64
+	mutEnd    int
+}
+
+// breedSlot builds the offspring at one non-elite slot of ga.job.
+func (ga *runner) breedSlot(slot int, sc *breedScratch) {
+	j := &ga.job
+	child := j.next[slot]
+	if child == nil {
+		child = graph.New(ga.n)
+		j.next[slot] = child
+	}
+	// The stream lives in the scratch: the stats helpers take it as an
+	// interface, which would move a local copy to the heap every slot.
+	sc.rng = ga.stream(j.gen, slot)
+	if slot < j.mutEnd {
+		ga.mutate(child, j.pop, &sc.rng, sc)
+	} else {
+		ga.crossover(child, j.pop, j.costs, &sc.rng, sc)
+	}
 }
 
 // evaluate computes the cost of every member of pop. With workers it chunks
@@ -450,10 +487,11 @@ func (ga *runner) evaluate(pop []*graph.Graph) []float64 {
 	return costs
 }
 
-// crossover creates one offspring: tournament-pick b candidates, keep the
-// best a as parents, then copy each potential link from a parent chosen
-// with probability inversely proportional to its cost.
-func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG, sc *breedScratch) *graph.Graph {
+// crossover builds one offspring into child, overwriting it:
+// tournament-pick b candidates, keep the best a as parents, then copy each
+// potential link from a parent chosen with probability inversely
+// proportional to its cost. child must not be a member of pop.
+func (ga *runner) crossover(child *graph.Graph, pop []*graph.Graph, costs []float64, rng *stats.RNG, sc *breedScratch) {
 	b := min(tournamentB, len(pop))
 	a := min(tournamentA, b)
 	// Draw b distinct candidate indices with a partial Fisher–Yates:
@@ -469,7 +507,7 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 	}
 	uniformIfAllZero(weights)
 	sc.parentW = weights
-	child := graph.New(ga.n)
+	child.Clear()
 	for i := 0; i < ga.n; i++ {
 		for j := i + 1; j < ga.n; j++ {
 			p := pop[parents[stats.WeightedIndex(weights, rng)]]
@@ -479,22 +517,21 @@ func (ga *runner) crossover(pop []*graph.Graph, costs []float64, rng *stats.RNG,
 		}
 	}
 	child.Connect(ga.e.Dist())
-	return child
 }
 
-// mutate creates one offspring by mutating a parent chosen with probability
-// inversely proportional to cost (weights prepared by prepBreeding),
-// applying either a link mutation or a node mutation (§4.1.2).
-func (ga *runner) mutate(pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) *graph.Graph {
+// mutate builds one offspring into child, overwriting it: a copy of a
+// parent chosen with probability inversely proportional to cost (weights
+// prepared by prepBreeding), changed by either a link mutation or a node
+// mutation (§4.1.2). child must not be a member of pop.
+func (ga *runner) mutate(child *graph.Graph, pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) {
 	pi := stats.WeightedIndex(ga.weights, rng)
-	child := pop[pi].Clone()
+	child.CopyFrom(pop[pi])
 	if rng.Float64() < nodeMutationProb {
 		ga.nodeMutation(child, rng, sc)
 	} else {
 		ga.linkMutation(child, rng, sc)
 	}
 	child.Connect(ga.e.Dist())
-	return child
 }
 
 // linkMutation removes m+ existing links and adds m− absent links, both
@@ -502,7 +539,8 @@ func (ga *runner) mutate(pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) *
 func (ga *runner) linkMutation(g *graph.Graph, rng *stats.RNG, sc *breedScratch) {
 	removals := stats.Geometric(linkMutationGeomP, rng)
 	additions := stats.Geometric(linkMutationGeomP, rng)
-	edges := g.Edges()
+	edges := g.AppendEdges(sc.edges[:0])
+	sc.edges = edges
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	for i := 0; i < removals && i < len(edges); i++ {
 		g.RemoveEdge(edges[i].I, edges[i].J)
@@ -539,17 +577,19 @@ func (ga *runner) linkMutation(g *graph.Graph, rng *stats.RNG, sc *breedScratch)
 // the collapsed node, silently reconstituting the hub and trapping the GA
 // in local minima at large k3.
 func (ga *runner) nodeMutation(g *graph.Graph, rng *stats.RNG, sc *breedScratch) {
-	core := g.CoreNodes()
+	core := g.AppendCoreNodes(sc.core[:0])
+	sc.core = core
 	if len(core) < 2 {
 		return // nothing to collapse, or no other hub to attach to
 	}
 	v := core[rng.Intn(len(core))]
-	targets := core[:0:0]
+	targets := sc.targets[:0]
 	for _, h := range core {
 		if h != v {
 			targets = append(targets, h)
 		}
 	}
+	sc.targets = targets
 	sc.nbuf = g.Neighbors(v, sc.nbuf[:0])
 	for _, u := range sc.nbuf {
 		g.RemoveEdge(v, u)

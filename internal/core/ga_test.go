@@ -242,9 +242,10 @@ func TestMutationPreservesConnectivity(t *testing.T) {
 	sortByCost(pop, costs)
 	ga.prepBreeding(costs)
 	sc := ga.scratches[0]
+	child := graph.New(12) // reused: every mutation overwrites it whole
 	for i := 0; i < 200; i++ {
 		rng := ga.stream(1, i)
-		child := ga.mutate(pop, &rng, sc)
+		ga.mutate(child, pop, &rng, sc)
 		if !child.IsConnected() {
 			t.Fatal("mutation produced disconnected child after repair")
 		}
@@ -258,9 +259,10 @@ func TestCrossoverPreservesConnectivity(t *testing.T) {
 	costs := ga.evaluate(pop)
 	sortByCost(pop, costs)
 	sc := ga.scratches[0]
+	child := graph.New(12) // reused: every crossover overwrites it whole
 	for i := 0; i < 200; i++ {
 		rng := ga.stream(1, i)
-		child := ga.crossover(pop, costs, &rng, sc)
+		ga.crossover(child, pop, costs, &rng, sc)
 		if !child.IsConnected() {
 			t.Fatal("crossover produced disconnected child after repair")
 		}
@@ -280,9 +282,10 @@ func TestCrossoverOfIdenticalParentsIsParent(t *testing.T) {
 	}
 	ga := newRunner(e, DefaultSettings(), 9)
 	sc := ga.scratches[0]
+	child := graph.Complete(10) // dirty storage: crossover must clear it
 	for i := 0; i < 20; i++ {
 		rng := ga.stream(1, i)
-		child := ga.crossover(pop, costs, &rng, sc)
+		ga.crossover(child, pop, costs, &rng, sc)
 		if !child.Equal(base) {
 			t.Fatal("crossover of identical parents changed the graph")
 		}
@@ -456,12 +459,13 @@ func TestBreedingWithAllInfiniteCosts(t *testing.T) {
 	sortByCost(pop, costs)
 	ga.prepBreeding(costs)
 	sc := ga.scratches[0]
+	child := graph.New(8)
 	for i := 0; i < 20; i++ {
 		rng := ga.stream(1, i)
-		if !ga.mutate(pop, &rng, sc).IsConnected() {
+		if ga.mutate(child, pop, &rng, sc); !child.IsConnected() {
 			t.Fatal("mutation produced a disconnected child")
 		}
-		if !ga.crossover(pop, costs, &rng, sc).IsConnected() {
+		if ga.crossover(child, pop, costs, &rng, sc); !child.IsConnected() {
 			t.Fatal("crossover produced a disconnected child")
 		}
 	}
@@ -534,6 +538,7 @@ func TestEvaluationsCounted(t *testing.T) {
 func BenchmarkGAPaperScaleN30(b *testing.B) {
 	e := ctx(b, 30, cost.Params{K0: 10, K1: 1, K2: 4e-4, K3: 10}, 1)
 	s := DefaultSettings()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(e, s, uint64(i)); err != nil {

@@ -6,6 +6,7 @@ package cost
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,5 +117,41 @@ func TestCacheResetOnOverflow(t *testing.T) {
 		if again := e.Cost(g); again != first {
 			t.Fatalf("graph %d: cost changed across calls: %v vs %v", i, first, again)
 		}
+	}
+}
+
+// TestCacheCollisionVerifiesKey stores two distinct topologies under one
+// forced hash value: each lookup must return its own cost, because a hash
+// match alone never returns a cost — the packed keys are compared word for
+// word. A third topology with the same hash and no entry must miss.
+func TestCacheCollisionVerifiesKey(t *testing.T) {
+	const n = 30
+	rng := rand.New(rand.NewSource(11))
+	dist := cacheTestEvaluator(t, n, 11).Dist()
+	a, b, c := cacheRandGraph(n, 0.2, dist, rng), cacheRandGraph(n, 0.2, dist, rng), cacheRandGraph(n, 0.2, dist, rng)
+	ka, kb, kc := a.AppendUpper(nil), b.AppendUpper(nil), c.AppendUpper(nil)
+	if slices.Equal(ka, kb) || slices.Equal(ka, kc) || slices.Equal(kb, kc) {
+		t.Fatal("test graphs must be distinct")
+	}
+	const h = 0x5eed
+	cache := newSharedCache(DefaultCacheLimit)
+	cache.store(h, ka, 1)
+	cache.store(h, kb, 2)
+	for _, tc := range []struct {
+		key  []uint64
+		want float64
+	}{{ka, 1}, {kb, 2}} {
+		if got, ok := cache.lookup(h, tc.key); !ok || got != tc.want {
+			t.Fatalf("lookup = %v, %v; want %v, true", got, ok, tc.want)
+		}
+	}
+	if got, ok := cache.lookup(h, kc); ok {
+		t.Fatalf("unstored topology under a colliding hash returned cost %v", got)
+	}
+	// The stored keys are copies: reusing the caller's buffer must not
+	// change what the cache matches.
+	kb[0] ^= 1
+	if _, ok := cache.lookup(h, b.AppendUpper(nil)); !ok {
+		t.Fatal("cache entry changed with the caller's key buffer")
 	}
 }

@@ -5,16 +5,15 @@
 //	Σ_{i∈E} (k0 + k1·ℓ_i + k2·ℓ_i·w_i)  +  k3·|{j : degree(j) > 1}|
 //
 // The Evaluator is the hot path of the whole system — the genetic algorithm
-// calls Cost on every candidate in every generation — so it routes with one
-// of two bit-identical Dijkstra kernels (an array-based linear scan for
-// small contexts, an indexed binary heap with decrease-key from
-// DefaultHeapThreshold PoPs up), accumulates link loads along
-// shortest-path trees in O(n) per source, reuses scratch buffers, and
-// memoizes results by graph hash (GA populations converge, so identical
-// candidates recur constantly).
-// Every evaluation that misses the memo is one full all-sources sweep over
-// a pooled CSR snapshot of the candidate; the equivalence test suite
-// enforces that both kernels agree bit for bit.
+// calls Cost on every candidate in every generation — so it routes with an
+// indexed-binary-heap Dijkstra over a pooled CSR snapshot of the candidate,
+// accumulates link loads along shortest-path trees in O(n) per source,
+// reuses scratch buffers (steady-state evaluation allocates nothing), and
+// memoizes results keyed by the candidate's packed upper triangle (GA
+// populations converge, so identical candidates recur constantly).
+// Every evaluation that misses the memo is one full all-sources sweep; the
+// equivalence test suite checks the kernel bit for bit against a
+// linear-scan reference kept in test code.
 package cost
 
 import (
@@ -132,9 +131,6 @@ type Evaluator struct {
 
 	n int
 
-	// useHeap is the resolved Options.Heap: which Dijkstra kernel runs.
-	useHeap bool
-
 	// dflat is the traffic matrix flattened to n² (dflat[s*n+d] ==
 	// tm.Demand[s][d]), built once and shared (immutably) with Clones so
 	// pushLoads can bulk-copy a source's demand row without pointer
@@ -145,12 +141,11 @@ type Evaluator struct {
 	dj struct {
 		dist   []float64
 		parent []int32
-		done   []bool
 		order  []int32
 		acc    []float64
 		load   []float64 // n×n flattened link loads
-		hnodes []int32   // heap kernel: node storage
-		hpos   []int32   // heap kernel: position index
+		hnodes []int32   // heap storage
+		hpos   []int32   // heap position index
 	}
 
 	// csr is the flat-memory snapshot of the graph being evaluated: the
@@ -166,9 +161,12 @@ type Evaluator struct {
 		weights  []float64 // dist[i][cols[k]] for each slot, aligned with cols
 	}
 
-	// Memoized costs keyed by graph hash, verified against a stored clone
-	// to rule out collisions. Shared (and safe to share) across Clones.
+	// Memoized costs keyed by the packed upper triangle of the graph
+	// (graph.AppendUpper), hashed to pick a bucket and compared word for
+	// word to rule out collisions. Shared (and safe to share) across
+	// Clones; key is this evaluator's packing buffer.
 	cache *sharedCache
+	key   []uint64
 
 	// counters are the always-on observability counters (stats.go), shared
 	// across Clones like the cache. durHist, when non-nil, observes the
@@ -181,17 +179,9 @@ type Evaluator struct {
 // cache resets.
 const DefaultCacheLimit = 1 << 16
 
-// NewEvaluator builds an evaluator for a context with default Options
-// (heap kernel on Auto). dist must be an n×n symmetric
-// matrix of PoP distances and tm an n-PoP traffic matrix.
+// NewEvaluator builds an evaluator for a context. dist must be an n×n
+// symmetric matrix of PoP distances and tm an n-PoP traffic matrix.
 func NewEvaluator(dist [][]float64, tm *traffic.Matrix, params Params) (*Evaluator, error) {
-	return NewEvaluatorOptions(dist, tm, params, Options{})
-}
-
-// NewEvaluatorOptions is NewEvaluator with explicit evaluation Options.
-// Every Options setting returns bit-identical results; Options trade only
-// speed, and tests use them to force a specific kernel.
-func NewEvaluatorOptions(dist [][]float64, tm *traffic.Matrix, params Params, opts Options) (*Evaluator, error) {
 	n := len(dist)
 	if tm.N() != n {
 		return nil, fmt.Errorf("cost: distance matrix is %d×%d but traffic matrix has %d PoPs", n, n, tm.N())
@@ -204,32 +194,33 @@ func NewEvaluatorOptions(dist [][]float64, tm *traffic.Matrix, params Params, op
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	e := &Evaluator{dist: dist, tm: tm, params: params, n: n, cache: newSharedCache(DefaultCacheLimit), counters: &evalCounters{}}
 	e.dflat = make([]float64, n*n)
 	for s := 0; s < n; s++ {
 		copy(e.dflat[s*n:(s+1)*n], tm.Demand[s])
 	}
-	e.useHeap = opts.Heap.enabled(n)
 	e.initScratch()
 	return e, nil
+}
+
+// NewEvaluatorOptions is NewEvaluator; opts is ignored.
+//
+// Deprecated: Options has nothing left to select (see Switch). Use
+// NewEvaluator.
+func NewEvaluatorOptions(dist [][]float64, tm *traffic.Matrix, params Params, opts Options) (*Evaluator, error) {
+	return NewEvaluator(dist, tm, params)
 }
 
 func (e *Evaluator) initScratch() {
 	n := e.n
 	e.dj.dist = make([]float64, n)
 	e.dj.parent = make([]int32, n)
-	e.dj.done = make([]bool, n)
 	e.dj.order = make([]int32, n)
 	e.dj.acc = make([]float64, n)
 	e.dj.load = make([]float64, n*n)
+	e.dj.hnodes = make([]int32, 0, n)
+	e.dj.hpos = make([]int32, n)
 	e.csr.rowStart = make([]int32, n+1)
-	if e.useHeap {
-		e.dj.hnodes = make([]int32, 0, n)
-		e.dj.hpos = make([]int32, n)
-	}
 }
 
 // Clone returns an Evaluator for the same context that may be used from a
@@ -239,7 +230,7 @@ func (e *Evaluator) initScratch() {
 // and the observability counters and duration histogram, but owns its
 // scratch buffers. Each goroutine must still use its own Evaluator.
 func (e *Evaluator) Clone() *Evaluator {
-	c := &Evaluator{dist: e.dist, tm: e.tm, params: e.params, n: e.n, useHeap: e.useHeap,
+	c := &Evaluator{dist: e.dist, tm: e.tm, params: e.params, n: e.n,
 		dflat: e.dflat, cache: e.cache, counters: e.counters, durHist: e.durHist}
 	c.initScratch()
 	return c
@@ -279,12 +270,13 @@ func (e *Evaluator) Cost(g *graph.Graph) float64 {
 		e.cache.misses.Add(1)
 		return e.computeCost(g)
 	}
-	h := g.Hash()
-	if c, ok := e.cache.lookup(h, g); ok {
+	e.key = g.AppendUpper(e.key[:0])
+	h := hashKey(e.key)
+	if c, ok := e.cache.lookup(h, e.key); ok {
 		return c
 	}
 	c := e.computeCost(g)
-	e.cache.store(h, g, c)
+	e.cache.store(h, e.key, c)
 	return c
 }
 
@@ -353,7 +345,7 @@ func finiteOrInf(c float64) float64 {
 
 // fillCSR rebuilds the pooled CSR snapshot for g: one bitset pass for the
 // columns, one flat pass resolving each slot's edge length from the
-// distance matrix. After it returns, the Dijkstra kernels and sumCost
+// distance matrix. After it returns, the Dijkstra kernel and sumCost
 // operate on g without touching the Graph or the 2-D distance matrix.
 func (e *Evaluator) fillCSR(g *graph.Graph) {
 	c := &e.csr
@@ -486,8 +478,8 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 //
 // order must be exactly the finalized prefix of a Dijkstra run — order[:count]
 // with count the kernel's return value — and every caller must have verified
-// count == n first (loads over a partial tree are meaningless): the kernels
-// leave stale entries past count in their scratch after an early return on a
+// count == n first (loads over a partial tree are meaningless): the kernel
+// leaves stale entries past count in its scratch after it stops early on a
 // disconnected graph, and pushLoads trusts the slice bound it is handed
 // (TestScratchPoisoning proves nothing reads past it).
 //
@@ -510,62 +502,6 @@ func (e *Evaluator) pushLoads(s int, parent, order []int32) {
 		load[pv*n+v] += acc[v]
 		acc[pv] += acc[v]
 	}
-}
-
-// dijkstra computes shortest paths from src over the CSR snapshot (the
-// caller must have run fillCSR on the graph being evaluated), into the
-// scratch buffers, dispatching to the kernel selected by Options (linear
-// scan below the heap threshold, indexed heap above). Both kernels break
-// ties toward lower node indices and are bit-identical in distances,
-// parents and finalization order. The finalization order (increasing
-// distance) is recorded in e.dj.order; the return value is the number of
-// reachable (finalized) nodes — entries of e.dj.order past it are stale and
-// must not be read (consumers take order[:count]).
-func (e *Evaluator) dijkstra(src int) int {
-	if e.useHeap {
-		return e.dijkstraHeap(src)
-	}
-	return e.dijkstraLinear(src)
-}
-
-// dijkstraLinear is the array-based O(n²) kernel: for small PoP counts its
-// branch-free scan beats heap bookkeeping. Edge relaxation walks the flat
-// CSR slices — neighbor ids and pre-resolved edge lengths side by side —
-// instead of per-row bitsets and distance-matrix rows.
-func (e *Evaluator) dijkstraLinear(src int) int {
-	n := e.n
-	dist, parent, done, order := e.dj.dist, e.dj.parent, e.dj.done, e.dj.order
-	rowStart, cols, weights := e.csr.rowStart, e.csr.cols, e.csr.weights
-	for i := 0; i < n; i++ {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-		done[i] = false
-	}
-	dist[src] = 0
-	count := 0
-	for iter := 0; iter < n; iter++ {
-		u, best := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !done[i] && dist[i] < best {
-				u, best = i, dist[i]
-			}
-		}
-		if u < 0 {
-			return count // remaining nodes unreachable; order[count:] is stale
-		}
-		done[u] = true
-		order[count] = int32(u)
-		count++
-		du := dist[u]
-		for k := rowStart[u]; k < rowStart[u+1]; k++ {
-			v := cols[k]
-			if nd := du + weights[k]; nd < dist[v] {
-				dist[v] = nd
-				parent[v] = int32(u)
-			}
-		}
-	}
-	return count
 }
 
 // RouteCost returns Σ_r t_r·L_r over all unordered PoP pairs: the

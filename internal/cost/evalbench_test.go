@@ -1,9 +1,9 @@
 package cost
 
-// Kernel benchmarks behind DefaultHeapThreshold: the linear
-// scan wins small-n, the heap wins large sparse-n. Run with:
+// Kernel benchmark over the sizes the system runs: the service and paper
+// sizes (n = 20, 30) and the large-n range. Run with:
 //
-//	go test ./internal/cost -run '^$' -bench 'Evaluate(Linear|Heap)' -benchtime 3x
+//	go test ./internal/cost -run '^$' -bench 'Evaluate$' -benchmem
 
 import (
 	"fmt"
@@ -13,7 +13,7 @@ import (
 	"github.com/networksynth/cold/internal/graph"
 )
 
-var benchSizes = []int{64, 128, 256, 512}
+var benchSizes = []int{20, 30, 64, 128, 512}
 
 // benchGraph builds a GA-like sparse connected candidate (~3 links/PoP).
 func benchGraph(e *Evaluator, n int) *graph.Graph {
@@ -21,28 +21,20 @@ func benchGraph(e *Evaluator, n int) *graph.Graph {
 	return randomConnected(rng, n, 6.0/float64(n), e.Dist())
 }
 
-func benchEvaluate(b *testing.B, n int, heap Switch) {
-	e := optionsContext(b, n, 1, Options{Heap: heap})
-	g := benchGraph(e, n)
-	if e.CostUncached(g) == 0 {
-		b.Fatal("zero cost")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.CostUncached(g)
-	}
-}
-
-func BenchmarkEvaluateLinear(b *testing.B) {
+// BenchmarkEvaluate times one uncached all-sources evaluation.
+func BenchmarkEvaluate(b *testing.B) {
 	for _, n := range benchSizes {
-		b.Run(sizeName(n), func(b *testing.B) { benchEvaluate(b, n, ForceOff) })
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			e := uncachedContext(b, n, 1)
+			g := benchGraph(e, n)
+			if e.CostUncached(g) == 0 {
+				b.Fatal("zero cost")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.CostUncached(g)
+			}
+		})
 	}
 }
-
-func BenchmarkEvaluateHeap(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(sizeName(n), func(b *testing.B) { benchEvaluate(b, n, ForceOn) })
-	}
-}
-
-func sizeName(n int) string { return fmt.Sprintf("n%d", n) }

@@ -6,10 +6,11 @@ import (
 
 // nodeHeap is an indexed binary min-heap of node ids keyed by the shared
 // tentative-distance array, with decrease-key support via a position index.
-// Ties are broken toward lower node ids, which makes the pop sequence the
-// exact finalization order of the linear-scan Dijkstra (lowest index among
-// equal distances) — the property that keeps the two kernels bit-identical
-// in distances, parents AND finalization order.
+// Ties are broken toward lower node ids, so the pop sequence — and with it
+// every distance, parent and the finalization order — is fully determined
+// by the graph: it equals the order of a linear-scan Dijkstra that picks
+// the lowest index among equal distances (the reference the equivalence
+// tests compare against).
 type nodeHeap struct {
 	dist  []float64 // shared with the Dijkstra scratch; never resized here
 	nodes []int32   // heap storage: nodes[0] is the minimum
@@ -87,15 +88,17 @@ func (h *nodeHeap) down(i int) {
 	h.pos[v] = int32(i)
 }
 
-// dijkstraHeap is the indexed-heap counterpart of dijkstraLinear: same
-// scratch buffers, same CSR snapshot, same outputs (distances, parents,
-// finalization order and reached count), bit-identical by construction.
-// O((n+m)·log n), which on the GA's sparse candidates beats the linear
-// scan's O(n²) once n clears the heap threshold. Like the linear kernel it
-// relaxes edges over the flat CSR slices — no bitset closure, no
-// distance-matrix row chase. Entries of e.dj.order past the returned count
-// are stale on disconnected graphs; consumers take order[:count].
-func (e *Evaluator) dijkstraHeap(src int) int {
+// dijkstra computes shortest paths from src over the CSR snapshot (the
+// caller must have run fillCSR on the graph being evaluated) into the
+// scratch buffers, in O((n+m)·log n) — on the GA's sparse candidates well
+// under a linear scan's O(n²) at every n the system runs. Edge relaxation
+// walks the flat CSR slices: neighbor ids and pre-resolved edge lengths
+// side by side, no bitset closure, no distance-matrix row chase. Distance
+// ties break toward lower node indices. The finalization order (increasing
+// distance) is recorded in e.dj.order; the return value is the number of
+// reachable (finalized) nodes — entries of e.dj.order past it are stale on
+// disconnected graphs and must not be read (consumers take order[:count]).
+func (e *Evaluator) dijkstra(src int) int {
 	n := e.n
 	dist, parent, order, pos := e.dj.dist, e.dj.parent, e.dj.order, e.dj.hpos
 	rowStart, cols, weights := e.csr.rowStart, e.csr.cols, e.csr.weights

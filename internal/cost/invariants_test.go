@@ -214,36 +214,33 @@ func TestRouteCostLowerBound(t *testing.T) {
 // TestLoadsConserveTraffic: per-link capacities are demand flows summed
 // over shortest-path trees, so their total must equal Σ_{s<d} t_sd·hops(s,d)
 // exactly as computed by walking the returned routing — every unit of
-// demand crosses every link of its path once, no unit appears twice. Run
-// under both Dijkstra kernels.
+// demand crosses every link of its path once, no unit appears twice.
 func TestLoadsConserveTraffic(t *testing.T) {
-	for _, heap := range []Switch{ForceOff, ForceOn} {
-		for seed := int64(0); seed < 8; seed++ {
-			rng := rand.New(rand.NewSource(500 + seed))
-			n := 6 + rng.Intn(20)
-			pts := geom.NewUniform().Sample(n, rng)
-			pops := traffic.NewExponential().Sample(n, rng)
-			tm := traffic.Gravity(pops, 1)
-			e, err := NewEvaluatorOptions(geom.DistanceMatrix(pts), tm, DefaultParams(), Options{Heap: heap})
-			if err != nil {
-				t.Fatal(err)
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(500 + seed))
+		n := 6 + rng.Intn(20)
+		pts := geom.NewUniform().Sample(n, rng)
+		pops := traffic.NewExponential().Sample(n, rng)
+		tm := traffic.Gravity(pops, 1)
+		e, err := NewEvaluator(geom.DistanceMatrix(pts), tm, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := randomConnected(rng, n, 0.3, e.Dist())
+		ev := e.Evaluate(g)
+		var sumW float64
+		for _, w := range ev.Capacities {
+			sumW += w
+		}
+		var want float64
+		for s := 0; s < n; s++ {
+			for d := s + 1; d < n; d++ {
+				hops := len(ev.Routing.Path(s, d)) - 1
+				want += tm.Demand[s][d] * float64(hops)
 			}
-			g := randomConnected(rng, n, 0.3, e.Dist())
-			ev := e.Evaluate(g)
-			var sumW float64
-			for _, w := range ev.Capacities {
-				sumW += w
-			}
-			var want float64
-			for s := 0; s < n; s++ {
-				for d := s + 1; d < n; d++ {
-					hops := len(ev.Routing.Path(s, d)) - 1
-					want += tm.Demand[s][d] * float64(hops)
-				}
-			}
-			if diff := math.Abs(sumW - want); diff > 1e-9*math.Max(1, want) {
-				t.Fatalf("heap=%v seed %d: Σw %v != Σ t·hops %v (diff %g)", heap, seed, sumW, want, diff)
-			}
+		}
+		if diff := math.Abs(sumW - want); diff > 1e-9*math.Max(1, want) {
+			t.Fatalf("seed %d: Σw %v != Σ t·hops %v (diff %g)", seed, sumW, want, diff)
 		}
 	}
 }

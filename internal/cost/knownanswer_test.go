@@ -2,9 +2,9 @@ package cost
 
 // Known-answer routing tests: small named weighted graphs whose shortest
 // paths are unique, with the routes, per-link capacities and cost worked
-// out by hand. Unlike the equivalence suite, which compares the two
-// Dijkstra kernels with each other, these pin both kernels to an answer
-// that does not come from the evaluator.
+// out by hand. Unlike the equivalence suite, which compares the heap
+// kernel with the linear-scan reference, these pin both to an answer that
+// does not come from the evaluator.
 
 import (
 	"math"
@@ -160,7 +160,7 @@ var knownGraphs = []knownGraph{
 
 // build builds the evaluator and graph of a known-answer case. Lengths
 // of absent links are never read by routing; they are set to 100.
-func (kg knownGraph) build(t *testing.T, heap Switch) (*Evaluator, *graph.Graph) {
+func (kg knownGraph) build(t *testing.T) (*Evaluator, *graph.Graph) {
 	t.Helper()
 	dist := make([][]float64, kg.n)
 	demand := make([][]float64, kg.n)
@@ -181,7 +181,7 @@ func (kg knownGraph) build(t *testing.T, heap Switch) (*Evaluator, *graph.Graph)
 	for p, v := range kg.demand {
 		demand[p[0]][p[1]], demand[p[1]][p[0]] = v, v
 	}
-	e, err := NewEvaluatorOptions(dist, &traffic.Matrix{Demand: demand}, knownParams, Options{Heap: heap})
+	e, err := NewEvaluator(dist, &traffic.Matrix{Demand: demand}, knownParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,18 +193,26 @@ func (kg knownGraph) build(t *testing.T, heap Switch) (*Evaluator, *graph.Graph)
 }
 
 // TestKnownAnswerRouting checks routes, per-link capacities and cost of
-// every known-answer graph under both Dijkstra kernels.
+// every known-answer graph. The heap-on case runs the evaluator (Evaluate
+// and Cost, on its heap kernel); the heap-off case routes with the
+// linear-scan reference (referenceEvaluate), so the table also pins the
+// oracle the equivalence suite trusts.
 func TestKnownAnswerRouting(t *testing.T) {
 	for _, kg := range knownGraphs {
-		for _, heap := range []Switch{ForceOn, ForceOff} {
-			t.Run(kg.name+"/heap-"+heap.String(), func(t *testing.T) {
-				e, g := kg.build(t, heap)
-				ev := e.Evaluate(g)
+		for _, kernel := range []string{"heap-on", "heap-off"} {
+			t.Run(kg.name+"/"+kernel, func(t *testing.T) {
+				e, g := kg.build(t)
+				var ev *Evaluation
+				if kernel == "heap-on" {
+					ev = e.Evaluate(g)
+					if c := e.Cost(g); c != kg.total {
+						t.Errorf("Cost = %v, want %v", c, kg.total)
+					}
+				} else {
+					ev = referenceEvaluate(e, g)
+				}
 				if ev.Total != kg.total {
 					t.Errorf("Evaluate total = %v, want %v", ev.Total, kg.total)
-				}
-				if c := e.Cost(g); c != kg.total {
-					t.Errorf("Cost = %v, want %v", c, kg.total)
 				}
 				for sd, want := range kg.paths {
 					if got := ev.Routing.Path(sd[0], sd[1]); !slices.Equal(got, want) {

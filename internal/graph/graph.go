@@ -1,7 +1,8 @@
 // Package graph implements the undirected-graph substrate underlying COLD:
 // candidate PoP-level topologies G(N,E) represented as adjacency bitsets,
 // plus the structural algorithms the synthesis needs (connected components,
-// minimum spanning trees, traversal, hashing for cost memoization).
+// minimum spanning trees, traversal, the packed form that keys cost
+// memoization).
 //
 // Graphs are simple (no self loops, no multi-edges) and undirected. Node
 // identity is the integer index 0..n-1; spatial coordinates, populations and
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -201,15 +203,20 @@ type Edge struct {
 
 // Edges returns all edges in lexicographic order.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.edges)
+	return g.AppendEdges(make([]Edge, 0, g.edges))
+}
+
+// AppendEdges appends all edges in lexicographic order to buf and returns
+// the result. Passing a reused buffer avoids allocation in hot loops.
+func (g *Graph) AppendEdges(buf []Edge) []Edge {
 	for i := 0; i < g.n; i++ {
 		g.EachNeighbor(i, func(j int) {
 			if j > i {
-				out = append(out, Edge{i, j})
+				buf = append(buf, Edge{i, j})
 			}
 		})
 	}
-	return out
+	return buf
 }
 
 // DiffCount returns the number of edges present in exactly one of g and h.
@@ -234,6 +241,22 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// CopyFrom makes g an exact copy of h in place, reusing g's storage.
+// Panics unless g and h have the same node count.
+func (g *Graph) CopyFrom(h *Graph) {
+	if g.n != h.n {
+		panic(fmt.Sprintf("graph: CopyFrom between %d and %d nodes", g.n, h.n))
+	}
+	copy(g.bits, h.bits)
+	g.edges = h.edges
+}
+
+// Clear removes every edge, keeping g's storage.
+func (g *Graph) Clear() {
+	clear(g.bits)
+	g.edges = 0
+}
+
 // Equal reports whether g and h have identical node counts and edge sets.
 func (g *Graph) Equal(h *Graph) bool {
 	if g.n != h.n || g.edges != h.edges {
@@ -247,19 +270,39 @@ func (g *Graph) Equal(h *Graph) bool {
 	return true
 }
 
-// Hash returns an FNV-1a style hash of the adjacency bitset, suitable for
-// memoizing cost evaluations. Equal graphs always hash equally.
-func (g *Graph) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ uint64(g.n)
-	for _, w := range g.bits {
-		h ^= w
-		h *= prime
+// AppendUpper appends the packed upper triangle of the adjacency to dst
+// and returns the result: bit k of the packed stream is the k-th pair
+// {i<j} in lexicographic order (row 0's pairs first), in
+// ⌈n(n−1)/2 / 64⌉ words, unused high bits zero. Two graphs on the same
+// node count are Equal exactly when their packed forms are, and the form
+// is n(n−1)/2 bits against the n² of the bitset — the cost memo stores it
+// as its key.
+func (g *Graph) AppendUpper(dst []uint64) []uint64 {
+	n := g.n
+	words := (n*(n-1)/2 + 63) / 64
+	start := len(dst)
+	dst = slices.Grow(dst, words)[:start+words]
+	out := dst[start:]
+	clear(out)
+	off := 0 // bit offset into out
+	for i := 0; i < n; i++ {
+		row := g.bits[i*g.words : (i+1)*g.words]
+		// Copy row bits i+1..n-1 a word at a time; bits at columns >= n
+		// are always zero, so each chunk carries no stray high bits.
+		for j := i + 1; j < n; {
+			sh := uint(j) % 64
+			cnt := min(64-int(sh), n-j)
+			chunk := row[j/64] >> sh
+			wi, bo := off/64, uint(off)%64
+			out[wi] |= chunk << bo
+			if int(bo)+cnt > 64 {
+				out[wi+1] |= chunk >> (64 - bo)
+			}
+			off += cnt
+			j += cnt
+		}
 	}
-	return h
+	return dst
 }
 
 // IsLeaf reports whether node i has degree exactly 1. The paper calls
@@ -268,43 +311,70 @@ func (g *Graph) IsLeaf(i int) bool { return g.Degree(i) == 1 }
 
 // CoreNodes returns the nodes with degree > 1 (the set N_C in the paper's
 // optimization objective, the nodes that incur the k3 hub cost).
-func (g *Graph) CoreNodes() []int {
-	var out []int
+func (g *Graph) CoreNodes() []int { return g.AppendCoreNodes(nil) }
+
+// AppendCoreNodes appends the nodes with degree > 1 to buf, ascending, and
+// returns the result. Passing a reused buffer avoids allocation.
+func (g *Graph) AppendCoreNodes(buf []int) []int {
 	for i := 0; i < g.n; i++ {
 		if g.Degree(i) > 1 {
-			out = append(out, i)
+			buf = append(buf, i)
 		}
 	}
-	return out
+	return buf
 }
 
 // Components returns the connected components as slices of node indices.
 // Isolated nodes form singleton components.
 func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	queue := make([]int, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
+	order, start := make([]int32, g.n), make([]int32, g.n+1)
+	k := g.componentOrder(order, start, make([]int32, g.n), make([]uint64, g.words))
+	comps := make([][]int, k)
+	for c := range comps {
+		for _, v := range order[start[c]:start[c+1]] {
+			comps[c] = append(comps[c], int(v))
 		}
-		comp := []int{s}
-		seen[s] = true
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			g.EachNeighbor(v, func(u int) {
-				if !seen[u] {
-					seen[u] = true
-					comp = append(comp, u)
-					queue = append(queue, u)
-				}
-			})
-		}
-		comps = append(comps, comp)
 	}
 	return comps
+}
+
+// componentOrder lists every node grouped by connected component and
+// returns the component count k. Component c is order[start[c]:start[c+1]]:
+// components come in order of their lowest node, and each lists its nodes
+// in discovery order of a depth-first walk from that node (pop the newest
+// stacked node, discover its unseen neighbors in ascending order). order
+// and stack need length n, start n+1, and seen (a bitset over the nodes)
+// g.words zeroed words.
+func (g *Graph) componentOrder(order, start, stack []int32, seen []uint64) int {
+	k, m := 0, 0
+	for s := 0; s < g.n; s++ {
+		if seen[s/64]&(1<<(uint(s)%64)) != 0 {
+			continue
+		}
+		start[k] = int32(m)
+		k++
+		seen[s/64] |= 1 << (uint(s) % 64)
+		order[m] = int32(s)
+		m++
+		stack[0] = int32(s)
+		for top := 1; top > 0; {
+			top--
+			v := int(stack[top])
+			row := g.bits[v*g.words : (v+1)*g.words]
+			for wi, w := range row {
+				for w &^= seen[wi]; w != 0; w &= w - 1 {
+					u := wi*64 + trailingZeros(w)
+					seen[wi] |= 1 << (uint(u) % 64)
+					order[m] = int32(u)
+					m++
+					stack[top] = int32(u)
+					top++
+				}
+			}
+		}
+	}
+	start[k] = int32(m)
+	return k
 }
 
 // IsConnected reports whether the graph is connected. The empty graph and
@@ -416,47 +486,104 @@ func MST(n int, weight [][]float64) *Graph {
 // shortest cross link (under dist) is found, then a minimum spanning tree
 // over the component graph selects which of those links to add. This is the
 // repair step of §4.1.3 and returns the number of links added.
+//
+// The spanning tree is Prim's algorithm over the components exactly as MST
+// runs it on the component-pair weights (from component 0, strict-< ties
+// toward the lower component), with each pair's weight and link computed
+// only when Prim first needs it: the cross links of components a < b are
+// scanned in their componentOrder order, keeping the first strict minimum.
+// Connect allocates nothing for graphs of up to connectStack nodes.
 func (g *Graph) Connect(dist [][]float64) int {
 	if g.IsConnected() {
 		return 0
 	}
-	comps := g.Components()
-	k := len(comps)
-	// Shortest cross link between each pair of components.
-	type link struct {
-		a, b int
-	}
-	bestW := make([][]float64, k)
-	bestL := make([][]link, k)
-	for i := range bestW {
-		bestW[i] = make([]float64, k)
-		bestL[i] = make([]link, k)
-		for j := range bestW[i] {
-			bestW[i][j] = math.Inf(1)
+	var buf connectBuf
+	sc := buf.scratch(g.n, g.words)
+	k := g.componentOrder(sc.order, sc.start, sc.stack, sc.seen)
+	comp := func(c int) []int32 { return sc.order[sc.start[c]:sc.start[c+1]] }
+	// pair returns the shortest cross link between components a and b.
+	pair := func(a, b int) (float64, int32, int32) {
+		if a > b {
+			a, b = b, a
 		}
+		w, la, lb := math.Inf(1), int32(0), int32(0)
+		for _, x := range comp(a) {
+			row := dist[x]
+			for _, y := range comp(b) {
+				if d := row[y]; d < w {
+					w, la, lb = d, x, y
+				}
+			}
+		}
+		return w, la, lb
 	}
-	for ci := 0; ci < k; ci++ {
-		for cj := ci + 1; cj < k; cj++ {
-			for _, a := range comps[ci] {
-				for _, b := range comps[cj] {
-					if d := dist[a][b]; d < bestW[ci][cj] {
-						bestW[ci][cj] = d
-						bestW[cj][ci] = d
-						bestL[ci][cj] = link{a, b}
-						bestL[cj][ci] = link{a, b}
-					}
+	// Prim over the components; the stack buffer is free again and holds
+	// the second endpoint of each component's best link.
+	inTree, best, linkA, linkB := sc.inTree[:k], sc.best[:k], sc.linkA[:k], sc.stack[:k]
+	inTree[0] = true
+	for c := 1; c < k; c++ {
+		best[c], linkA[c], linkB[c] = pair(0, c)
+	}
+	added := 0
+	for it := 1; it < k; it++ {
+		v, vw := -1, math.Inf(1)
+		for c := 0; c < k; c++ {
+			if !inTree[c] && best[c] < vw {
+				v, vw = c, best[c]
+			}
+		}
+		if v < 0 {
+			break // some components unreachable (infinite distances)
+		}
+		inTree[v] = true
+		g.AddEdge(int(linkA[v]), int(linkB[v]))
+		added++
+		for c := 0; c < k; c++ {
+			if !inTree[c] {
+				if w, a, b := pair(v, c); w < best[c] {
+					best[c], linkA[c], linkB[c] = w, a, b
 				}
 			}
 		}
 	}
-	mst := MST(k, bestW)
-	added := 0
-	for _, e := range mst.Edges() {
-		l := bestL[e.I][e.J]
-		g.AddEdge(l.a, l.b)
-		added++
-	}
 	return added
+}
+
+// connectStack is the node count up to which Connect keeps its scratch in
+// a fixed-size connectBuf on the stack.
+const connectStack = 64 * stackWords
+
+// connectScratch is Connect's working memory: the component listing of
+// componentOrder and Prim's per-component state.
+type connectScratch struct {
+	order, start, stack, linkA []int32
+	seen                       []uint64
+	inTree                     []bool
+	best                       []float64
+}
+
+// connectBuf backs a connectScratch for up to connectStack nodes.
+type connectBuf struct {
+	order, stack, linkA [connectStack]int32
+	start               [connectStack + 1]int32
+	seen                [stackWords]uint64
+	inTree              [connectStack]bool
+	best                [connectStack]float64
+}
+
+// scratch returns a connectScratch for n nodes (words bitset words per
+// row), carved from b when n fits and allocated otherwise.
+func (b *connectBuf) scratch(n, words int) connectScratch {
+	if n > connectStack {
+		return connectScratch{
+			order: make([]int32, n), start: make([]int32, n+1), stack: make([]int32, n), linkA: make([]int32, n),
+			seen: make([]uint64, words), inTree: make([]bool, n), best: make([]float64, n),
+		}
+	}
+	return connectScratch{
+		order: b.order[:n], start: b.start[:n+1], stack: b.stack[:n], linkA: b.linkA[:n],
+		seen: b.seen[:words], inTree: b.inTree[:n], best: b.best[:n],
+	}
 }
 
 // String renders the graph as "n=5 edges=[(0,1) (1,2)]", mainly for tests

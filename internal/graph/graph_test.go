@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -155,6 +156,10 @@ func TestEdges(t *testing.T) {
 			t.Fatalf("Edges[%d] = %v, want %v", i, es[i], want[i])
 		}
 	}
+	prefix := []Edge{{-1, -1}}
+	if got := g.AppendEdges(prefix); !slices.Equal(got, append(prefix, want...)) {
+		t.Fatalf("AppendEdges = %v, want the edges after the prefix", got)
+	}
 }
 
 func TestCloneEqual(t *testing.T) {
@@ -178,29 +183,72 @@ func TestEqualDifferentSizes(t *testing.T) {
 	}
 }
 
-func TestHashConsistency(t *testing.T) {
-	g, _ := FromEdges(6, [][2]int{{0, 1}, {2, 3}, {4, 5}})
-	h := g.Clone()
-	if g.Hash() != h.Hash() {
-		t.Fatal("equal graphs must hash equal")
-	}
-	h.AddEdge(0, 5)
-	if g.Hash() == h.Hash() {
-		t.Error("hash collision on trivially different graphs (suspicious)")
+// TestAppendUpperMatchesEqual: at a fixed node count, two graphs have
+// equal packed upper triangles exactly when Equal holds. The sizes put row
+// ends and 64-bit word boundaries in different places: n=11 packs 55 bits
+// into one word, n=12 spills row 5 across the first word boundary, n=64
+// and n=65 fill rows up to and past one bitset word, n=129 spans three.
+func TestAppendUpperMatchesEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{2, 11, 12, 64, 65, 129} {
+		words := (n*(n-1)/2 + 63) / 64
+		for trial := 0; trial < 40; trial++ {
+			g := randomGraph(rng, n, 0.3)
+			h := g.Clone()
+			if trial%2 == 1 {
+				// Flip one pair, chosen to land anywhere in the packed
+				// stream, including its first and last bits.
+				i, j := 0, 1
+				switch trial % 6 {
+				case 1:
+					i, j = n-2, n-1
+				case 3:
+					i = rng.Intn(n - 1)
+					j = i + 1 + rng.Intn(n-1-i)
+				}
+				h.SetEdge(i, j, !h.HasEdge(i, j))
+			}
+			pg, ph := g.AppendUpper(nil), h.AppendUpper([]uint64{42})[1:]
+			if len(pg) != words || len(ph) != words {
+				t.Fatalf("n=%d: packed lengths %d and %d, want %d", n, len(pg), len(ph), words)
+			}
+			if slices.Equal(pg, ph) != g.Equal(h) {
+				t.Fatalf("n=%d trial %d: packed equality %v, Equal %v", n, trial, slices.Equal(pg, ph), g.Equal(h))
+			}
+			if got := popcountWords(pg); got != g.NumEdges() {
+				t.Fatalf("n=%d: packed form holds %d bits, graph has %d edges", n, got, g.NumEdges())
+			}
+		}
 	}
 }
 
-func TestHashQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	f := func() bool {
-		g := randomGraph(rng, 12, 0.3)
-		return g.Hash() == g.Clone().Hash()
+func popcountWords(ws []uint64) int {
+	c := 0
+	for _, w := range ws {
+		c += popcount(w)
 	}
-	for i := 0; i < 50; i++ {
-		if !f() {
-			t.Fatal("clone hash mismatch")
+	return c
+}
+
+func TestCopyFromAndClear(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	g, h := randomGraph(rng, 70, 0.2), randomGraph(rng, 70, 0.2)
+	g.CopyFrom(h)
+	if !g.Equal(h) {
+		t.Fatal("CopyFrom did not copy")
+	}
+	h.AddEdge(0, 69)
+	h.RemoveEdge(0, 69)
+	g.Clear()
+	if g.NumEdges() != 0 || !g.Equal(New(70)) {
+		t.Fatal("Clear left edges behind")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyFrom across node counts must panic")
 		}
-	}
+	}()
+	g.CopyFrom(New(69))
 }
 
 func TestCoreNodesAndLeaves(t *testing.T) {
@@ -378,7 +426,8 @@ func TestConnectAlreadyConnected(t *testing.T) {
 }
 
 // TestConnectConnectedAllocatesNothing: the repair step runs on every
-// GA offspring, most of which are already connected.
+// GA offspring, most of which are already connected; the rest are
+// disconnected, and joining them must not allocate either.
 func TestConnectConnectedAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{30, 128} {
@@ -386,6 +435,115 @@ func TestConnectConnectedAllocatesNothing(t *testing.T) {
 		g := MST(n, dist)
 		if allocs := testing.AllocsPerRun(100, func() { g.Connect(dist) }); allocs != 0 {
 			t.Errorf("n=%d: Connect on a connected graph made %v allocations", n, allocs)
+		}
+		sparse := randomGraph(rng, n, 1.0/float64(n))
+		work := New(n)
+		if allocs := testing.AllocsPerRun(100, func() {
+			work.CopyFrom(sparse)
+			work.Connect(dist)
+		}); allocs != 0 {
+			t.Errorf("n=%d: Connect on a disconnected graph made %v allocations", n, allocs)
+		}
+		if !work.IsConnected() || len(sparse.Components()) < 2 {
+			t.Fatalf("n=%d: the disconnected case did not exercise a repair", n)
+		}
+	}
+}
+
+// referenceComponents and referenceConnect are the component listing and
+// repair step as first written: a stack walk collecting [][]int, the full
+// k×k matrix of shortest cross links, then MST over that matrix. Connect
+// must add exactly the links they add.
+func referenceComponents(g *Graph) [][]int {
+	seen := make([]bool, g.n)
+	var comps [][]int
+	for s := 0; s < g.n; s++ {
+		if seen[s] {
+			continue
+		}
+		comp := []int{s}
+		seen[s] = true
+		queue := []int{s}
+		for len(queue) > 0 {
+			v := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			g.EachNeighbor(v, func(u int) {
+				if !seen[u] {
+					seen[u] = true
+					comp = append(comp, u)
+					queue = append(queue, u)
+				}
+			})
+		}
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+func referenceConnect(g *Graph, dist [][]float64) int {
+	if g.IsConnected() {
+		return 0
+	}
+	comps := referenceComponents(g)
+	k := len(comps)
+	bestW := make([][]float64, k)
+	bestL := make([][][2]int, k)
+	for i := range bestW {
+		bestW[i] = make([]float64, k)
+		bestL[i] = make([][2]int, k)
+		for j := range bestW[i] {
+			bestW[i][j] = math.Inf(1)
+		}
+	}
+	for ci := 0; ci < k; ci++ {
+		for cj := ci + 1; cj < k; cj++ {
+			for _, a := range comps[ci] {
+				for _, b := range comps[cj] {
+					if d := dist[a][b]; d < bestW[ci][cj] {
+						bestW[ci][cj], bestW[cj][ci] = d, d
+						bestL[ci][cj], bestL[cj][ci] = [2]int{a, b}, [2]int{a, b}
+					}
+				}
+			}
+		}
+	}
+	added := 0
+	for _, e := range MST(k, bestW).Edges() {
+		l := bestL[e.I][e.J]
+		g.AddEdge(l[0], l[1])
+		added++
+	}
+	return added
+}
+
+// TestConnectMatchesReference pins Connect to the reference repair on
+// random sparse graphs, under both generic distances and a coarse integer
+// grid metric where equal cross-link lengths are common, so the strict-<
+// tie rule and the component order decide which links are added.
+func TestConnectMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(80)
+		if trial%50 == 0 {
+			n = connectStack + 1 + rng.Intn(20) // the heap-scratch path
+		}
+		g := randomGraph(rng, n, rng.Float64()*2.5/float64(n))
+		if !slices.EqualFunc(g.Components(), referenceComponents(g), slices.Equal[[]int]) {
+			t.Fatalf("trial %d: Components differs from the reference walk", trial)
+		}
+		dist := randomMetric(rng, n)
+		if trial%2 == 1 {
+			for i := range dist {
+				for j := range dist[i] {
+					dist[i][j] = math.Round(dist[i][j] * 4)
+				}
+			}
+		}
+		want := g.Clone()
+		wantAdded := referenceConnect(want, dist)
+		if added := g.Connect(dist); added != wantAdded || !g.Equal(want) {
+			t.Fatalf("trial %d n=%d: Connect added %d links %v, reference %d links %v",
+				trial, n, added, g, wantAdded, want)
 		}
 	}
 }
