@@ -44,7 +44,7 @@ examples:
 	done
 
 # Short fuzzing smoke on the evaluator's kernel-equivalence target, the
-# validation distances, the untrusted config JSON boundary, the network
+# GA crossover against its per-link reference, the validation distances, the untrusted config JSON boundary, the network
 # JSON encoder against its reflection oracle, the store's checkpoint-key
 # parser and the `coldstats trace` parser (CI runs this; crank -fuzztime
 # locally for a real session). The evaluator corpus lives under
@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test . -run '^$$' -fuzz FuzzConfig -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzNetworkJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cost -run '^$$' -fuzz FuzzDijkstraEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCrossoverEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzDistances -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzPartialKey -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/coldstats -run '^$$' -fuzz FuzzTrace -fuzztime $(FUZZTIME)

@@ -23,6 +23,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/networksynth/cold/internal/cost"
 	"github.com/networksynth/cold/internal/graph"
@@ -263,22 +264,32 @@ type runner struct {
 	scratches []*breedScratch
 
 	// weights are the parent-selection weights (1/cost) of the current
-	// generation, rebuilt by prepBreeding and read-only during fan-out.
-	weights []float64
+	// generation and weightTotal their stats.WeightTotal, rebuilt by
+	// prepBreeding and read-only during fan-out.
+	weights     []float64
+	weightTotal float64
 
 	// job is the generation the current fan-out is building.
 	job breedJob
+
+	// costBufs are evaluate's two result buffers. Each call fills the one
+	// the previous call did not return, so the costs breed reads while the
+	// next generation is built stay intact until that generation is
+	// evaluated.
+	costBufs [2][]float64
 }
 
 // breedScratch holds the per-goroutine buffers offspring construction
-// reuses: the partial Fisher–Yates pool for tournament draws, the parent
-// weights, the edge list and absent-pair pool for link mutation, the
-// core-node, target and neighbor lists for node mutation, and the slot's
-// rng stream. One scratch is never shared between goroutines.
+// reuses: the partial Fisher–Yates pool for tournament draws, crossover's
+// row of uniform draws and its per-row parent mask, the edge list and
+// absent-pair pool for link mutation, the core-node, target and neighbor
+// lists for node mutation, and the slot's rng stream. One scratch is never
+// shared between goroutines.
 type breedScratch struct {
 	rng     stats.RNG
 	idx     []int
-	parentW []float64
+	draws   []float64 // n−1: one row's draws
+	mask    []uint64  // one bit per column: set = take the link from parent 0
 	edges   []graph.Edge
 	pairs   []int
 	core    []int
@@ -291,7 +302,10 @@ func newRunner(e *cost.Evaluator, s Settings, seed uint64) *runner {
 	nw := max(s.Parallelism, 1)
 	ga.scratches = make([]*breedScratch, nw)
 	for i := range ga.scratches {
-		ga.scratches[i] = &breedScratch{}
+		ga.scratches[i] = &breedScratch{
+			draws: make([]float64, max(ga.n-1, 0)),
+			mask:  make([]uint64, (ga.n+63)/64),
+		}
 	}
 	if s.Parallelism > 1 {
 		ga.workers = make([]*cost.Evaluator, s.Parallelism)
@@ -312,40 +326,48 @@ func (ga *runner) stream(gen, slot int) stats.RNG {
 }
 
 // forSlots runs body(ga, slot, scratch) for every slot in [lo, hi),
-// chunking the range across the worker pool when Parallelism > 1. Bodies
+// spreading the slots over the worker pool when Parallelism > 1. Bodies
 // must write only at their own slot and read shared state (ga.job,
 // weights, distance matrix) immutably — per-slot streams then make the
-// outcome identical for every worker count. body is a method expression,
-// not a closure, so a serial fan-out allocates nothing.
+// outcome identical for every worker count and every slot-to-worker
+// assignment. body is a method expression, not a closure, so a serial
+// fan-out allocates nothing.
 func (ga *runner) forSlots(lo, hi int, body func(ga *runner, slot int, sc *breedScratch)) {
 	count := hi - lo
-	if count <= 0 {
+	if nw := min(len(ga.scratches), count); nw > 1 {
+		claimEach(nw, count, func(k, i int) { body(ga, lo+i, ga.scratches[k]) })
 		return
 	}
-	nw := min(len(ga.scratches), count)
-	if nw <= 1 {
-		sc := ga.scratches[0]
-		for slot := lo; slot < hi; slot++ {
-			body(ga, slot, sc)
+	sc := ga.scratches[0]
+	for slot := lo; slot < hi; slot++ {
+		body(ga, slot, sc)
+	}
+}
+
+// claimEach calls work(k, i) once for every i in [0, count) on nw
+// goroutines — the caller's and nw−1 more — where k in [0, nw) names the
+// goroutine, so work can use per-goroutine state (a scratch, an evaluator
+// clone). Each goroutine claims the next unclaimed index from a shared
+// atomic counter until none is left, so cheap items (the elite's memo
+// hits) and dear ones (repaired, fully routed offspring) balance across
+// the goroutines instead of landing in fixed chunks. Which goroutine runs
+// an index is unspecified: work must make its result depend on i alone.
+func claimEach(nw, count int, work func(k, i int)) {
+	var next atomic.Int64
+	claim := func(k int) {
+		for i := int(next.Add(1) - 1); i < count; i = int(next.Add(1) - 1) {
+			work(k, i)
 		}
-		return
 	}
-	chunk := (count + nw - 1) / nw
 	var wg sync.WaitGroup
-	for k := 0; k < nw; k++ {
-		l := lo + k*chunk
-		h := min(l+chunk, hi)
-		if l >= h {
-			break
-		}
-		wg.Add(1)
-		go func(l, h int, sc *breedScratch) {
+	wg.Add(nw - 1)
+	for k := 1; k < nw; k++ {
+		go func(k int) {
 			defer wg.Done()
-			for slot := l; slot < h; slot++ {
-				body(ga, slot, sc)
-			}
-		}(l, h, ga.scratches[k])
+			claim(k)
+		}(k)
 	}
+	claim(0)
 	wg.Wait()
 }
 
@@ -396,13 +418,16 @@ func (ga *runner) initSlot(slot int, _ *breedScratch) {
 }
 
 // prepBreeding rebuilds the shared parent-selection weights for a
-// generation's costs. Call before mutate when bypassing breed (tests).
+// generation's costs, validated and summed once for all of the
+// generation's mutation draws. Call before mutate when bypassing breed
+// (tests).
 func (ga *runner) prepBreeding(costs []float64) {
 	ga.weights = ga.weights[:0]
 	for _, c := range costs {
 		ga.weights = append(ga.weights, inverseCostWeight(c))
 	}
 	uniformIfAllZero(ga.weights)
+	ga.weightTotal = stats.WeightTotal(ga.weights)
 }
 
 // breed fills next (len PopulationSize) with generation gen: the NumSaved
@@ -454,31 +479,19 @@ func (ga *runner) breedSlot(slot int, sc *breedScratch) {
 	}
 }
 
-// evaluate computes the cost of every member of pop. With workers it chunks
-// the population across goroutines; costs land at their population index,
-// so the result is identical to the serial loop.
+// evaluate computes the cost of every member of pop. With workers it
+// spreads the members over goroutines, each with its own evaluator clone;
+// costs land at their population index, so the result is identical to the
+// serial loop. The result is valid until the call after next.
 func (ga *runner) evaluate(pop []*graph.Graph) []float64 {
-	costs := make([]float64, len(pop))
+	ga.costBufs[0], ga.costBufs[1] = ga.costBufs[1], ga.costBufs[0]
+	if cap(ga.costBufs[0]) < len(pop) {
+		ga.costBufs[0] = make([]float64, len(pop))
+	}
+	costs := ga.costBufs[0][:len(pop)]
 	ga.evals += uint64(len(pop))
-	if w := len(ga.workers); w > 1 && len(pop) > 1 {
-		nw := min(w, len(pop))
-		chunk := (len(pop) + nw - 1) / nw
-		var wg sync.WaitGroup
-		for k := 0; k < nw; k++ {
-			lo := k * chunk
-			hi := min(lo+chunk, len(pop))
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(ev *cost.Evaluator, lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					costs[i] = ev.Cost(pop[i])
-				}
-			}(ga.workers[k], lo, hi)
-		}
-		wg.Wait()
+	if nw := min(len(ga.workers), len(pop)); nw > 1 {
+		claimEach(nw, len(pop), func(k, i int) { costs[i] = ga.workers[k].Cost(pop[i]) })
 		return costs
 	}
 	for i := range pop {
@@ -488,34 +501,53 @@ func (ga *runner) evaluate(pop []*graph.Graph) []float64 {
 }
 
 // crossover builds one offspring into child, overwriting it:
-// tournament-pick b candidates, keep the best a as parents, then copy each
-// potential link from a parent chosen with probability inversely
-// proportional to its cost. child must not be a member of pop.
+// tournament-pick b candidates, keep the best a = 2 as parents, then copy
+// each potential link from a parent chosen with probability inversely
+// proportional to its cost. child must not be a member of pop, and pop
+// must have at least two members (Settings.Validate).
+//
+// It draws and builds exactly what a per-link stats.WeightedIndex over the
+// two parents' weights does: b index draws for the tournament, then one
+// Float64 per upper pair {i<j} in row-major order. The weights are
+// validated and summed once per child, and for two weights that walk picks
+// parent 0 exactly when float64(u·total) − w0 < 0. Otherwise, NaN
+// included, it falls through to parent 1. The explicit conversion keeps
+// the compiler from fusing the multiply and subtract into an FMA. Each
+// row's choices become a mask word by word without a branch, and the row
+// is assembled as (p0 & mask) | (p1 &^ mask); the lower triangle is then
+// mirrored from the upper one.
 func (ga *runner) crossover(child *graph.Graph, pop []*graph.Graph, costs []float64, rng *stats.RNG, sc *breedScratch) {
-	b := min(tournamentB, len(pop))
-	a := min(tournamentA, b)
 	// Draw b distinct candidate indices with a partial Fisher–Yates:
-	// exactly b rng draws and no O(M) permutation allocation (the old
-	// rng.Perm consumed M draws per offspring). pop is sorted by cost, so
-	// "cheapest" is "lowest index".
-	cand := sc.sampleIndices(len(pop), b, rng)
-	parents := bestIndices(cand, a)
+	// exactly b rng draws and no O(M) permutation allocation. pop is sorted
+	// by cost, so "cheapest" is "lowest index".
+	cand := sc.sampleIndices(len(pop), min(tournamentB, len(pop)), rng)
+	parents := bestIndices(cand, tournamentA)
+	p0, p1 := pop[parents[0]], pop[parents[1]]
+	w := [2]float64{inverseCostWeight(costs[parents[0]]), inverseCostWeight(costs[parents[1]])}
+	uniformIfAllZero(w[:])
+	total, w0 := stats.WeightTotal(w[:]), w[0]
 
-	weights := sc.parentW[:0]
-	for _, pi := range parents {
-		weights = append(weights, inverseCostWeight(costs[pi]))
-	}
-	uniformIfAllZero(weights)
-	sc.parentW = weights
-	child.Clear()
-	for i := 0; i < ga.n; i++ {
-		for j := i + 1; j < ga.n; j++ {
-			p := pop[parents[stats.WeightedIndex(weights, rng)]]
-			if p.HasEdge(i, j) {
-				child.AddEdge(i, j)
+	n, mask := ga.n, sc.mask
+	for i := 0; i < n-1; i++ {
+		u := sc.draws[:n-1-i] // u[j-i-1] decides column j
+		rng.Float64s(u)
+		for k := (i + 1) / 64; k < len(mask); k++ {
+			lo, hi := max(i+1, 64*k), min(n, 64*k+64)
+			// Shift each choice in from the top, then move the run of
+			// hi−lo bits down to start at column lo's bit.
+			var m uint64
+			for _, x := range u[lo-i-1 : hi-i-1] {
+				var take0 uint64
+				if float64(x*total)-w0 < 0 {
+					take0 = 1
+				}
+				m = m>>1 | take0<<63
 			}
+			mask[k] = m >> (64 - uint(hi-lo) - uint(lo)%64)
 		}
+		child.BlendUpperRow(i, p0, p1, mask)
 	}
+	child.MirrorUpper()
 	child.Connect(ga.e.Dist())
 }
 
@@ -524,7 +556,7 @@ func (ga *runner) crossover(child *graph.Graph, pop []*graph.Graph, costs []floa
 // prepared by prepBreeding), changed by either a link mutation or a node
 // mutation (§4.1.2). child must not be a member of pop.
 func (ga *runner) mutate(child *graph.Graph, pop []*graph.Graph, rng *stats.RNG, sc *breedScratch) {
-	pi := stats.WeightedIndex(ga.weights, rng)
+	pi := stats.PickWeighted(ga.weights, ga.weightTotal, rng.Float64())
 	child.CopyFrom(pop[pi])
 	if rng.Float64() < nodeMutationProb {
 		ga.nodeMutation(child, rng, sc)

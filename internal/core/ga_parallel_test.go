@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,6 +111,77 @@ func TestBreedIndependentOfWorkerCount(t *testing.T) {
 		for slot := range serial {
 			if !serial[slot].Equal(parallel[slot]) {
 				t.Fatalf("parallelism %d: offspring at slot %d differs from serial", par, slot)
+			}
+		}
+	}
+}
+
+// TestWorkClaimingMatchesSerial: with breeding and evaluation handing out
+// slots to whichever goroutine claims them next, every generation's
+// sorted population and costs must equal the serial run's at each
+// parallelism — including 7, which divides neither the population nor
+// its non-elite part.
+func TestWorkClaimingMatchesSerial(t *testing.T) {
+	type generation struct {
+		pop   []*graph.Graph
+		costs []float64
+	}
+	run := func(par int) []generation {
+		s := DefaultSettings()
+		s.PopulationSize = 26
+		s.NumSaved = 5
+		s.NumMutation = 8
+		s.Parallelism = par
+		ga := newRunner(parallelTestEvaluator(t, 16, 4), s, 314)
+		pop := ga.initialPopulation()
+		costs := ga.evaluate(pop)
+		sortByCost(pop, costs)
+		next := make([]*graph.Graph, len(pop))
+		var gens []generation
+		for gen := 1; gen <= 8; gen++ {
+			ga.breed(gen, pop, costs, next)
+			pop, next = next, pop
+			costs = ga.evaluate(pop)
+			sortByCost(pop, costs)
+			snap := generation{costs: append([]float64(nil), costs...)}
+			for _, g := range pop {
+				snap.pop = append(snap.pop, g.Clone())
+			}
+			gens = append(gens, snap)
+		}
+		return gens
+	}
+	serial := run(1)
+	for _, par := range []int{2, 4, 7} {
+		for gen, got := range run(par) {
+			want := serial[gen]
+			for i := range want.pop {
+				if got.costs[i] != want.costs[i] || !got.pop[i].Equal(want.pop[i]) {
+					t.Fatalf("parallelism %d generation %d: member %d differs from serial", par, gen+1, i)
+				}
+			}
+		}
+	}
+}
+
+// TestClaimEachVisitsEveryIndexOnce: every index is handed out exactly
+// once, to a goroutine number in [0, nw), for counts below, at and above
+// the goroutine count.
+func TestClaimEachVisitsEveryIndexOnce(t *testing.T) {
+	for _, c := range []struct{ nw, count int }{{2, 1}, {3, 3}, {4, 50}, {7, 100}} {
+		var mu sync.Mutex
+		seen := make([]int, c.count)
+		claimEach(c.nw, c.count, func(k, i int) {
+			if k < 0 || k >= c.nw {
+				t.Errorf("nw %d: goroutine number %d", c.nw, k)
+			}
+			mu.Lock()
+			seen[i]++
+			mu.Unlock()
+		})
+		for i, times := range seen {
+			if times != 1 {
+				t.Fatalf("nw %d count %d: index %d claimed %d times", c.nw, c.count, i, times)
 			}
 		}
 	}

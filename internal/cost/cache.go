@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,22 +14,43 @@ import (
 // the same instant).
 const cacheShards = 64
 
-// cacheShard holds its memoized topologies in flat arenas: entry i's key
-// (a packed upper triangle, see graph.AppendUpper) is keys[i*w:(i+1)*w]
-// for the cache's key width w, and head maps a hash to the newest entry
-// with that hash, older ones chained through entry.next. A reset empties
-// the arenas and the map but keeps their memory, so a warm shard stores
-// new topologies without allocating.
+// cacheChunkWords bounds the words in one chunk of a shard's arena, and
+// cacheChunkMax the records: a chunk holds as many records as fit in
+// cacheChunkWords, at least one and at most cacheChunkMax.
+const (
+	cacheChunkWords = 128
+	cacheChunkMax   = 16
+)
+
+// cacheShard holds its memoized topologies as records in a chunked arena.
+// The record of entry i is w+2 words for the cache's key width w: the
+// cost's bits, the index of the previous entry with the same hash (-1 at
+// the chain's end), then the key (a packed upper triangle, see
+// graph.AppendUpper). head maps a hash to the newest entry with that hash.
+//
+// A shard grows a chunk at a time and never copies what it holds, so a
+// cache allocates about the memory it keeps and wastes less than one chunk
+// per shard; a run's cache stays live until the run ends. A paper-scale
+// run (n = 30) leaves ~40 entries in a shard, for which growth by doubling
+// would allocate about three times as much; at n = 128 a chunk is one
+// 1 KB record. A reset empties the map and rewinds used but keeps the
+// chunks, so a warm shard stores new topologies without allocating.
 type cacheShard struct {
-	mu      sync.Mutex
-	head    map[uint64]int32
-	entries []cacheEntry
-	keys    []uint64
+	mu     sync.Mutex
+	head   map[uint64]int32
+	used   int32
+	chunks [][]uint64
 }
 
-type cacheEntry struct {
-	cost float64
-	next int32 // previous entry with the same hash, -1 at the chain's end
+// chunkRecords is the number of r-word records in one arena chunk.
+func chunkRecords(r int) int { return min(cacheChunkMax, max(1, cacheChunkWords/r)) }
+
+// record returns the r-word record of entry i, r = key width + 2. The
+// caller holds s.mu.
+func (s *cacheShard) record(i int32, r int) []uint64 {
+	per := int32(chunkRecords(r))
+	off := int(i%per) * r
+	return s.chunks[i/per][off : off+r]
 }
 
 // sharedCache memoizes topology costs by packed key, picking a chain by the
@@ -85,20 +107,21 @@ func hashKey(key []uint64) uint64 {
 	return h ^ h>>32
 }
 
-// find returns the index of the entry whose key equals key in the chain of
-// hash h, or -1. The caller holds s.mu.
-func (s *cacheShard) find(h uint64, key []uint64) int32 {
+// find returns the record of the entry whose key equals key in the chain
+// of hash h, or nil. The caller holds s.mu.
+func (s *cacheShard) find(h uint64, key []uint64) []uint64 {
 	i, ok := s.head[h]
 	if !ok {
-		return -1
+		return nil
 	}
-	w := len(key)
-	for ; i >= 0; i = s.entries[i].next {
-		if slices.Equal(s.keys[int(i)*w:int(i+1)*w], key) {
-			return i
+	for i >= 0 {
+		rec := s.record(i, len(key)+2)
+		if slices.Equal(rec[2:], key) {
+			return rec
 		}
+		i = int32(int64(rec[1]))
 	}
-	return -1
+	return nil
 }
 
 // lookup returns the memoized cost of the packed key (hashed to h) and
@@ -106,8 +129,8 @@ func (s *cacheShard) find(h uint64, key []uint64) int32 {
 func (c *sharedCache) lookup(h uint64, key []uint64) (float64, bool) {
 	s := c.shard(h)
 	s.mu.Lock()
-	if i := s.find(h, key); i >= 0 {
-		cost := s.entries[i].cost
+	if rec := s.find(h, key); rec != nil {
+		cost := math.Float64frombits(rec[0])
 		s.mu.Unlock()
 		c.hits.Add(1)
 		return cost, true
@@ -131,20 +154,26 @@ func (c *sharedCache) store(h uint64, key []uint64, cost float64) {
 	s := c.shard(h)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.find(h, key) >= 0 {
+	if s.find(h, key) != nil {
 		return
 	}
 	if s.head == nil {
 		s.head = make(map[uint64]int32)
-	} else if int64(len(s.entries)) >= limit {
+	} else if int64(s.used) >= limit {
 		clear(s.head)
-		s.entries, s.keys = s.entries[:0], s.keys[:0]
+		s.used = 0
 	}
+	i, r := s.used, len(key)+2
+	if per := chunkRecords(r); int(i)/per == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]uint64, per*r))
+	}
+	s.used++
 	next, ok := s.head[h]
 	if !ok {
 		next = -1
 	}
-	s.head[h] = int32(len(s.entries))
-	s.entries = append(s.entries, cacheEntry{cost: cost, next: next})
-	s.keys = append(s.keys, key...)
+	s.head[h] = i
+	rec := s.record(i, r)
+	rec[0], rec[1] = math.Float64bits(cost), uint64(int64(next))
+	copy(rec[2:], key)
 }

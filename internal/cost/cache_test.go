@@ -155,3 +155,38 @@ func TestCacheCollisionVerifiesKey(t *testing.T) {
 		t.Fatal("cache entry changed with the caller's key buffer")
 	}
 }
+
+// TestCacheChunksAcrossResets fills one shard through several arena chunks
+// and two resets, with narrow keys (many records to a chunk) and wide ones
+// (one record to a chunk): every key stored since the last reset hits with
+// its own cost — including chains of equal hashes that span chunks — and
+// every key stored before it misses.
+func TestCacheChunksAcrossResets(t *testing.T) {
+	const perShard, total = 3*cacheChunkMax + 5, 2*(3*cacheChunkMax+5) + 30
+	for _, w := range []int{3, 127} {
+		cache := newSharedCache(perShard * cacheShards)
+		key := func(k int) []uint64 {
+			key := make([]uint64, w)
+			for i := range key {
+				key[i] = uint64(k*w + i)
+			}
+			return key
+		}
+		hash := func(k int) uint64 { return uint64(k%5) * cacheShards } // shard 0, five chains
+		for k := 0; k < total; k++ {
+			cache.store(hash(k), key(k), float64(k))
+		}
+		live := total - total%perShard // the first key stored after the last reset
+		for k := 0; k < total; k++ {
+			got, ok := cache.lookup(hash(k), key(k))
+			if want := k >= live; ok != want || (ok && got != float64(k)) {
+				t.Fatalf("w=%d key %d: lookup = %v, %v; want hit %v with cost %d", w, k, got, ok, want, k)
+			}
+		}
+		per := chunkRecords(w + 2)
+		if s := &cache.shards[0]; len(s.chunks) != (perShard+per-1)/per || len(s.chunks[0]) != per*(w+2) {
+			t.Fatalf("w=%d: shard grew %d chunks of %d words, want %d of %d",
+				w, len(s.chunks), len(s.chunks[0]), (perShard+per-1)/per, per*(w+2))
+		}
+	}
+}

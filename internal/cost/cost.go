@@ -439,7 +439,10 @@ func (e *Evaluator) fillBreakdown(ev *Evaluation, g *graph.Graph) {
 // extraction. In that mode all n sources are visited even when the graph
 // turns out disconnected, so the routing stays usable within each
 // component, whereas with rt == nil the sweep aborts on the first
-// unreachable source.
+// unreachable source. With rt == nil the last source is not routed at
+// all: each pair's demand is pushed from its lower-indexed endpoint, so
+// source n−1 has nothing to push, and source 0 has already decided
+// connectivity.
 func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 	e.counters.fullSweeps.Inc()
 	n := e.n
@@ -448,8 +451,12 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 	for i := range load {
 		load[i] = 0
 	}
+	sources := n
+	if rt == nil {
+		sources = n - 1
+	}
 	connected := true
-	for s := 0; s < n; s++ {
+	for s := 0; s < sources; s++ {
 		reached := e.dijkstra(s)
 		if rt != nil {
 			rt.PathDist[s] = append([]float64(nil), e.dj.dist[:n]...)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/networksynth/cold/internal/geom"
+	"github.com/networksynth/cold/internal/graph"
 	"github.com/networksynth/cold/internal/traffic"
 )
 
@@ -135,5 +136,61 @@ func TestHeapLinearEquivalence(t *testing.T) {
 	}
 	if cases < 100 {
 		t.Fatalf("only %d randomized cases, want >= 100", cases)
+	}
+}
+
+// TestCostMatchesReferenceAtSmallN: Cost routes every source but the last
+// (which has no higher-indexed demand to push) and must still equal the
+// reference's all-source total bit for bit, on connected graphs and on
+// graphs split in two — including splits that isolate only the last node,
+// which source 0 must detect on its own. n = 1 has no split to make.
+func TestCostMatchesReferenceAtSmallN(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 30} {
+		for seed := int64(0); seed < 6; seed++ {
+			e := uncachedContext(t, n, seed)
+			if seed%2 == 1 {
+				e = tiedContext(t, n, seed)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			g := randomConnected(rng, n, 0.3, e.Dist())
+			graphs := []*graph.Graph{g}
+			if n > 1 {
+				last, cut := g.Clone(), g.Clone()
+				for j := 0; j < n-1; j++ {
+					last.RemoveEdge(j, n-1)
+				}
+				k := 1 + rng.Intn(n-1) // cut nodes [0, k) off from [k, n)
+				for i := 0; i < k; i++ {
+					for j := k; j < n; j++ {
+						cut.RemoveEdge(i, j)
+					}
+				}
+				graphs = append(graphs, last, cut)
+			}
+			for gi, g := range graphs {
+				ref := referenceEvaluate(e, g)
+				if got := e.Cost(g); math.Float64bits(got) != math.Float64bits(ref.Total) {
+					t.Fatalf("n=%d seed %d graph %d: Cost %v, reference %v", n, seed, gi, got, ref.Total)
+				}
+				if gi > 0 && ref.Connected {
+					t.Fatalf("n=%d seed %d graph %d: split graph is connected", n, seed, gi)
+				}
+				// Memoized, the first call stores the cost (an empty key at
+				// n = 1) unless an equal graph already did, and the second
+				// must hit it.
+				e.SetCacheLimit(DefaultCacheLimit)
+				var hits uint64
+				for range 2 {
+					hits = e.Stats().CacheHits
+					if got := e.Cost(g); math.Float64bits(got) != math.Float64bits(ref.Total) {
+						t.Fatalf("n=%d seed %d graph %d: memoized Cost %v, reference %v", n, seed, gi, got, ref.Total)
+					}
+				}
+				if e.Stats().CacheHits != hits+1 {
+					t.Fatalf("n=%d seed %d graph %d: repeated Cost missed the cache", n, seed, gi)
+				}
+				e.SetCacheLimit(0)
+			}
+		}
 	}
 }

@@ -257,6 +257,59 @@ func (g *Graph) Clear() {
 	g.edges = 0
 }
 
+// BlendUpperRow sets the upper part of row i, columns j > i, to a's links
+// where bit j of mask (mask[j/64], bit j%64) is set and to b's elsewhere,
+// a word at a time: row = (a & mask) | (b &^ mask). Columns ≤ i of the
+// row are cleared and the lower triangle is not kept in step, so the graph
+// is not a valid undirected graph again until MirrorUpper runs. a and b
+// must be valid graphs on g's node count; mask needs one word per row
+// word.
+func (g *Graph) BlendUpperRow(i int, a, b *Graph, mask []uint64) {
+	if a.n != g.n || b.n != g.n {
+		panic(fmt.Sprintf("graph: BlendUpperRow of %d and %d nodes into %d", a.n, b.n, g.n))
+	}
+	g.checkNode(i)
+	w := g.words
+	row, ra, rb := g.bits[i*w:(i+1)*w], a.bits[i*w:(i+1)*w], b.bits[i*w:(i+1)*w]
+	mask = mask[:w]
+	first := i / 64
+	clear(row[:first])
+	for k := first; k < w; k++ {
+		m := mask[k]
+		row[k] = ra[k]&m | rb[k]&^m
+	}
+	row[first] &= rightOf(i)
+}
+
+// MirrorUpper makes g a valid undirected graph from its upper triangle:
+// every link {i<j} set in row i is copied into row j, whatever the lower
+// triangle and the diagonal held before, and the edge count is recounted.
+// It completes a sequence of BlendUpperRow calls. Rows are visited
+// bottom-up: row i's lower part is cleared before any row above it
+// mirrors a link into it.
+func (g *Graph) MirrorUpper() {
+	w := g.words
+	edges := 0
+	for i := g.n - 1; i >= 0; i-- {
+		row := g.bits[i*w : (i+1)*w]
+		first, bit := i/64, uint64(1)<<(uint(i)%64)
+		clear(row[:first])
+		row[first] &= rightOf(i)
+		for k := first; k < w; k++ {
+			for x := row[k]; x != 0; x &= x - 1 {
+				j := k*64 + trailingZeros(x)
+				g.bits[j*w+first] |= bit
+				edges++
+			}
+		}
+	}
+	g.edges = edges
+}
+
+// rightOf returns the bits of column i's bitset word that hold columns
+// j > i. Shifting by 64 (i%64 == 63) yields 0.
+func rightOf(i int) uint64 { return ^uint64(0) << (uint(i)%64 + 1) }
+
 // Equal reports whether g and h have identical node counts and edge sets.
 func (g *Graph) Equal(h *Graph) bool {
 	if g.n != h.n || g.edges != h.edges {

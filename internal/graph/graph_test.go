@@ -251,6 +251,46 @@ func TestCopyFromAndClear(t *testing.T) {
 	g.CopyFrom(New(69))
 }
 
+// TestBlendUpperRowMatchesPerLink: blending every row from two parents
+// under random masks, then mirroring, builds the graph a per-link copy
+// builds, into storage that held an unrelated graph (dirty lower triangle
+// and all). The sizes put row ends and word boundaries in different
+// places.
+func TestBlendUpperRowMatchesPerLink(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 129} {
+		words := (n + 63) / 64
+		for trial := 0; trial < 10; trial++ {
+			a, b := randomGraph(rng, n, 0.3), randomGraph(rng, n, 0.5)
+			g, want := Complete(n), New(n)
+			mask := make([]uint64, words)
+			for i := 0; i < n; i++ {
+				for k := range mask {
+					mask[k] = rng.Uint64()
+				}
+				for j := i + 1; j < n; j++ {
+					from := b
+					if mask[j/64]&(1<<(uint(j)%64)) != 0 {
+						from = a
+					}
+					want.SetEdge(i, j, from.HasEdge(i, j))
+				}
+				g.BlendUpperRow(i, a, b, mask)
+			}
+			g.MirrorUpper()
+			if !g.Equal(want) || g.NumEdges() != want.NumEdges() {
+				t.Fatalf("n=%d trial %d: blended %v, want %v", n, trial, g, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BlendUpperRow across node counts must panic")
+		}
+	}()
+	New(5).BlendUpperRow(0, New(5), New(4), make([]uint64, 1))
+}
+
 func TestCoreNodesAndLeaves(t *testing.T) {
 	// Star on 5 nodes: center 0 is the only core node.
 	g, _ := FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})

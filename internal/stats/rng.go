@@ -66,6 +66,18 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// Float64s fills dst with the next len(dst) draws of Float64, in order:
+// the same values, leaving the same state, as calling Float64 for each
+// element. The state stays in a register for the whole fill.
+func (r *RNG) Float64s(dst []float64) {
+	s := r.state
+	for i := range dst {
+		s += golden
+		dst[i] = float64(Mix64(s)>>11) / (1 << 53)
+	}
+	r.state = s
+}
+
 // Intn returns a uniform int in [0, n). It panics if n <= 0. Draws below
 // 2^64 mod n are rejected, so the result is exactly uniform.
 func (r *RNG) Intn(n int) int {

@@ -178,3 +178,21 @@ func TestWeightedIndexAcceptsRNG(t *testing.T) {
 		t.Errorf("weight-3 index drawn %.3f of the time, want ~0.75", frac)
 	}
 }
+
+// TestFloat64sMatchesFloat64: a bulk fill draws the same values and
+// leaves the same state as one Float64 call per element.
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	for _, size := range []int{0, 1, 2, 63, 64, 129} {
+		a, b := NewRNG(uint64(size)*7+1), NewRNG(uint64(size)*7+1)
+		dst := make([]float64, size)
+		a.Float64s(dst)
+		for i, got := range dst {
+			if want := b.Float64(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("size %d: element %d = %v, want %v", size, i, got, want)
+			}
+		}
+		if a != b {
+			t.Fatalf("size %d: state after the fill differs from %d Float64 calls", size, size)
+		}
+	}
+}

@@ -172,8 +172,18 @@ func Poisson(mean float64, rng *rand.Rand) int {
 
 // WeightedIndex picks an index with probability proportional to weights[i].
 // It panics if no weight is positive or any weight is negative or NaN. The
-// GA uses it with weights 1/cost for parent selection.
+// GA uses it with weights 1/cost for parent selection. It consumes exactly
+// one Float64 from rng and equals PickWeighted(weights,
+// WeightTotal(weights), rng.Float64()).
 func WeightedIndex(weights []float64, rng Source) int {
+	return PickWeighted(weights, WeightTotal(weights), rng.Float64())
+}
+
+// WeightTotal validates weights for a weighted draw and returns their sum,
+// added in index order. It panics if no weight is positive or any weight
+// is negative or NaN. Callers that draw many times from the same weights
+// validate and sum them once here, then call PickWeighted per draw.
+func WeightTotal(weights []float64) float64 {
 	var total float64
 	for _, w := range weights {
 		if w < 0 || math.IsNaN(w) {
@@ -184,7 +194,17 @@ func WeightedIndex(weights []float64, rng Source) int {
 	if total <= 0 {
 		panic("stats: all weights zero")
 	}
-	r := rng.Float64() * total
+	return total
+}
+
+// PickWeighted maps a uniform u in [0, 1) to an index with probability
+// proportional to weights[i], given total = WeightTotal(weights): it walks
+// the cumulative weights until u·total is exhausted, falling back to the
+// last index when rounding leaves a remainder. The explicit conversion
+// rounds u·total before the first subtraction, so no architecture fuses
+// the two into an FMA.
+func PickWeighted(weights []float64, total, u float64) int {
+	r := float64(u * total)
 	for i, w := range weights {
 		r -= w
 		if r < 0 {
