@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test vet race check examples bench fuzz coldd-smoke validate-smoke trace-smoke perfbench-check
+.PHONY: fmt build test vet race check examples bench fuzz coldd-smoke validate-smoke trace-smoke perfbench-check results
 
 # gofmt gate: fails listing every file gofmt would rewrite.
 fmt:
@@ -103,3 +103,18 @@ trace-smoke:
 # it and run its short tests.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Regenerates the recorded experiment outputs under results/ with the flags
+# results/README.md lists. Each file starts with its provenance: the commit
+# (marked when Go sources differ from it), the Go version, the CPU count
+# and the coldbench flags. The full set takes tens of minutes on 2 CPUs.
+results:
+	@set -e; record() { out=results/coldbench_$$1.txt; shift; \
+		dirty=$$(git diff --quiet HEAD -- '*.go' go.mod || echo ' + uncommitted changes'); \
+		{ echo "# commit: $$(git rev-parse HEAD)$$dirty"; echo "# go: $$($(GO) version)"; \
+		  echo "# nproc: $$(nproc)"; echo "# flags: coldbench $$*"; echo; \
+		  $(GO) run ./cmd/coldbench "$$@"; } > $$out.tmp; mv $$out.tmp $$out; echo "wrote $$out"; }; \
+	record all -trials 10 all; \
+	record routers -trials 25 routers; \
+	record extras -trials 10 extras; \
+	record fig5_n50 -n 50 -trials 5 fig5

@@ -30,7 +30,7 @@ func benchEvaluator(b *testing.B, n int, p cost.Params, seed int64) *cost.Evalua
 	b.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 	e, err := cost.NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, traffic.DefaultGravityScale), p)
 	if err != nil {
 		b.Fatal(err)

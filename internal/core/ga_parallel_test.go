@@ -23,7 +23,7 @@ func parallelTestEvaluator(t testing.TB, n int, seed int64) *cost.Evaluator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 	e, err := cost.NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, traffic.DefaultGravityScale), cost.DefaultParams())
 	if err != nil {
 		t.Fatal(err)

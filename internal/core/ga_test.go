@@ -16,7 +16,7 @@ func ctx(t testing.TB, n int, p cost.Params, seed int64) *cost.Evaluator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 	e, err := cost.NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1), p)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func cacheTestEvaluator(t *testing.T, n int, seed int64) *Evaluator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 	e, err := NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, traffic.DefaultGravityScale), DefaultParams())
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func randomContext(t testing.TB, n int, params Params, seed int64) *Evaluator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 	e, err := NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1), params)
 	if err != nil {
 		t.Fatal(err)

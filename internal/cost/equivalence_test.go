@@ -24,7 +24,7 @@ func uncachedContext(t testing.TB, n int, seed int64) *Evaluator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 	p := Params{K0: 10, K1: 1, K2: 3e-4, K3: 12}
 	e, err := NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1), p)
 	if err != nil {

@@ -26,7 +26,7 @@ func fuzzContext(t testing.TB, seed int64, sizeByte byte) *Evaluator {
 	n := 2 + int(sizeByte%32)
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 	e, err := NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1),
 		Params{K0: 10, K1: 1, K2: 3e-4, K3: 12})
 	if err != nil {

@@ -21,7 +21,7 @@ func TestCostPermutationInvariance(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(10)
 		pts := geom.NewUniform().Sample(n, rng)
-		pops := traffic.NewExponential().Sample(n, rng)
+		pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 		g := randomConnected(rng, n, 0.3, geom.DistanceMatrix(pts))
 
 		perm := rng.Perm(n)
@@ -50,7 +50,7 @@ func TestEvaluateMatchesCostExactly(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(12)
 		pts := geom.NewUniform().Sample(n, rng)
-		pops := traffic.NewExponential().Sample(n, rng)
+		pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 		p := Params{K0: 10, K1: 1, K2: 3e-4, K3: 12}
 		e := MustNewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1), p)
 		g := randomConnected(rng, n, 0.3, e.Dist())
@@ -71,7 +71,7 @@ func TestEvaluateDisconnectedKeepsRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 10
 	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 	e := MustNewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1), DefaultParams())
 	g := randomConnected(rng, n, 0.3, e.Dist())
 	// Isolate node 0 entirely.
@@ -105,7 +105,7 @@ func TestTrafficScalingOnlyScalesBandwidth(t *testing.T) {
 	p := Params{K0: 10, K1: 1, K2: 3e-4, K3: 5}
 	rng := rand.New(rand.NewSource(3))
 	pts := geom.NewUniform().Sample(12, rng)
-	pops := traffic.NewExponential().Sample(12, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(12, rng)
 	g := randomConnected(rng, 12, 0.25, geom.DistanceMatrix(pts))
 
 	e1 := MustNewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1), p)
@@ -125,7 +125,7 @@ func TestTrafficScalingOnlyScalesBandwidth(t *testing.T) {
 func TestRoutingFormsTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := geom.NewUniform().Sample(15, rng)
-	pops := traffic.NewExponential().Sample(15, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(15, rng)
 	e := MustNewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, 1), DefaultParams())
 	g := randomConnected(rng, 15, 0.2, e.Dist())
 	ev := e.Evaluate(g)
@@ -165,7 +165,7 @@ func TestCapacityBounds(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 8 + rng.Intn(8)
 		pts := geom.NewUniform().Sample(n, rng)
-		pops := traffic.NewExponential().Sample(n, rng)
+		pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 		tm := traffic.Gravity(pops, 1)
 		e := MustNewEvaluator(geom.DistanceMatrix(pts), tm, DefaultParams())
 		g := randomConnected(rng, n, 0.25, e.Dist())
@@ -194,7 +194,7 @@ func TestCapacityBounds(t *testing.T) {
 func TestRouteCostLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := geom.NewUniform().Sample(12, rng)
-	pops := traffic.NewExponential().Sample(12, rng)
+	pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(12, rng)
 	tm := traffic.Gravity(pops, 1)
 	e := MustNewEvaluator(geom.DistanceMatrix(pts), tm, DefaultParams())
 	var direct float64
@@ -220,7 +220,7 @@ func TestLoadsConserveTraffic(t *testing.T) {
 		rng := rand.New(rand.NewSource(500 + seed))
 		n := 6 + rng.Intn(20)
 		pts := geom.NewUniform().Sample(n, rng)
-		pops := traffic.NewExponential().Sample(n, rng)
+		pops := traffic.Exponential{Mean: traffic.DefaultMeanPopulation}.Sample(n, rng)
 		tm := traffic.Gravity(pops, 1)
 		e, err := NewEvaluator(geom.DistanceMatrix(pts), tm, DefaultParams())
 		if err != nil {

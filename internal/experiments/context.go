@@ -4,19 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/cost"
-	"github.com/networksynth/cold/internal/geom"
-	"github.com/networksynth/cold/internal/metrics"
 	"github.com/networksynth/cold/internal/stats"
-	"github.com/networksynth/cold/internal/traffic"
 )
-
-// contextModel is one context variant for the sensitivity study.
-type contextModel struct {
-	name string
-	pts  geom.PointProcess
-	pops traffic.PopulationModel
-}
 
 // ContextSensitivity reproduces the §3.1/§7 finding: the statistics of the
 // generated PoP-level ensembles are *insensitive* to the context model —
@@ -26,20 +17,20 @@ type contextModel struct {
 // only the k3 hub cost can produce.
 func ContextSensitivity(o Options) *Table {
 	o = o.normalize()
-	longThin, err := geom.NewRect(9) // 3:1:3 aspect, unit area
-	if err != nil {
-		panic(err)
+	models := []struct {
+		name      string
+		locations cold.LocationSpec
+		traffic   cold.TrafficSpec
+	}{
+		{"uniform+exp (default)", cold.LocationSpec{}, cold.TrafficSpec{}},
+		{"bursty+exp", cold.LocationSpec{Kind: cold.LocClustered, Clusters: 4, Sigma: 0.05}, cold.TrafficSpec{}},
+		{"long-thin+exp", cold.LocationSpec{Aspect: 9}, cold.TrafficSpec{}}, // 3:1/3 at unit area
+		{"uniform+pareto(1.5)", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 1.5}},
+		{"uniform+pareto(10/9)", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 10.0 / 9.0}},
 	}
-	models := []contextModel{
-		{"uniform+exp (default)", geom.NewUniform(), traffic.NewExponential()},
-		{"bursty+exp", geom.ThomasCluster{Region: geom.UnitSquare(), Clusters: 4, Sigma: 0.05}, traffic.NewExponential()},
-		{"long-thin+exp", geom.Uniform{Region: longThin}, traffic.NewExponential()},
-		{"uniform+pareto(1.5)", geom.NewUniform(), traffic.NewPareto(1.5)},
-		{"uniform+pareto(10/9)", geom.NewUniform(), traffic.NewPareto(10.0 / 9.0)},
-	}
-	params := cost.Params{K0: 10, K1: 1, K2: 2e-4, K3: 0}
+	cfg := o.config(2e-4, 0)
 	t := &Table{
-		Title: fmt.Sprintf("§3.1/§7: context sensitivity of the synthesized ensemble (n=%d, %s)", o.N, params.String()),
+		Title: fmt.Sprintf("§3.1/§7: context sensitivity of the synthesized ensemble (n=%d, %s)", o.N, cost.Params(cfg.Params)),
 		Notes: []string{
 			fmt.Sprintf("%d networks per context model; mean [95%% bootstrap CI]", o.Trials),
 			"paper: effects are small; even Pareto(10/9) traffic cannot raise CVND near 1",
@@ -48,22 +39,16 @@ func ContextSensitivity(o Options) *Table {
 	}
 	ciRNG := rand.New(rand.NewSource(o.Seed + 333))
 	for _, m := range models {
+		cfg.Locations, cfg.Traffic = m.locations, m.traffic
 		var degs, cvs, dias, clus, leaves []float64
-		for trial := 0; trial < o.Trials; trial++ {
-			rng := rand.New(rand.NewSource(o.Seed + int64(trial)*15485863))
-			pts := m.pts.Sample(o.N, rng)
-			pops := m.pops.Sample(o.N, rng)
-			e, err := cost.NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, traffic.DefaultGravityScale), params)
-			if err != nil {
-				panic(err)
-			}
-			best := bestOf(e, o, rng)
-			degs = append(degs, metrics.AverageDegree(best))
-			cvs = append(cvs, metrics.DegreeCV(best))
-			dias = append(dias, float64(metrics.Diameter(best)))
-			clus = append(clus, metrics.GlobalClustering(best))
-			leaves = append(leaves, float64(metrics.NumLeaves(best)))
-		}
+		ensemble(cfg, o.Trials, func(_ int, nw *cold.Network) {
+			st := nw.Stats()
+			degs = append(degs, st.AverageDegree)
+			cvs = append(cvs, st.DegreeCV)
+			dias = append(dias, float64(st.Diameter))
+			clus = append(clus, st.Clustering)
+			leaves = append(leaves, float64(st.Leaves))
+		})
 		row := []string{m.name}
 		for _, xs := range [][]float64{degs, cvs, dias, clus, leaves} {
 			ci := stats.BootstrapMeanCI(xs, 0.95, o.Bootstrap, ciRNG)

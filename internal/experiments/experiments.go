@@ -4,22 +4,26 @@
 // what the paper reports; cmd/coldbench prints them and bench_test.go wraps
 // them in testing.B benchmarks.
 //
+// Every COLD network a harness measures is a member of a cold.Config
+// ensemble from cold.GenerateEnsembleStream (Figure 4 times single
+// cold.Generate calls), so the figures describe the generator users run.
+//
 // Paper-scale settings (n = 30, M = T = 100, 20–200 trials per point) are
 // the defaults' upper end; Options.Trials scales the sweeps down for quick
 // runs. EXPERIMENTS.md records paper-vs-measured values for each harness.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"strings"
 
-	"github.com/networksynth/cold/internal/core"
+	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/cost"
 	"github.com/networksynth/cold/internal/geom"
 	"github.com/networksynth/cold/internal/graph"
-	"github.com/networksynth/cold/internal/heuristics"
 	"github.com/networksynth/cold/internal/traffic"
 )
 
@@ -129,48 +133,55 @@ var K2Set4 = []float64{2.5e-5, 1e-4, 4e-4, 1.6e-3}
 // K3Sweep is the log-spaced hub-cost sweep of Figures 8b and 9.
 var K3Sweep = []float64{1, 3.16, 10, 31.6, 100, 316, 1000}
 
-// context samples one random context (uniform PoPs, exponential
-// populations, gravity traffic — the paper's defaults) and returns its
-// evaluator.
-func newContext(n int, p cost.Params, rng *rand.Rand) *cost.Evaluator {
-	pts := geom.NewUniform().Sample(n, rng)
-	pops := traffic.NewExponential().Sample(n, rng)
-	e, err := cost.NewEvaluator(geom.DistanceMatrix(pts), traffic.Gravity(pops, traffic.DefaultGravityScale), p)
+// config is the paper's default context model (uniform PoPs on the unit
+// square, exponential populations, gravity traffic) at k0=10, k1=1 and the
+// given k2 and k3, sized and seeded from the options.
+func (o Options) config(k2, k3 float64) cold.Config {
+	return cold.Config{
+		NumPoPs:   o.N,
+		Params:    cold.Params{K0: 10, K1: 1, K2: k2, K3: k3},
+		Seed:      o.Seed,
+		Optimizer: cold.OptimizerSpec{PopulationSize: o.GAPop, Generations: o.GAGens},
+	}
+}
+
+// ensemble generates trials members of cfg with the library's parallel
+// ensemble engine and hands each to visit in member order. Member i's
+// context depends only on (cfg.Seed, i) and the context model, so every
+// sweep point of a harness sees the same contexts (common random numbers).
+func ensemble(cfg cold.Config, trials int, visit func(i int, nw *cold.Network)) {
+	err := cold.GenerateEnsembleStream(context.Background(), cfg, trials, func(i int, nw *cold.Network) error {
+		visit(i, nw)
+		return nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: ensemble: %v", err))
+	}
+}
+
+// graphOf returns the topology of a generated network.
+func graphOf(nw *cold.Network) *graph.Graph {
+	g := graph.New(nw.N())
+	for _, l := range nw.Links {
+		g.AddEdge(l.A, l.B)
+	}
+	return g
+}
+
+// evaluator rebuilds the cost evaluator that generated nw under p from the
+// network's exported points and populations, so baselines are costed on
+// exactly the context, and with exactly the arithmetic, the library used.
+func evaluator(nw *cold.Network, p cold.Params) *cost.Evaluator {
+	pts := make([]geom.Point, nw.N())
+	for i, q := range nw.Points {
+		pts[i] = geom.Point{X: q.X, Y: q.Y}
+	}
+	tm := traffic.Gravity(nw.Populations, traffic.DefaultGravityScale)
+	e, err := cost.NewEvaluator(geom.DistanceMatrix(pts), tm, cost.Params(p))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: internal context error: %v", err))
 	}
 	return e
-}
-
-// gaSettings builds GA settings from options.
-func gaSettings(o Options) core.Settings {
-	return core.SizedSettings(o.GAPop, o.GAGens)
-}
-
-// runGA runs the plain GA on a context.
-func runGA(e *cost.Evaluator, o Options, rng *rand.Rand) *core.Result {
-	res, err := core.Run(e, gaSettings(o), rng.Uint64())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: GA error: %v", err))
-	}
-	return res
-}
-
-// runInitGA runs the initialised GA: heuristics first, their outputs as
-// seeds.
-func runInitGA(e *cost.Evaluator, o Options, rng *rand.Rand) *core.Result {
-	s := gaSettings(o)
-	s.Seeds = heuristics.Graphs(heuristics.All(e, rng))
-	res, err := core.Run(e, s, rng.Uint64())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: GA error: %v", err))
-	}
-	return res
-}
-
-// bestOf runs the GA and returns just the best topology.
-func bestOf(e *cost.Evaluator, o Options, rng *rand.Rand) *graph.Graph {
-	return runGA(e, o, rng).Best
 }
 
 func fmtF(v float64) string { return fmt.Sprintf("%.4g", v) }

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
-	"github.com/networksynth/cold/internal/cost"
+	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/metrics"
 	"github.com/networksynth/cold/internal/stats"
 )
@@ -28,12 +27,9 @@ func ExtraFeatures(k3 float64, o Options) *Table {
 	}
 	ciRNG := newCIRand(o)
 	for _, k2 := range K2Grid {
-		params := cost.Params{K0: 10, K1: 1, K2: k2, K3: k3}
 		var assort, apl, nodeB, linkB, smet []float64
-		for trial := 0; trial < o.Trials; trial++ {
-			rng := rand.New(rand.NewSource(o.Seed + int64(trial)*32452843))
-			e := newContext(o.N, params, rng)
-			best := bestOf(e, o, rng)
+		ensemble(o.config(k2, k3), o.Trials, func(_ int, nw *cold.Network) {
+			best := graphOf(nw)
 			if a := metrics.Assortativity(best); !math.IsNaN(a) {
 				assort = append(assort, a)
 			}
@@ -41,7 +37,7 @@ func ExtraFeatures(k3 float64, o Options) *Table {
 			nodeB = append(nodeB, stats.Mean(metrics.NodeBetweenness(best)))
 			linkB = append(linkB, stats.Mean(metrics.EdgeBetweenness(best)))
 			smet = append(smet, metrics.SMetric(best))
-		}
+		})
 		row := []string{fmtF(k2)}
 		for _, xs := range [][]float64{assort, apl, nodeB, linkB, smet} {
 			if len(xs) == 0 {

@@ -2,14 +2,22 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"time"
 
+	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/core"
 	"github.com/networksynth/cold/internal/cost"
 	"github.com/networksynth/cold/internal/heuristics"
 	"github.com/networksynth/cold/internal/stats"
 )
+
+// fig3Tag domain-separates the seeds of Figure 3's heuristics and
+// initialised GA from the library's own seed derivations.
+const fig3Tag = 0xF163
 
 // Fig3 reproduces Figure 3: the best cost found by each algorithm —
 // random greedy, complete, mst(-hubs), greedy attachment, the plain GA and
@@ -32,38 +40,25 @@ func Fig3(k3 float64, o Options) *Table {
 	}
 	ciRNG := rand.New(rand.NewSource(o.Seed + 999))
 	for _, k2 := range K2Grid {
-		params := cost.Params{K0: 10, K1: 1, K2: k2, K3: k3}
+		cfg := o.config(k2, k3)
+		// The plain GA is the ensemble; its competitors run beside the
+		// engine, one member per CPU.
+		costs := make([]map[string]float64, o.Trials)
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		ensemble(cfg, o.Trials, func(i int, nw *cold.Network) {
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer func() { <-sem; wg.Done() }()
+				costs[i] = competitorCosts(nw, cfg.Params, o, i)
+			}()
+		})
+		wg.Wait()
 		ratios := make(map[string][]float64, len(algos))
-		for trial := 0; trial < o.Trials; trial++ {
-			rng := rand.New(rand.NewSource(o.Seed + int64(trial)*7919))
-			e := newContext(o.N, params, rng)
-			// Run the heuristics once; the very same topologies seed the
-			// initialised GA, so it is ≥ every reported competitor by
-			// construction (the paper's argument).
-			hs := heuristics.All(e, rng)
-			results := make(map[string]float64, len(algos))
-			for _, h := range hs {
-				switch h.Name {
-				case "random-greedy", "complete", "hub-mst", "greedy-attach":
-					results[h.Name] = h.Cost
-				}
-			}
-			plain := runGA(e, o, rng)
-			results["GA"] = plain.BestCost
-			// The initialised GA is seeded with *every* competitor's
-			// output — the greedy heuristics and the plain GA — so it
-			// outperforms all of them over all parameter ranges, the
-			// paper's argument in §5.
-			s := gaSettings(o)
-			s.Seeds = append(heuristics.Graphs(hs), plain.Best)
-			init, err := core.Run(e, s, rng.Uint64())
-			if err != nil {
-				panic(err)
-			}
-			base := init.BestCost
-			results["init-GA"] = base
-			for name, c := range results {
-				ratios[name] = append(ratios[name], c/base)
+		for _, c := range costs {
+			for name, v := range c {
+				ratios[name] = append(ratios[name], v/c["init-GA"])
 			}
 		}
 		row := []string{fmtF(k2)}
@@ -76,11 +71,42 @@ func Fig3(k3 float64, o Options) *Table {
 	return t
 }
 
+// competitorCosts costs Figure 3's algorithms on the context of ensemble
+// member i, generated under p: the greedy heuristics, the plain GA (the
+// member itself) and the initialised GA. The initialised GA is seeded with
+// *every* competitor's output — the heuristics and the plain GA's best — so
+// it outperforms all of them over all parameter ranges, the paper's
+// argument in §5. Its randomness and the heuristics' depend only on
+// (o.Seed, i), so every k2 point draws the same.
+func competitorCosts(nw *cold.Network, p cold.Params, o Options, i int) map[string]float64 {
+	e := evaluator(nw, p)
+	plain := graphOf(nw)
+	seed := stats.StreamSeed(uint64(o.Seed), fig3Tag, uint64(i))
+	hs := heuristics.All(e, rand.New(rand.NewSource(int64(seed))))
+	costs := map[string]float64{"GA": e.Cost(plain)}
+	for _, h := range hs {
+		switch h.Name {
+		case "random-greedy", "complete", "hub-mst", "greedy-attach":
+			costs[h.Name] = h.Cost
+		}
+	}
+	s := core.SizedSettings(o.GAPop, o.GAGens)
+	s.Seeds = append(heuristics.Graphs(hs), plain)
+	init, err := core.Run(e, s, seed)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: initialised GA: %v", err))
+	}
+	costs["init-GA"] = init.BestCost
+	return costs
+}
+
 // Fig4 reproduces Figure 4: GA runtime versus the number of PoPs with
-// T = M = 100, fitting the cubic coefficient. The paper reports O(n³MT)
-// growth from the all-pairs shortest-path evaluation; the absolute
-// coefficient is hardware- and language-specific, so only the shape is
-// comparable.
+// T = M = 100, fitting the cubic coefficient and the log-log exponent. The
+// paper reports O(n³MT) growth from the all-pairs shortest-path
+// evaluation, assuming an O(n²) Dijkstra per source; the heap kernel on
+// the GA's sparse candidates is O(n·m log n), so the measured exponent may
+// fall below 3. The absolute coefficient is hardware- and
+// language-specific, so only the shape is comparable.
 func Fig4(sizes []int, o Options) *Table {
 	o = o.normalize()
 	if len(sizes) == 0 {
@@ -91,52 +117,113 @@ func Fig4(sizes []int, o Options) *Table {
 		Columns: []string{"n", "seconds", "seconds/n^3"},
 		Notes:   []string{"paper: cubic growth, coefficient 2.3e-5 s/n^3 on 2014 hardware (Matlab)"},
 	}
-	var coeffs []float64
+	var coeffs, logN, logS []float64
 	for _, n := range sizes {
-		rng := rand.New(rand.NewSource(o.Seed))
-		e := newContext(n, cost.Params{K0: 10, K1: 1, K2: 1e-4, K3: 10}, rng)
+		cfg := o.config(1e-4, 10)
+		cfg.NumPoPs, cfg.Parallelism = n, 1
 		start := time.Now()
-		runGA(e, o, rng)
+		if _, err := cold.Generate(cfg); err != nil {
+			panic(fmt.Sprintf("experiments: %v", err))
+		}
 		secs := time.Since(start).Seconds()
 		c := secs / float64(n*n*n)
 		coeffs = append(coeffs, c)
+		logN = append(logN, math.Log(float64(n)))
+		logS = append(logS, math.Log(secs))
 		t.Rows = append(t.Rows, []string{fmt.Sprint(n), fmt.Sprintf("%.3f", secs), fmt.Sprintf("%.3g", c)})
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("fitted coefficient (mean of s/n^3): %.3g", stats.Mean(coeffs)))
+	t.Notes = append(t.Notes, fmt.Sprintf("fitted coefficient (mean of s/n^3): %.3g; fitted exponent (least-squares slope of ln s on ln n): %.2f",
+		stats.Mean(coeffs), slope(logN, logS)))
 	return t
+}
+
+// slope is the least-squares slope of ys on xs.
+func slope(xs, ys []float64) float64 {
+	mx, my := stats.Mean(xs), stats.Mean(ys)
+	var sxy, sxx float64
+	for i, x := range xs {
+		sxy += (x - mx) * (ys[i] - my)
+		sxx += (x - mx) * (x - mx)
+	}
+	return sxy / sxx
+}
+
+// bruteN is the §5 validation's network size: 2^15 labeled graphs, few
+// enough to enumerate.
+const bruteN = 6
+
+// bruteParams are the §5 validation's cost parameters.
+var bruteParams = []cold.Params{
+	{K0: 10, K1: 1, K2: 1e-4, K3: 0},
+	{K0: 10, K1: 1, K2: 1.6e-3, K3: 0},
+	{K0: 10, K1: 1, K2: 1e-4, K3: 50},
+}
+
+// bruteCosts are the §5 validation's costs on one context: the
+// brute-force optimum, the best of the heuristics that draw no randomness
+// (the ones the initialised GA is seeded with whatever its stream), the
+// plain GA and the initialised GA.
+type bruteCosts struct {
+	opt, heuristic, ga, init float64
+}
+
+// atOpt reports whether cost c attains the optimum opt.
+func atOpt(c, opt float64) bool { return c <= opt*(1+1e-9) }
+
+// bruteRun returns the §5 costs on o.Trials contexts of bruteN PoPs under
+// p. The GA columns are the members of two ensembles that share a seed, the
+// second with SeedWithHeuristics: the library samples a member's context
+// from its seed alone and draws the heuristics from a separate stream, so
+// member i of both ensembles is optimized on the same context.
+func bruteRun(p cold.Params, o Options) []bruteCosts {
+	cfg := o.config(p.K2, p.K3)
+	cfg.NumPoPs, cfg.Params = bruteN, p
+	plain := make([]*cold.Network, o.Trials)
+	ensemble(cfg, o.Trials, func(i int, nw *cold.Network) { plain[i] = nw })
+	res := make([]bruteCosts, o.Trials)
+	cfg.Optimizer.SeedWithHeuristics = true
+	ensemble(cfg, o.Trials, func(i int, nw *cold.Network) {
+		e := evaluator(nw, p)
+		opt, err := heuristics.BruteForce(e)
+		if err != nil {
+			panic(err)
+		}
+		best := math.Inf(1)
+		for _, h := range []heuristics.Result{heuristics.PureMST(e), heuristics.Clique(e), heuristics.Star(e),
+			heuristics.Complete(e), heuristics.HubMST(e), heuristics.GreedyAttachment(e)} {
+			best = min(best, h.Cost)
+		}
+		res[i] = bruteCosts{opt: opt.Cost, heuristic: best, ga: e.Cost(graphOf(plain[i])), init: e.Cost(graphOf(nw))}
+	})
+	return res
 }
 
 // Brute reproduces the §5 validation: on small contexts the (initialised)
 // GA finds the brute-force optimum.
 func Brute(o Options) *Table {
 	o = o.normalize()
-	n := 6
 	t := &Table{
-		Title:   fmt.Sprintf("§5 validation: GA vs brute-force optimum (n=%d)", n),
-		Columns: []string{"params", "seed", "optimum", "GA", "init-GA", "GA=opt", "init=opt"},
+		Title:   fmt.Sprintf("§5 validation: GA vs brute-force optimum (n=%d)", bruteN),
+		Columns: []string{"params", "member", "optimum", "best heuristic", "GA", "init-GA", "GA=opt", "init=opt"},
 	}
-	paramSets := []cost.Params{
-		{K0: 10, K1: 1, K2: 1e-4, K3: 0},
-		{K0: 10, K1: 1, K2: 1.6e-3, K3: 0},
-		{K0: 10, K1: 1, K2: 1e-4, K3: 50},
-	}
-	for _, p := range paramSets {
-		for trial := 0; trial < min(o.Trials, 5); trial++ {
-			rng := rand.New(rand.NewSource(o.Seed + int64(trial)))
-			e := newContext(n, p, rng)
-			opt, err := heuristics.BruteForce(e)
-			if err != nil {
-				panic(err)
+	for _, p := range bruteParams {
+		name := cost.Params(p).String()
+		var gaHits, initHits int
+		for i, c := range bruteRun(p, o) {
+			gaOpt, initOpt := atOpt(c.ga, c.opt), atOpt(c.init, c.opt)
+			if gaOpt {
+				gaHits++
 			}
-			ga := runGA(e, o, rng).BestCost
-			init := runInitGA(e, o, rng).BestCost
+			if initOpt {
+				initHits++
+			}
 			t.Rows = append(t.Rows, []string{
-				p.String(), fmt.Sprint(trial),
-				fmtF(opt.Cost), fmtF(ga), fmtF(init),
-				fmt.Sprint(ga <= opt.Cost*(1+1e-9)),
-				fmt.Sprint(init <= opt.Cost*(1+1e-9)),
+				name, fmt.Sprint(i),
+				fmtF(c.opt), fmtF(c.heuristic), fmtF(c.ga), fmtF(c.init),
+				fmt.Sprint(gaOpt), fmt.Sprint(initOpt),
 			})
 		}
+		t.Notes = append(t.Notes, fmt.Sprintf("%s: GA=opt in %d/%d, init=opt in %d/%d", name, gaHits, o.Trials, initHits, o.Trials))
 	}
 	return t
 }

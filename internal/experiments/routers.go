@@ -36,20 +36,9 @@ func RouterSpread(o Options) *Table {
 	ciRNG := newCIRand(o)
 	for _, m := range models {
 		var totals, maxes, cvs, ratios, degs []float64
-		for trial := 0; trial < o.Trials; trial++ {
-			nw, err := cold.Generate(cold.Config{
-				NumPoPs: o.N,
-				Params:  cold.Params{K0: 10, K1: 1, K2: 2e-4, K3: 0},
-				Seed:    o.Seed + int64(trial)*7127,
-				Traffic: m.spec,
-				Optimizer: cold.OptimizerSpec{
-					PopulationSize: o.GAPop,
-					Generations:    o.GAGens,
-				},
-			})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: router spread: %v", err))
-			}
+		cfg := o.config(2e-4, 0)
+		cfg.Traffic = m.spec
+		ensemble(cfg, o.Trials, func(_ int, nw *cold.Network) {
 			rn, err := routerlevel.Expand(nw, routerlevel.DefaultTemplate(20000))
 			if err != nil {
 				panic(err)
@@ -68,7 +57,7 @@ func RouterSpread(o Options) *Table {
 				ratios = append(ratios, hi/mean)
 			}
 			degs = append(degs, nw.Stats().AverageDegree)
-		}
+		})
 		row := []string{m.name}
 		for _, xs := range [][]float64{totals, maxes, cvs, ratios, degs} {
 			ci := stats.BootstrapMeanCI(xs, 0.95, o.Bootstrap, ciRNG)

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/networksynth/cold/internal/cost"
-	"github.com/networksynth/cold/internal/metrics"
+	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/stats"
 )
 
@@ -24,8 +23,8 @@ type TunabilityResult struct {
 }
 
 // TunabilitySweep runs the Figures 5–7 sweep: for every (k2, k3) in the
-// paper's grids, synthesize Trials networks (fresh context each, GA
-// optimizer) and record average node degree, hop diameter and global
+// paper's grids, synthesize a Trials-member ensemble (the same contexts at
+// every point) and record average node degree, hop diameter and global
 // clustering coefficient with bootstrap CIs.
 func TunabilitySweep(o Options) *TunabilityResult {
 	o = o.normalize()
@@ -34,16 +33,13 @@ func TunabilitySweep(o Options) *TunabilityResult {
 	for _, k3 := range r.k3s {
 		var degRow, diaRow, cluRow []stats.CI
 		for _, k2 := range r.k2s {
-			params := cost.Params{K0: 10, K1: 1, K2: k2, K3: k3}
 			var degs, dias, clus []float64
-			for trial := 0; trial < o.Trials; trial++ {
-				rng := rand.New(rand.NewSource(o.Seed + int64(trial)*104729))
-				e := newContext(o.N, params, rng)
-				best := bestOf(e, o, rng)
-				degs = append(degs, metrics.AverageDegree(best))
-				dias = append(dias, float64(metrics.Diameter(best)))
-				clus = append(clus, metrics.GlobalClustering(best))
-			}
+			ensemble(o.config(k2, k3), o.Trials, func(_ int, nw *cold.Network) {
+				st := nw.Stats()
+				degs = append(degs, st.AverageDegree)
+				dias = append(dias, float64(st.Diameter))
+				clus = append(clus, st.Clustering)
+			})
 			degRow = append(degRow, stats.BootstrapMeanCI(degs, 0.95, o.Bootstrap, ciRNG))
 			diaRow = append(diaRow, stats.BootstrapMeanCI(dias, 0.95, o.Bootstrap, ciRNG))
 			cluRow = append(cluRow, stats.BootstrapMeanCI(clus, 0.95, o.Bootstrap, ciRNG))
@@ -125,15 +121,12 @@ func HubbinessSweep(o Options) *HubbinessResult {
 	for _, k2 := range r.k2s {
 		var cvRow, hubRow []stats.CI
 		for _, k3 := range r.k3s {
-			params := cost.Params{K0: 10, K1: 1, K2: k2, K3: k3}
 			var cvs, hubs []float64
-			for trial := 0; trial < o.Trials; trial++ {
-				rng := rand.New(rand.NewSource(o.Seed + int64(trial)*65537))
-				e := newContext(o.N, params, rng)
-				best := bestOf(e, o, rng)
-				cvs = append(cvs, metrics.DegreeCV(best))
-				hubs = append(hubs, float64(metrics.NumHubs(best)))
-			}
+			ensemble(o.config(k2, k3), o.Trials, func(_ int, nw *cold.Network) {
+				st := nw.Stats()
+				cvs = append(cvs, st.DegreeCV)
+				hubs = append(hubs, float64(st.Hubs))
+			})
 			cvRow = append(cvRow, stats.BootstrapMeanCI(cvs, 0.95, o.Bootstrap, ciRNG))
 			hubRow = append(hubRow, stats.BootstrapMeanCI(hubs, 0.95, o.Bootstrap, ciRNG))
 		}

@@ -35,15 +35,8 @@ func Validate(o Options, count int, records io.Writer) ([]*Table, error) {
 	ctx := context.Background()
 	popts := validate.Options{Records: records}
 
-	cfg := cold.Config{
-		NumPoPs:     o.N,
-		Seed:        o.Seed,
-		Parallelism: 0, // GOMAXPROCS; results are parallelism-independent
-		Optimizer: cold.OptimizerSpec{
-			PopulationSize: o.GAPop,
-			Generations:    o.GAGens,
-		},
-	}
+	d := cold.DefaultParams()
+	cfg := o.config(d.K2, d.K3)
 	refGraphs := zoo.Graphs(zoo.Ensemble(zoo.DefaultSize, rand.New(rand.NewSource(o.Seed+zoo.DefaultSeed))))
 
 	sources := []validate.Source{

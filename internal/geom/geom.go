@@ -98,14 +98,6 @@ func (r Rect) Diagonal() float64 {
 	return math.Hypot(r.Width(), r.Height())
 }
 
-// A PointProcess places n PoPs in the plane. Implementations must be
-// deterministic given the rng stream.
-type PointProcess interface {
-	// Sample returns n points. It must return exactly n points and only
-	// use rng for randomness.
-	Sample(n int, rng *rand.Rand) []Point
-}
-
 // Uniform is the paper's default point process: n i.i.d. uniform points on
 // Region (a 2D Poisson process conditional on the number of PoPs).
 type Uniform struct {
@@ -115,7 +107,7 @@ type Uniform struct {
 // NewUniform returns a Uniform process over the unit square.
 func NewUniform() Uniform { return Uniform{Region: UnitSquare()} }
 
-// Sample implements PointProcess.
+// Sample returns n i.i.d. uniform points.
 func (u Uniform) Sample(n int, rng *rand.Rand) []Point {
 	pts := make([]Point, n)
 	for i := range pts {
@@ -135,7 +127,7 @@ type ThomasCluster struct {
 	Sigma    float64 // std-dev of displacement, in region units (must be > 0)
 }
 
-// Sample implements PointProcess.
+// Sample returns n clustered points.
 func (t ThomasCluster) Sample(n int, rng *rand.Rand) []Point {
 	clusters := t.Clusters
 	if clusters < 1 {
@@ -194,7 +186,7 @@ type Grid struct {
 	Jitter float64 // fraction of cell size, in [0,1)
 }
 
-// Sample implements PointProcess.
+// Sample returns n jittered lattice points.
 func (g Grid) Sample(n int, rng *rand.Rand) []Point {
 	if n <= 0 {
 		return nil
@@ -215,19 +207,4 @@ func (g Grid) Sample(n int, rng *rand.Rand) []Point {
 		pts = append(pts, Point{X: x, Y: y})
 	}
 	return pts
-}
-
-// Fixed is a PointProcess that returns a preset list of locations, allowing
-// callers to use real city coordinates as the paper suggests. Sample panics
-// if asked for more points than provided.
-type Fixed []Point
-
-// Sample implements PointProcess.
-func (f Fixed) Sample(n int, _ *rand.Rand) []Point {
-	if n > len(f) {
-		panic(fmt.Sprintf("geom: Fixed point process has %d points, %d requested", len(f), n))
-	}
-	out := make([]Point, n)
-	copy(out, f[:n])
-	return out
 }

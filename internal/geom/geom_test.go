@@ -260,22 +260,3 @@ func TestGridZeroAndNegative(t *testing.T) {
 		t.Errorf("Sample(-3) returned %d points", len(pts))
 	}
 }
-
-func TestFixed(t *testing.T) {
-	f := Fixed{{0, 0}, {1, 1}, {2, 2}}
-	pts := f.Sample(2, nil)
-	if len(pts) != 2 || pts[1] != (Point{1, 1}) {
-		t.Errorf("Fixed.Sample = %v", pts)
-	}
-	// Mutating the returned slice must not affect the source.
-	pts[0] = Point{9, 9}
-	if f[0] != (Point{0, 0}) {
-		t.Errorf("Fixed mutated through returned slice")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Sample beyond length should panic")
-		}
-	}()
-	f.Sample(4, nil)
-}

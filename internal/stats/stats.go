@@ -140,36 +140,6 @@ func Geometric(p float64, rng Source) int {
 	return int(math.Log(u) / math.Log(1-p))
 }
 
-// Poisson draws a Poisson variate with the given mean via Knuth's
-// multiplication method (adequate for the small means used here; for
-// mean > 30 it falls back to a rounded normal approximation). Panics on
-// negative or non-finite mean.
-func Poisson(mean float64, rng *rand.Rand) int {
-	if mean < 0 || math.IsNaN(mean) || math.IsInf(mean, 0) {
-		panic(fmt.Sprintf("stats: invalid Poisson mean %v", mean))
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := mean + math.Sqrt(mean)*rng.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(math.Round(v))
-	}
-	limit := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
 // WeightedIndex picks an index with probability proportional to weights[i].
 // It panics if no weight is positive or any weight is negative or NaN. The
 // GA uses it with weights 1/cost for parent selection. It consumes exactly

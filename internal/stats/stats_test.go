@@ -225,54 +225,3 @@ func TestCIString(t *testing.T) {
 		t.Errorf("CI.String = %q", s)
 	}
 }
-
-func TestPoissonMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, mean := range []float64{0.5, 3, 12} {
-		const trials = 60000
-		var sum, sumSq float64
-		for i := 0; i < trials; i++ {
-			v := float64(Poisson(mean, rng))
-			sum += v
-			sumSq += v * v
-		}
-		m := sum / trials
-		variance := sumSq/trials - m*m
-		if math.Abs(m-mean) > mean*0.05+0.02 {
-			t.Errorf("Poisson(%v) mean = %v", mean, m)
-		}
-		if math.Abs(variance-mean) > mean*0.1+0.05 {
-			t.Errorf("Poisson(%v) variance = %v, want ~mean", mean, variance)
-		}
-	}
-}
-
-func TestPoissonLargeMeanApproximation(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	const mean = 100.0
-	var sum float64
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		sum += float64(Poisson(mean, rng))
-	}
-	if m := sum / trials; math.Abs(m-mean) > 2 {
-		t.Errorf("Poisson(100) mean = %v", m)
-	}
-}
-
-func TestPoissonEdge(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	if Poisson(0, rng) != 0 {
-		t.Error("Poisson(0) must be 0")
-	}
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Poisson(%v) should panic", bad)
-				}
-			}()
-			Poisson(bad, rng)
-		}()
-	}
-}

@@ -26,23 +26,12 @@ const DefaultMeanPopulation = 30
 // degree curve (≈1.9 at the low end to ≈3.2 at k2 = 1.6e-3).
 const DefaultGravityScale = 10
 
-// A PopulationModel samples the population ("traffic mass") of each PoP.
-type PopulationModel interface {
-	// Sample returns n positive populations.
-	Sample(n int, rng *rand.Rand) []float64
-	// Name identifies the model in reports.
-	Name() string
-}
-
 // Exponential is the paper's default population model: i.i.d. Exp(mean).
 type Exponential struct {
 	Mean float64
 }
 
-// NewExponential returns the paper's default exponential model (mean 30).
-func NewExponential() Exponential { return Exponential{Mean: DefaultMeanPopulation} }
-
-// Sample implements PopulationModel.
+// Sample returns n i.i.d. exponential populations.
 func (e Exponential) Sample(n int, rng *rand.Rand) []float64 {
 	mean := e.Mean
 	if mean <= 0 {
@@ -55,9 +44,6 @@ func (e Exponential) Sample(n int, rng *rand.Rand) []float64 {
 	return pops
 }
 
-// Name implements PopulationModel.
-func (e Exponential) Name() string { return fmt.Sprintf("exponential(mean=%g)", e.Mean) }
-
 // Pareto is the heavy-tailed population model of §7: Pareto with the given
 // shape alpha (> 1 so the mean exists; the paper uses 10/9 and 1.5), with
 // the scale chosen so the mean equals Mean.
@@ -66,17 +52,15 @@ type Pareto struct {
 	Mean  float64
 }
 
-// NewPareto returns a Pareto model with the paper's default mean (30).
-func NewPareto(shape float64) Pareto { return Pareto{Shape: shape, Mean: DefaultMeanPopulation} }
-
 // Scale returns the Pareto scale (minimum value) x_m implied by Shape and
 // Mean: mean = alpha·x_m/(alpha−1).
 func (p Pareto) Scale() float64 {
 	return p.Mean * (p.Shape - 1) / p.Shape
 }
 
-// Sample implements PopulationModel. It panics if Shape <= 1 (infinite
-// mean) or Mean <= 0, which would make the model meaningless here.
+// Sample returns n i.i.d. Pareto populations. It panics if Shape <= 1
+// (infinite mean) or Mean <= 0, which would make the model meaningless
+// here.
 func (p Pareto) Sample(n int, rng *rand.Rand) []float64 {
 	if p.Shape <= 1 {
 		panic(fmt.Sprintf("traffic: Pareto shape %v must exceed 1 for a finite mean", p.Shape))
@@ -96,16 +80,13 @@ func (p Pareto) Sample(n int, rng *rand.Rand) []float64 {
 	return pops
 }
 
-// Name implements PopulationModel.
-func (p Pareto) Name() string { return fmt.Sprintf("pareto(shape=%g, mean=%g)", p.Shape, p.Mean) }
-
 // Uniform populations are a low-variance model useful for tests: all PoPs
 // get exactly Value.
 type Uniform struct {
 	Value float64
 }
 
-// Sample implements PopulationModel.
+// Sample returns n populations of Value.
 func (u Uniform) Sample(n int, _ *rand.Rand) []float64 {
 	pops := make([]float64, n)
 	for i := range pops {
@@ -113,9 +94,6 @@ func (u Uniform) Sample(n int, _ *rand.Rand) []float64 {
 	}
 	return pops
 }
-
-// Name implements PopulationModel.
-func (u Uniform) Name() string { return fmt.Sprintf("uniform(%g)", u.Value) }
 
 // Matrix is a symmetric traffic matrix: Demand[i][j] is the traffic between
 // PoPs i and j (zero on the diagonal).

@@ -9,7 +9,7 @@ import (
 
 func TestExponentialMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	pops := NewExponential().Sample(50000, rng)
+	pops := Exponential{Mean: DefaultMeanPopulation}.Sample(50000, rng)
 	m := mean(pops)
 	if math.Abs(m-30) > 1 {
 		t.Errorf("exponential mean = %v, want ~30", m)
@@ -31,7 +31,7 @@ func TestExponentialZeroMeanRepaired(t *testing.T) {
 
 func TestParetoMeanAndScale(t *testing.T) {
 	for _, shape := range []float64{10.0 / 9.0, 1.5, 3} {
-		p := NewPareto(shape)
+		p := Pareto{Shape: shape, Mean: DefaultMeanPopulation}
 		rng := rand.New(rand.NewSource(7))
 		// Heavy tails converge slowly; allow generous tolerance and lots
 		// of samples, scaling tolerance with tail weight.
@@ -56,8 +56,8 @@ func TestParetoMeanAndScale(t *testing.T) {
 
 func TestParetoHeavierTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	exp := NewExponential().Sample(20000, rng)
-	par := NewPareto(10.0/9.0).Sample(20000, rng)
+	exp := Exponential{Mean: DefaultMeanPopulation}.Sample(20000, rng)
+	par := Pareto{Shape: 10.0 / 9.0, Mean: DefaultMeanPopulation}.Sample(20000, rng)
 	if q99(par) <= q99(exp) {
 		t.Errorf("pareto 99th pct %v should exceed exponential %v", q99(par), q99(exp))
 	}
@@ -83,18 +83,6 @@ func TestUniformModel(t *testing.T) {
 		if p != 7 {
 			t.Fatalf("uniform pops = %v", pops)
 		}
-	}
-}
-
-func TestNames(t *testing.T) {
-	if NewExponential().Name() != "exponential(mean=30)" {
-		t.Errorf("name = %q", NewExponential().Name())
-	}
-	if NewPareto(1.5).Name() != "pareto(shape=1.5, mean=30)" {
-		t.Errorf("name = %q", NewPareto(1.5).Name())
-	}
-	if (Uniform{Value: 2}).Name() != "uniform(2)" {
-		t.Errorf("name = %q", Uniform{Value: 2}.Name())
 	}
 }
 
@@ -169,8 +157,8 @@ func TestRowSums(t *testing.T) {
 }
 
 func TestGravityDeterministic(t *testing.T) {
-	a := NewExponential().Sample(20, rand.New(rand.NewSource(5)))
-	b := NewExponential().Sample(20, rand.New(rand.NewSource(5)))
+	a := Exponential{Mean: DefaultMeanPopulation}.Sample(20, rand.New(rand.NewSource(5)))
+	b := Exponential{Mean: DefaultMeanPopulation}.Sample(20, rand.New(rand.NewSource(5)))
 	ma, mb := Gravity(a, 1), Gravity(b, 1)
 	for i := range ma.Demand {
 		for j := range ma.Demand[i] {
