@@ -60,17 +60,22 @@ fuzz:
 	$(GO) test ./cmd/coldstats -run '^$$' -fuzz FuzzTrace -fuzztime $(FUZZTIME)
 
 # Ensemble-scale validation smoke: the determinism/self-comparison pins
-# first (byte-identical records and scorecard at Parallelism 1 vs 8, the
-# golden schema fixtures), then a real 1000-topology characterization run
-# through coldbench, streaming every per-topology record to
-# VALIDATE_COLD.jsonl (schema: EXPERIMENTS.md). CI runs this and uploads
-# the records file as a build artifact. The tiny GA keeps the run to a
-# couple of minutes; memory stays bounded by the pipeline window
-# regardless of count.
+# first (byte-identical records and scorecard whether generation runs at
+# Parallelism 1 or 8, the golden schema fixtures), then a real
+# 1000-topology characterization run through coldbench, streaming every
+# per-topology record to VALIDATE_COLD.jsonl (schema: EXPERIMENTS.md),
+# once under GOMAXPROCS=1 and once under GOMAXPROCS=2: the two record
+# files must be byte-identical. CI runs this and uploads the records file
+# as a build artifact. With the tiny GA each run takes well under a
+# second; memory is independent of the count, since each topology is
+# characterized as it is generated.
 validate-smoke:
 	$(GO) test ./internal/validate -run 'TestPipelineDeterministic|TestSelfScorecard|TestGolden' -count=1
-	$(GO) run ./cmd/coldbench -trials 2 -n 10 -pop 12 -gens 8 -bootstrap 200 \
+	GOMAXPROCS=1 $(GO) run ./cmd/coldbench -trials 2 -n 10 -pop 12 -gens 8 -bootstrap 200 \
 		-validate-count 1000 -validate-records VALIDATE_COLD.jsonl validate
+	GOMAXPROCS=2 $(GO) run ./cmd/coldbench -trials 2 -n 10 -pop 12 -gens 8 -bootstrap 200 \
+		-validate-count 1000 -validate-records VALIDATE_COLD_P2.jsonl validate
+	cmp VALIDATE_COLD.jsonl VALIDATE_COLD_P2.jsonl
 
 # End-to-end smokes of the coldd generation service against the real
 # built binary. TestColddSmoke: POSTs the same config twice and asserts

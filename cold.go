@@ -33,7 +33,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/networksynth/cold/internal/core"
 	"github.com/networksynth/cold/internal/cost"
@@ -41,6 +40,7 @@ import (
 	"github.com/networksynth/cold/internal/graph"
 	"github.com/networksynth/cold/internal/heuristics"
 	"github.com/networksynth/cold/internal/metrics"
+	"github.com/networksynth/cold/internal/par"
 	"github.com/networksynth/cold/internal/stats"
 	"github.com/networksynth/cold/internal/traffic"
 )
@@ -271,7 +271,7 @@ func GenerateContext(ctx context.Context, cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	return generate(ctx, nc, cfg.Telemetry.replica(nil, 0, 0, 0))
+	return generate(ctx, nc, cfg.Telemetry.replica(nil, 0, 0))
 }
 
 // generate synthesizes one network from a normal-form config inside an
@@ -363,15 +363,14 @@ func GenerateEnsembleStreamFrom(ctx context.Context, cfg Config, count, start in
 	run := cfg.Telemetry.startRun(remaining, workers, cfg)
 	defer run.end()
 
-	// Worker pool (of one when Parallelism is 1): replica indices flow
-	// through jobs; each worker runs whole replicas. Per-replica seeding
+	// Replica indices are claimed through par.Each, the caller's goroutine
+	// being worker 0; each worker runs whole replicas. Per-replica seeding
 	// makes members independent of which worker (or order) computed them;
 	// pending[i] holds completed members until every earlier replica has
 	// been emitted, so emissions come out in replica order.
 	pool, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		emitErr  error
 		firstErr error
@@ -379,67 +378,37 @@ func GenerateEnsembleStreamFrom(ctx context.Context, cfg Config, count, start in
 	)
 	next := start // lowest replica index not yet emitted
 	pending := make([]*Network, count)
-	jobs := make(chan int)
-	// sendStart[i] is written before replica i is sent on jobs, so the
-	// channel receive orders it before the worker's read: queue wait is the
-	// gap between a replica becoming eligible and a worker picking it up.
-	var sendStart []time.Time
-	if run != nil {
-		sendStart = make([]time.Time, count)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				var queueNs int64
-				if sendStart != nil {
-					queueNs = time.Since(sendStart[i]).Nanoseconds()
-				}
-				nw, err := generateReplica(pool, cfg, run, i, w, queueNs)
-				mu.Lock()
-				if err != nil {
-					// Cancellation errors are fallout of the pool-wide
-					// abort (or of the caller's ctx, reported as ctx.Err()
-					// below), not this replica's fault: don't let them
-					// mask the originating error.
-					if !errors.Is(err, context.Canceled) && (firstErr == nil || i < errIdx) {
-						firstErr, errIdx = err, i
-					}
-					mu.Unlock()
-					cancel() // abort remaining replicas
-					continue
-				}
-				pending[i] = nw
-				// Flush the in-order prefix. Emit runs under mu, which is
-				// what serializes emissions; a slow emit backpressures the
-				// workers.
-				for emitErr == nil && next < count && pending[next] != nil {
-					if err := emit(next, pending[next]); err != nil {
-						emitErr = err
-						cancel()
-						break
-					}
-					pending[next] = nil
-					next++
-				}
-				mu.Unlock()
+	par.Each(workers, remaining, func(w, k int) {
+		if pool.Err() != nil {
+			return // aborted: the remaining claims drain without work
+		}
+		i := start + k
+		nw, err := generateReplica(pool, cfg, run, i, w)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			// Cancellation errors are fallout of the pool-wide abort (or
+			// of the caller's ctx, reported as ctx.Err() below), not this
+			// replica's fault: don't let them mask the originating error.
+			if !errors.Is(err, context.Canceled) && (firstErr == nil || i < errIdx) {
+				firstErr, errIdx = err, i
 			}
-		}(w)
-	}
-feed:
-	for i := start; i < count; i++ {
-		if sendStart != nil {
-			sendStart[i] = time.Now()
+			cancel() // abort remaining replicas
+			return
 		}
-		select {
-		case jobs <- i:
-		case <-pool.Done():
-			break feed
+		pending[i] = nw
+		// Flush the in-order prefix. Emit runs under mu, which is what
+		// serializes emissions; a slow emit backpressures the workers.
+		for emitErr == nil && next < count && pending[next] != nil {
+			if err := emit(next, pending[next]); err != nil {
+				emitErr = err
+				cancel()
+				break
+			}
+			pending[next] = nil
+			next++
 		}
-	}
-	close(jobs)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -472,11 +441,11 @@ func replicaSeed(seed int64, i int) int64 {
 // config. Replicas run serially inside one worker (inner GA parallelism
 // off): with many members in flight the replica level already saturates
 // the workers, and nested fan-out would only oversubscribe the scheduler.
-func generateReplica(ctx context.Context, cfg Config, run *runTracker, i, worker int, queueNs int64) (*Network, error) {
+func generateReplica(ctx context.Context, cfg Config, run *runTracker, i, worker int) (*Network, error) {
 	c := cfg
 	c.Seed = replicaSeed(cfg.Seed, i)
 	c.Parallelism = 1
-	return generate(ctx, c, cfg.Telemetry.replica(run, i, worker, queueNs))
+	return generate(ctx, c, cfg.Telemetry.replica(run, i, worker))
 }
 
 // GenerateVariants synthesizes up to count *distinct* topologies for a

@@ -22,11 +22,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/networksynth/cold/internal/cost"
 	"github.com/networksynth/cold/internal/graph"
+	"github.com/networksynth/cold/internal/par"
 	"github.com/networksynth/cold/internal/stats"
 )
 
@@ -335,40 +334,13 @@ func (ga *runner) stream(gen, slot int) stats.RNG {
 func (ga *runner) forSlots(lo, hi int, body func(ga *runner, slot int, sc *breedScratch)) {
 	count := hi - lo
 	if nw := min(len(ga.scratches), count); nw > 1 {
-		claimEach(nw, count, func(k, i int) { body(ga, lo+i, ga.scratches[k]) })
+		par.Each(nw, count, func(k, i int) { body(ga, lo+i, ga.scratches[k]) })
 		return
 	}
 	sc := ga.scratches[0]
 	for slot := lo; slot < hi; slot++ {
 		body(ga, slot, sc)
 	}
-}
-
-// claimEach calls work(k, i) once for every i in [0, count) on nw
-// goroutines — the caller's and nw−1 more — where k in [0, nw) names the
-// goroutine, so work can use per-goroutine state (a scratch, an evaluator
-// clone). Each goroutine claims the next unclaimed index from a shared
-// atomic counter until none is left, so cheap items (the elite's memo
-// hits) and dear ones (repaired, fully routed offspring) balance across
-// the goroutines instead of landing in fixed chunks. Which goroutine runs
-// an index is unspecified: work must make its result depend on i alone.
-func claimEach(nw, count int, work func(k, i int)) {
-	var next atomic.Int64
-	claim := func(k int) {
-		for i := int(next.Add(1) - 1); i < count; i = int(next.Add(1) - 1) {
-			work(k, i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(nw - 1)
-	for k := 1; k < nw; k++ {
-		go func(k int) {
-			defer wg.Done()
-			claim(k)
-		}(k)
-	}
-	claim(0)
-	wg.Wait()
 }
 
 // initialMeanDegree sets the Erdős–Rényi p = initialMeanDegree/n of the
@@ -491,7 +463,7 @@ func (ga *runner) evaluate(pop []*graph.Graph) []float64 {
 	costs := ga.costBufs[0][:len(pop)]
 	ga.evals += uint64(len(pop))
 	if nw := min(len(ga.workers), len(pop)); nw > 1 {
-		claimEach(nw, len(pop), func(k, i int) { costs[i] = ga.workers[k].Cost(pop[i]) })
+		par.Each(nw, len(pop), func(k, i int) { costs[i] = ga.workers[k].Cost(pop[i]) })
 		return costs
 	}
 	for i := range pop {

@@ -16,6 +16,7 @@ import (
 	"github.com/networksynth/cold/internal/cost"
 	"github.com/networksynth/cold/internal/geom"
 	"github.com/networksynth/cold/internal/graph"
+	"github.com/networksynth/cold/internal/par"
 	"github.com/networksynth/cold/internal/traffic"
 )
 
@@ -164,14 +165,15 @@ func TestWorkClaimingMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestClaimEachVisitsEveryIndexOnce: every index is handed out exactly
-// once, to a goroutine number in [0, nw), for counts below, at and above
-// the goroutine count.
+// TestClaimEachVisitsEveryIndexOnce: par.Each, the fan-out behind
+// breeding and evaluation, hands every index out exactly once, to a
+// goroutine number in [0, nw), for counts below, at and above the
+// goroutine count.
 func TestClaimEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, c := range []struct{ nw, count int }{{2, 1}, {3, 3}, {4, 50}, {7, 100}} {
 		var mu sync.Mutex
 		seen := make([]int, c.count)
-		claimEach(c.nw, c.count, func(k, i int) {
+		par.Each(c.nw, c.count, func(k, i int) {
 			if k < 0 || k >= c.nw {
 				t.Errorf("nw %d: goroutine number %d", c.nw, k)
 			}

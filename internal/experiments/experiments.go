@@ -159,6 +159,14 @@ func ensemble(cfg cold.Config, trials int, visit func(i int, nw *cold.Network)) 
 	}
 }
 
+// members is ensemble collected into a slice in member order, for
+// harnesses that fan per-member work out through par.Each afterwards.
+func members(cfg cold.Config, trials int) []*cold.Network {
+	nets := make([]*cold.Network, trials)
+	ensemble(cfg, trials, func(i int, nw *cold.Network) { nets[i] = nw })
+	return nets
+}
+
 // graphOf returns the topology of a generated network.
 func graphOf(nw *cold.Network) *graph.Graph {
 	g := graph.New(nw.N())

@@ -5,13 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/core"
 	"github.com/networksynth/cold/internal/cost"
 	"github.com/networksynth/cold/internal/heuristics"
+	"github.com/networksynth/cold/internal/par"
 	"github.com/networksynth/cold/internal/stats"
 )
 
@@ -41,20 +41,13 @@ func Fig3(k3 float64, o Options) *Table {
 	ciRNG := rand.New(rand.NewSource(o.Seed + 999))
 	for _, k2 := range K2Grid {
 		cfg := o.config(k2, k3)
-		// The plain GA is the ensemble; its competitors run beside the
-		// engine, one member per CPU.
+		// The plain GA is the ensemble; its competitors then run once per
+		// member, one member per CPU.
+		nets := members(cfg, o.Trials)
 		costs := make([]map[string]float64, o.Trials)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		ensemble(cfg, o.Trials, func(i int, nw *cold.Network) {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer func() { <-sem; wg.Done() }()
-				costs[i] = competitorCosts(nw, cfg.Params, o, i)
-			}()
+		par.Each(runtime.GOMAXPROCS(0), o.Trials, func(_, i int) {
+			costs[i] = competitorCosts(nets[i], cfg.Params, o, i)
 		})
-		wg.Wait()
 		ratios := make(map[string][]float64, len(algos))
 		for _, c := range costs {
 			for name, v := range c {
@@ -174,16 +167,17 @@ func atOpt(c, opt float64) bool { return c <= opt*(1+1e-9) }
 // p. The GA columns are the members of two ensembles that share a seed, the
 // second with SeedWithHeuristics: the library samples a member's context
 // from its seed alone and draws the heuristics from a separate stream, so
-// member i of both ensembles is optimized on the same context.
+// member i of both ensembles is optimized on the same context. Brute
+// force then runs once per context, one context per CPU.
 func bruteRun(p cold.Params, o Options) []bruteCosts {
 	cfg := o.config(p.K2, p.K3)
 	cfg.NumPoPs, cfg.Params = bruteN, p
-	plain := make([]*cold.Network, o.Trials)
-	ensemble(cfg, o.Trials, func(i int, nw *cold.Network) { plain[i] = nw })
-	res := make([]bruteCosts, o.Trials)
+	plain := members(cfg, o.Trials)
 	cfg.Optimizer.SeedWithHeuristics = true
-	ensemble(cfg, o.Trials, func(i int, nw *cold.Network) {
-		e := evaluator(nw, p)
+	init := members(cfg, o.Trials)
+	res := make([]bruteCosts, o.Trials)
+	par.Each(runtime.GOMAXPROCS(0), o.Trials, func(_, i int) {
+		e := evaluator(init[i], p)
 		opt, err := heuristics.BruteForce(e)
 		if err != nil {
 			panic(err)
@@ -193,7 +187,7 @@ func bruteRun(p cold.Params, o Options) []bruteCosts {
 			heuristics.Complete(e), heuristics.HubMST(e), heuristics.GreedyAttachment(e)} {
 			best = min(best, h.Cost)
 		}
-		res[i] = bruteCosts{opt: opt.Cost, heuristic: best, ga: e.Cost(graphOf(plain[i])), init: e.Cost(graphOf(nw))}
+		res[i] = bruteCosts{opt: opt.Cost, heuristic: best, ga: e.Cost(graphOf(plain[i])), init: e.Cost(graphOf(init[i]))}
 	})
 	return res
 }

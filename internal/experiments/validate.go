@@ -33,7 +33,6 @@ func Validate(o Options, count int, records io.Writer) ([]*Table, error) {
 		count = 1000
 	}
 	ctx := context.Background()
-	popts := validate.Options{Records: records}
 
 	d := cold.DefaultParams()
 	cfg := o.config(d.K2, d.K3)
@@ -47,7 +46,7 @@ func Validate(o Options, count int, records io.Writer) ([]*Table, error) {
 	}
 	ensembles := make(map[string]*validate.Ensemble, len(sources))
 	for _, src := range sources {
-		ens, err := validate.Run(ctx, src, popts)
+		ens, err := validate.Run(ctx, src, records)
 		if err != nil {
 			return nil, err
 		}

@@ -46,16 +46,22 @@ func Clique(e *cost.Evaluator) Result {
 // Star returns the best single-hub star: every greedy algorithm's starting
 // point, and the optimal topology when the hub cost k3 dominates.
 func Star(e *cost.Evaluator) Result {
+	best, _ := star(e)
+	return best
+}
+
+// star is Star that also reports the hub, the first hub of every greedy
+// algorithm (-1 when no star has a finite cost).
+func star(e *cost.Evaluator) (Result, int) {
 	n := e.N()
-	best := Result{Name: "star", Cost: math.Inf(1)}
+	best, hub := Result{Name: "star", Cost: math.Inf(1)}, -1
 	for h := 0; h < n; h++ {
 		g := starAt(n, h)
 		if c := e.Cost(g); c < best.Cost {
-			best.Graph = g
-			best.Cost = c
+			best.Graph, best.Cost, hub = g, c, h
 		}
 	}
-	return best
+	return best, hub
 }
 
 func starAt(n, hub int) *graph.Graph {
@@ -80,14 +86,7 @@ type hubWiring func(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) []
 // improves.
 func growHubs(name string, e *cost.Evaluator, wire hubWiring) Result {
 	n := e.N()
-	start := Star(e)
-	hub0 := -1
-	for v := 0; v < n; v++ {
-		if start.Graph.Degree(v) == n-1 {
-			hub0 = v
-			break
-		}
-	}
+	start, hub0 := star(e)
 	if n == 1 {
 		return Result{Name: name, Graph: graph.New(1), Cost: e.Cost(graph.New(1))}
 	}
@@ -251,19 +250,11 @@ func RandomGreedy(e *cost.Evaluator, rng *rand.Rand, perms int) Result {
 		g := graph.New(1)
 		return Result{Name: "random-greedy", Graph: g, Cost: e.Cost(g)}
 	}
+	start, hub0 := star(e)
 	for p := 0; p < perms; p++ {
-		start := Star(e)
-		hub0 := -1
-		for v := 0; v < n; v++ {
-			if start.Graph.Degree(v) == n-1 {
-				hub0 = v
-				break
-			}
-		}
 		hubs := []int{hub0}
 		var hubEdges [][2]int
-		cur := start.Graph
-		curC := start.Cost
+		cur, curC := start.Graph, start.Cost
 		for _, v := range rng.Perm(n) {
 			if contains(hubs, v) {
 				continue

@@ -37,8 +37,8 @@ type RunStart struct {
 }
 
 // ReplicaStart marks a replica beginning execution on a worker. QueueNs is
-// how long the replica waited between becoming eligible and a worker
-// picking it up (0 on the serial path).
+// how long the replica waited from its run's start to a worker picking it
+// up (0 for a single-network run).
 type ReplicaStart struct {
 	Replica int   `json:"replica"`
 	Worker  int   `json:"worker"`

@@ -7,7 +7,7 @@ import (
 // Welford is an online mean/variance accumulator (Welford's algorithm):
 // one pass, O(1) state, no retained samples. The pipeline folds values in
 // replica order, so the floating-point result is identical for every
-// Parallelism setting.
+// generation Parallelism.
 type Welford struct {
 	count int64
 	mean  float64
@@ -75,11 +75,6 @@ type Ensemble struct {
 	Pooled1K map[int]int
 	Pooled2K map[[2]int]int
 
-	// PeakInFlight is the maximum number of topologies that were past
-	// generation but not yet folded at any moment — bounded by the
-	// pipeline window (4×Parallelism, minimum 8) by construction.
-	PeakInFlight int
-
 	aggs []metricAgg // indexed like metricDefs
 }
 
@@ -93,15 +88,15 @@ func newEnsemble(name string) *Ensemble {
 }
 
 // fold accumulates one characterization. Call order must be replica order.
-func (e *Ensemble) fold(c *characterization) {
+func (e *Ensemble) fold(rec Record, d1 map[int]int, d2 map[[2]int]int) {
 	e.Count++
 	for i, def := range metricDefs {
-		e.aggs[i].add(def.get(c.rec))
+		e.aggs[i].add(def.get(rec))
 	}
-	for deg, count := range c.d1 {
+	for deg, count := range d1 {
 		e.Pooled1K[deg] += count
 	}
-	for jd, count := range c.d2 {
+	for jd, count := range d2 {
 		e.Pooled2K[jd] += count
 	}
 }

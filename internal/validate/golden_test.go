@@ -33,18 +33,17 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fixtures under tes
 func goldenEnsembles(t *testing.T) ([]byte, []byte) {
 	t.Helper()
 	var records bytes.Buffer
-	opts := Options{Parallelism: 4, Records: &records}
 	cfg := cold.Config{
 		NumPoPs:     8,
 		Seed:        7,
 		Parallelism: 4,
 		Optimizer:   cold.OptimizerSpec{PopulationSize: 12, Generations: 6},
 	}
-	subject, err := Run(context.Background(), ColdSource(cfg, 5), opts)
+	subject, err := Run(context.Background(), ColdSource(cfg, 5), &records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(30)), opts)
+	ref, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(30)), &records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,14 +76,6 @@ type Record struct {
 	DegreeHist [][2]int `json:"degree_hist"`
 }
 
-// characterization bundles one topology's record with the distribution
-// pools the aggregator folds in; the graph itself is not retained.
-type characterization struct {
-	rec Record
-	d1  map[int]int
-	d2  map[[2]int]int
-}
-
 // Characterize computes the full per-topology record plus its 1K/2K
 // distributions. cost is the synthesis objective total, or NaN for
 // reference topologies that have none.

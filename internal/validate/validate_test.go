@@ -35,12 +35,11 @@ func testZooGraphs(n int) []*graph.Graph {
 func runAll(t *testing.T, parallelism int) ([]byte, []byte) {
 	t.Helper()
 	var records bytes.Buffer
-	opts := Options{Parallelism: parallelism, Records: &records}
-	subject, err := Run(context.Background(), ColdSource(testColdConfig(parallelism), 8), opts)
+	subject, err := Run(context.Background(), ColdSource(testColdConfig(parallelism), 8), &records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(30)), opts)
+	ref, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(30)), &records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +51,11 @@ func runAll(t *testing.T, parallelism int) ([]byte, []byte) {
 	return records.Bytes(), b
 }
 
-// TestPipelineDeterministicAcrossParallelism is the tentpole determinism
-// pin: identical seed ⇒ byte-identical JSONL records and scorecard at
-// Parallelism 1 and 8. Run under -race (make race) this also pins that the
-// metric workers neither reorder nor race the aggregates.
+// TestPipelineDeterministicAcrossParallelism is the determinism pin:
+// identical seed ⇒ byte-identical JSONL records and scorecard whether
+// ColdSource generates at Parallelism 1 or 8. Run under -race (make race)
+// this also pins that the engine's workers neither reorder nor race the
+// aggregates the pipeline folds inside their emits.
 func TestPipelineDeterministicAcrossParallelism(t *testing.T) {
 	rec1, sc1 := runAll(t, 1)
 	rec8, sc8 := runAll(t, 8)
@@ -74,8 +74,7 @@ func TestPipelineDeterministicAcrossParallelism(t *testing.T) {
 // the fixed schema version and source label.
 func TestRecordOrderAndSchema(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(20)),
-		Options{Parallelism: 4, Records: &buf})
+	_, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(20)), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,23 +102,39 @@ func TestRecordOrderAndSchema(t *testing.T) {
 	}
 }
 
-// TestWindowBoundsInFlight pins the bounded-memory contract: the number of
-// topologies past generation but not yet folded never exceeds the window
-// (4×Parallelism, minimum 8), enforced structurally by the slot semaphore.
+// TestWindowBoundsInFlight pins the inline contract behind the pipeline's
+// bounded memory: each topology is characterized, folded and written
+// inside the source's emit, so when the source emits topology i exactly i
+// records have been written — for the parallel COLD engine as for an
+// in-memory list.
 func TestWindowBoundsInFlight(t *testing.T) {
-	for _, par := range []int{2, 8} {
-		ens, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(60)),
-			Options{Parallelism: par})
+	for _, src := range []Source{ColdSource(testColdConfig(4), 8), GraphsSource("zoo", testZooGraphs(60))} {
+		var written lineCounter
+		generate := src.Generate
+		src.Generate = func(ctx context.Context, emit func(i int, g *graph.Graph, cost float64) error) error {
+			return generate(ctx, func(i int, g *graph.Graph, cost float64) error {
+				if int(written) != i {
+					t.Errorf("%s: topology %d emitted after %d records", src.Name, i, written)
+				}
+				return emit(i, g, cost)
+			})
+		}
+		ens, err := Run(context.Background(), src, &written)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := window(par); ens.PeakInFlight > w {
-			t.Errorf("Parallelism %d: peak in-flight %d exceeds window %d", par, ens.PeakInFlight, w)
-		}
-		if ens.Count != 60 {
-			t.Errorf("Parallelism %d: folded %d topologies, want 60", par, ens.Count)
+		if ens.Count != src.Count || int(written) != src.Count {
+			t.Errorf("%s: folded %d and wrote %d topologies, want %d", src.Name, ens.Count, written, src.Count)
 		}
 	}
+}
+
+// lineCounter counts the records written to it.
+type lineCounter int
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	*c += lineCounter(bytes.Count(p, []byte("\n")))
+	return len(p), nil
 }
 
 // TestWelfordMatchesBatch checks the streaming moments against the batch
@@ -148,7 +163,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 // asserts on every run: an ensemble scored against itself has zero
 // distances, zero KS, full CI overlap, and passes the default thresholds.
 func TestSelfScorecardPasses(t *testing.T) {
-	ens, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(40)), Options{Parallelism: 4})
+	ens, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(40)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +204,7 @@ func TestDegenerateGraphsFlowThrough(t *testing.T) {
 	gs = append(gs, disc)
 
 	var buf bytes.Buffer
-	ens, err := Run(context.Background(), GraphsSource("degenerate", gs),
-		Options{Parallelism: 2, Records: &buf})
+	ens, err := Run(context.Background(), GraphsSource("degenerate", gs), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +233,7 @@ func TestDegenerateGraphsFlowThrough(t *testing.T) {
 // TestEmitErrorPropagates checks a failing record writer aborts the run.
 func TestEmitErrorPropagates(t *testing.T) {
 	w := &failWriter{failAt: 5}
-	_, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(30)),
-		Options{Parallelism: 4, Records: w})
+	_, err := Run(context.Background(), GraphsSource("zoo", testZooGraphs(30)), w)
 	if err == nil || !strings.Contains(err.Error(), "write record") {
 		t.Fatalf("want write error, got %v", err)
 	}
@@ -243,7 +256,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestContextCancelStopsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, GraphsSource("zoo", testZooGraphs(30)), Options{Parallelism: 4})
+	_, err := Run(ctx, GraphsSource("zoo", testZooGraphs(30)), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

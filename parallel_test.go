@@ -7,7 +7,10 @@ package cold
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -162,5 +165,26 @@ func TestEnsembleInvalidConfigError(t *testing.T) {
 	}
 	if trace.Len() != 0 {
 		t.Fatalf("invalid config traced events:\n%s", trace.String())
+	}
+}
+
+// TestEnsembleMemberErrorNamesLowestMember: when every member fails, the
+// engine reports member 0 — the lowest-index error that is not fallout of
+// the abort — wrapped so errors.Is still finds ErrInvalidConfig, and emits
+// nothing, at every parallelism.
+func TestEnsembleMemberErrorNamesLowestMember(t *testing.T) {
+	var cfg Config
+	if err := json.Unmarshal([]byte(overflowRepros[0]), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		cfg.Parallelism = par
+		err := GenerateEnsembleStream(context.Background(), cfg, 6, func(i int, _ *Network) error {
+			t.Errorf("parallelism %d: member %d emitted", par, i)
+			return nil
+		})
+		if !errors.Is(err, ErrInvalidConfig) || !strings.HasPrefix(fmt.Sprint(err), "cold: ensemble member 0: ") {
+			t.Errorf("parallelism %d: err = %v, want cold: ensemble member 0: … wrapping ErrInvalidConfig", par, err)
+		}
 	}
 }

@@ -128,7 +128,7 @@ func (t *Telemetry) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Counter("cold_evaluations_total", "Cost-function calls, including memoized lookups.", &t.evaluations)
 	reg.CounterFunc("cold_replica_busy_seconds_total", "Total replica wall time.",
 		func() float64 { return float64(t.busyNs.Load()) / 1e9 })
-	reg.CounterFunc("cold_replica_queue_wait_seconds_total", "Total replica wait between eligibility and worker pickup.",
+	reg.CounterFunc("cold_replica_queue_wait_seconds_total", "Total replica wait from run start to worker pickup.",
 		func() float64 { return float64(t.queueNs.Load()) / 1e9 })
 	reg.DurationHistogram("cold_eval_duration_seconds", "Wall time of real (non-memoized) cost evaluations.", t.evalDur)
 
@@ -265,10 +265,16 @@ type replicaTracker struct {
 }
 
 // replica opens a replica scope (emitting replica_start) inside an optional
-// run scope. Single-network runs pass run == nil and replica 0.
-func (t *Telemetry) replica(run *runTracker, replica, worker int, queueNs int64) *replicaTracker {
+// run scope. Single-network runs pass run == nil and replica 0. Every
+// replica of a run is eligible from the run's start, so its queue wait is
+// the time from run start to worker pickup; a single network has none.
+func (t *Telemetry) replica(run *runTracker, replica, worker int) *replicaTracker {
 	if t == nil {
 		return nil
+	}
+	var queueNs int64
+	if run != nil {
+		queueNs = run.span.ElapsedNs()
 	}
 	t.replicasStarted.Inc()
 	t.activeReplicas.Add(1)

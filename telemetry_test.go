@@ -131,6 +131,46 @@ func TestTelemetryTraceSchema(t *testing.T) {
 	}
 }
 
+// TestReplicaQueueWaitFromRunStart pins what replica_start.queue_ns
+// measures: every replica of a run is eligible from the run's start, so at
+// Parallelism 1 each replica's wait covers its predecessor's wait and run.
+func TestReplicaQueueWaitFromRunStart(t *testing.T) {
+	const count = 4
+	var trace bytes.Buffer
+	cfg := fastConfig(9, 3)
+	cfg.Parallelism = 1
+	cfg.Telemetry = NewTelemetry().TraceTo(&trace)
+	if _, err := GenerateEnsemble(cfg, count); err != nil {
+		t.Fatal(err)
+	}
+	var queue, dur []int64
+	sc := bufio.NewScanner(&trace)
+	for sc.Scan() {
+		var e struct {
+			Event   string `json:"event"`
+			QueueNs int64  `json:"queue_ns"`
+			DurNs   int64  `json:"dur_ns"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		switch e.Event {
+		case "replica_start":
+			queue = append(queue, e.QueueNs)
+		case "replica_end":
+			dur = append(dur, e.DurNs)
+		}
+	}
+	if len(queue) != count || len(dur) != count {
+		t.Fatalf("%d replica_start and %d replica_end events, want %d each", len(queue), len(dur), count)
+	}
+	for i := 1; i < count; i++ {
+		if queue[i] < queue[i-1]+dur[i-1] {
+			t.Errorf("replica %d: queue_ns %d < replica %d's queue_ns %d + dur_ns %d", i, queue[i], i-1, queue[i-1], dur[i-1])
+		}
+	}
+}
+
 // scrape renders tel's RegisterMetrics output and returns every unlabeled
 // series by name: the counters as an operator reads them from /metrics.
 func scrape(t *testing.T, tel *Telemetry) map[string]float64 {
