@@ -6,6 +6,7 @@ package cold_test
 // cost memoization, heuristic seeding).
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -192,7 +193,7 @@ func BenchmarkGASeeding(b *testing.B) {
 			e := benchEvaluator(b, 20, p, int64(i))
 			rng := rand.New(rand.NewSource(int64(i)))
 			s := settings
-			s.Seeds = heuristics.Graphs(heuristics.All(e, rng))
+			s.Seeds = heuristics.Graphs(heuristics.All(context.Background(), e, rng))
 			if _, err := core.Run(e, s, rng.Uint64()); err != nil {
 				b.Fatal(err)
 			}

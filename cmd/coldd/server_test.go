@@ -237,19 +237,23 @@ func TestGenerateRejectsInvalid(t *testing.T) {
 // the daemon. It must be answered 400, and the daemon must keep serving.
 func TestOverflowingConfigIs400(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{})
-	resp := post(t, ts, `{"config":{"NumPoPs":10,"Seed":1,"Params":{"K0":10,"K1":1,"K2":1e306,"K3":1},"Optimizer":{"PopulationSize":10,"Generations":5}}}`)
-	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	// The second body seeds the GA with the heuristics, where no star has
+	// a finite cost.
+	for _, opt := range []string{`"PopulationSize":10,"Generations":5`, `"PopulationSize":10,"Generations":5,"SeedWithHeuristics":true`} {
+		resp := post(t, ts, `{"config":{"NumPoPs":10,"Seed":1,"Params":{"K0":10,"K1":1,"K2":1e306,"K3":1},"Optimizer":{`+opt+`}}}`)
+		if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", opt, resp.StatusCode, body)
+		}
+		health, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		health.Body.Close()
+		if health.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /healthz status %d after the rejection", opt, health.StatusCode)
+		}
 	}
-	health, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	health.Body.Close()
-	if health.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz status %d after the rejection", health.StatusCode)
-	}
-	resp = post(t, ts, tinyBody(3, 1))
+	resp := post(t, ts, tinyBody(3, 1))
 	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid request after the rejection: status %d: %s", resp.StatusCode, body)
 	}
@@ -293,12 +297,20 @@ func TestIgnoredFieldTwinsServeSameBytes(t *testing.T) {
 
 // TestCancelFreesQueueSlot is the acceptance path: cancelling an in-flight
 // request must cancel its generation and free the queue slot for the next
-// request.
+// request, whether the GA or the heuristics that seed it are running.
 func TestCancelFreesQueueSlot(t *testing.T) {
+	t.Run("GA", func(t *testing.T) { testCancelFreesQueueSlot(t, slowBody(1)) })
+	// At n=80 the heuristics alone run for tens of seconds.
+	t.Run("heuristics", func(t *testing.T) {
+		testCancelFreesQueueSlot(t, `{"config":{"NumPoPs":80,"Seed":1,"Optimizer":{"PopulationSize":10,"Generations":2,"SeedWithHeuristics":true}},"count":1}`)
+	})
+}
+
+func testCancelFreesQueueSlot(t *testing.T, body string) {
 	s, ts := newTestServer(t, serverOptions{jobs: 1, queueDepth: 0})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/generate", strings.NewReader(slowBody(1)))
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/generate", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +334,7 @@ func TestCancelFreesQueueSlot(t *testing.T) {
 
 	// The freed slot must serve the next request.
 	resp := post(t, ts, tinyBody(2, 1))
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after cancel: status %d, body %s", resp.StatusCode, body)
 	}
 }

@@ -609,7 +609,7 @@ func runOptimizer(ctx context.Context, sc *synthContext, rt *replicaTracker) (*c
 	// streams internally from its run seed.
 	if cfg.Optimizer.SeedWithHeuristics {
 		optRNG := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
-		hs := heuristics.All(sc.eval, optRNG)
+		hs := heuristics.All(ctx, sc.eval, optRNG)
 		settings.Seeds = heuristics.Graphs(hs)
 	}
 	res, err := core.RunContext(ctx, sc.eval, settings, stats.StreamSeed(uint64(cfg.Seed), gaTag))

@@ -579,7 +579,9 @@ func TestGenerateVariantsErrors(t *testing.T) {
 // topology has a non-finite cost: a huge k2, PoP coordinates whose
 // distance overflows (with k1 = 0, so the sum hits 0·Inf = NaN), huge
 // fixed populations, and a huge gravity scale. Generation must reject them
-// with ErrInvalidConfig rather than panic in the GA's weighted draws.
+// with ErrInvalidConfig rather than panic in the GA's weighted draws or,
+// with SeedWithHeuristics, in the heuristics, where no star has a finite
+// cost.
 var overflowRepros = []string{
 	`{"NumPoPs":10,"Seed":1,"Params":{"K0":10,"K1":1,"K2":1e306,"K3":1},"Optimizer":{"PopulationSize":10,"Generations":5}}`,
 	`{"NumPoPs":2,"Params":{"K0":10,"K1":0,"K2":0.0001,"K3":0},"Locations":{"Kind":3,"Points":[{"X":1e308,"Y":0},{"X":-1e308,"Y":0}]},"Optimizer":{"PopulationSize":10,"Generations":5}}`,
@@ -596,14 +598,17 @@ func TestOverflowingConfigsAreInvalid(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("repro %d: Validate rejected it (%v); the repro no longer exercises generation", i, err)
 		}
-		if _, err := Generate(cfg); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("repro %d: Generate err = %v, want ErrInvalidConfig", i, err)
-		}
-		if _, err := GenerateEnsemble(cfg, 2); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("repro %d: GenerateEnsemble err = %v, want ErrInvalidConfig", i, err)
-		}
-		if _, err := GenerateVariants(cfg, 2); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("repro %d: GenerateVariants err = %v, want ErrInvalidConfig", i, err)
+		for _, heur := range []bool{false, true} {
+			cfg.Optimizer.SeedWithHeuristics = heur
+			if _, err := Generate(cfg); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("repro %d (heuristics %v): Generate err = %v, want ErrInvalidConfig", i, heur, err)
+			}
+			if _, err := GenerateEnsemble(cfg, 2); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("repro %d (heuristics %v): GenerateEnsemble err = %v, want ErrInvalidConfig", i, heur, err)
+			}
+			if _, err := GenerateVariants(cfg, 2); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("repro %d (heuristics %v): GenerateVariants err = %v, want ErrInvalidConfig", i, heur, err)
+			}
 		}
 	}
 }

@@ -43,6 +43,9 @@ func FuzzConfig(f *testing.F) {
 	for _, seed := range overflowRepros {
 		f.Add([]byte(seed))
 	}
+	// An overflowing context under the initialised GA: no star has a
+	// finite cost.
+	f.Add([]byte(`{"NumPoPs":10,"Seed":1,"Params":{"K0":10,"K1":1,"K2":1e306,"K3":1},"Optimizer":{"PopulationSize":10,"Generations":5,"SeedWithHeuristics":true}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.DisallowUnknownFields()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -146,7 +147,7 @@ func TestInitialisedGABeatsSeeds(t *testing.T) {
 	// every heuristic (the paper's key argument for the initialised GA).
 	p := cost.Params{K0: 10, K1: 1, K2: 4e-4, K3: 10}
 	e := ctx(t, 12, p, 11)
-	hs := heuristics.All(e, rand.New(rand.NewSource(3)))
+	hs := heuristics.All(context.Background(), e, rand.New(rand.NewSource(3)))
 	s := smallSettings()
 	s.Seeds = heuristics.Graphs(hs)
 	res, err := Run(e, s, uint64(4))

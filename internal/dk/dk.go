@@ -13,6 +13,8 @@ package dk
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"sort"
 
 	"github.com/networksynth/cold/internal/graph"
@@ -111,21 +113,12 @@ func Profile3K(g *graph.Graph) map[TriadKey]int {
 
 // Equal1K reports whether two graphs share the same degree distribution.
 func Equal1K(g, h *graph.Graph) bool {
-	return mapsEqualInt(Distribution1K(g), Distribution1K(h))
+	return maps.Equal(Distribution1K(g), Distribution1K(h))
 }
 
 // Equal2K reports whether two graphs share the same 2K distribution.
 func Equal2K(g, h *graph.Graph) bool {
-	a, b := JointDegree2K(g), JointDegree2K(h)
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	return maps.Equal(JointDegree2K(g), JointDegree2K(h))
 }
 
 // Equal3K reports whether two graphs share the same 3K distribution (and,
@@ -134,19 +127,7 @@ func Equal2K(g, h *graph.Graph) bool {
 // the 2K profile, since the 3K alone (induced triads) does not determine
 // edge counts of degenerate cases like graphs with no connected triples.
 func Equal3K(g, h *graph.Graph) bool {
-	if !Equal2K(g, h) {
-		return false
-	}
-	a, b := Profile3K(g), Profile3K(h)
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	return Equal2K(g, h) && maps.Equal(Profile3K(g), Profile3K(h))
 }
 
 // CountDistinctSubgraphs returns the number of distinct degree-labeled
@@ -376,12 +357,12 @@ func Search3KMatches(g *graph.Graph, limit int) (*Match3KResult, error) {
 	cand := graph.New(n)
 	var prev uint64
 	for mask := uint64(0); mask < 1<<len(pairs); mask++ {
-		if popcount64(mask) != m {
+		if bits.OnesCount64(mask) != m {
 			continue
 		}
 		diff := mask ^ prev
 		for diff != 0 {
-			b := trailingZeros64(diff)
+			b := bits.TrailingZeros64(diff)
 			pr := pairs[b]
 			cand.SetEdge(pr[0], pr[1], mask&(1<<b) != 0)
 			diff &^= 1 << b
@@ -391,10 +372,10 @@ func Search3KMatches(g *graph.Graph, limit int) (*Match3KResult, error) {
 			continue
 		}
 		res.GraphsSearched++
-		if !profileEqual(JointDegree2K(cand), want2K) {
+		if !maps.Equal(JointDegree2K(cand), want2K) {
 			continue
 		}
-		if !triadEqual(Profile3K(cand), want3K) {
+		if !maps.Equal(Profile3K(cand), want3K) {
 			continue
 		}
 		if !Isomorphic(cand, g) {
@@ -405,42 +386,6 @@ func Search3KMatches(g *graph.Graph, limit int) (*Match3KResult, error) {
 		}
 	}
 	return res, nil
-}
-
-func profileEqual(a, b map[[2]int]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func triadEqual(a, b map[TriadKey]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func mapsEqualInt(a, b map[int]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 func countTrue(bs ...bool) int {
@@ -463,25 +408,4 @@ func sort3(d *[3]int) {
 	if d[0] > d[1] {
 		d[0], d[1] = d[1], d[0]
 	}
-}
-
-func popcount64(x uint64) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-func trailingZeros64(x uint64) int {
-	if x == 0 {
-		return 64
-	}
-	c := 0
-	for x&1 == 0 {
-		x >>= 1
-		c++
-	}
-	return c
 }

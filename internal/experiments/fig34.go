@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -75,7 +76,7 @@ func competitorCosts(nw *cold.Network, p cold.Params, o Options, i int) map[stri
 	e := evaluator(nw, p)
 	plain := graphOf(nw)
 	seed := stats.StreamSeed(uint64(o.Seed), fig3Tag, uint64(i))
-	hs := heuristics.All(e, rand.New(rand.NewSource(int64(seed))))
+	hs := heuristics.All(context.TODO(), e, rand.New(rand.NewSource(int64(seed))))
 	costs := map[string]float64{"GA": e.Cost(plain)}
 	for _, h := range hs {
 		switch h.Name {
@@ -182,12 +183,10 @@ func bruteRun(p cold.Params, o Options) []bruteCosts {
 		if err != nil {
 			panic(err)
 		}
-		best := math.Inf(1)
-		for _, h := range []heuristics.Result{heuristics.PureMST(e), heuristics.Clique(e), heuristics.Star(e),
-			heuristics.Complete(e), heuristics.HubMST(e), heuristics.GreedyAttachment(e)} {
-			best = min(best, h.Cost)
-		}
-		res[i] = bruteCosts{opt: opt.Cost, heuristic: best, ga: e.Cost(graphOf(plain[i])), init: e.Cost(graphOf(init[i]))}
+		ctx := context.TODO()
+		best := heuristics.Best([]heuristics.Result{heuristics.PureMST(e), heuristics.Clique(e), heuristics.Star(ctx, e),
+			heuristics.Complete(ctx, e), heuristics.HubMST(ctx, e), heuristics.GreedyAttachment(ctx, e)})
+		res[i] = bruteCosts{opt: opt.Cost, heuristic: best.Cost, ga: e.Cost(graphOf(plain[i])), init: e.Cost(graphOf(init[i]))}
 	})
 	return res
 }

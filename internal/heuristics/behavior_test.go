@@ -5,6 +5,7 @@ package heuristics
 // paper's Figure 3 crossovers).
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -20,8 +21,8 @@ func TestHubMSTWinsAtTinyK2(t *testing.T) {
 	p := cost.Params{K0: 10, K1: 1, K2: 1e-7, K3: 0}
 	for seed := int64(0); seed < 5; seed++ {
 		e := ctx(t, 16, p, seed)
-		mst := HubMST(e)
-		comp := Complete(e)
+		mst := HubMST(context.Background(), e)
+		comp := Complete(context.Background(), e)
 		if mst.Cost > comp.Cost+1e-9 {
 			t.Errorf("seed %d: hub-mst %v lost to complete %v at negligible k2", seed, mst.Cost, comp.Cost)
 		}
@@ -40,7 +41,7 @@ func TestCompleteCatchesUpAtLargeK2(t *testing.T) {
 	wins := 0
 	for seed := int64(0); seed < 5; seed++ {
 		e := ctx(t, 16, p, seed)
-		if Complete(e).Cost <= HubMST(e).Cost+1e-9 {
+		if Complete(context.Background(), e).Cost <= HubMST(context.Background(), e).Cost+1e-9 {
 			wins++
 		}
 	}
@@ -54,9 +55,9 @@ func TestCompleteCatchesUpAtLargeK2(t *testing.T) {
 func TestStarOptimalAtHugeK3(t *testing.T) {
 	p := cost.Params{K0: 1, K1: 1, K2: 1e-9, K3: 1e7}
 	e := ctx(t, 12, p, 3)
-	star := Star(e)
+	star := Star(context.Background(), e)
 	rng := rand.New(rand.NewSource(4))
-	for _, r := range All(e, rng) {
+	for _, r := range All(context.Background(), e, rng) {
 		if r.Name == "clique" || r.Name == "mst-all" {
 			continue // fixed topologies, not hub-based
 		}
@@ -71,7 +72,7 @@ func TestStarOptimalAtHugeK3(t *testing.T) {
 func TestGrowHubsAddsHubsWhenK2Demands(t *testing.T) {
 	p := cost.Params{K0: 10, K1: 1, K2: 2e-3, K3: 0}
 	e := ctx(t, 18, p, 7)
-	for _, r := range []Result{Complete(e), HubMST(e), GreedyAttachment(e)} {
+	for _, r := range []Result{Complete(context.Background(), e), HubMST(context.Background(), e), GreedyAttachment(context.Background(), e)} {
 		hubs := len(r.Graph.CoreNodes())
 		if hubs < 2 {
 			t.Errorf("%s promoted no hubs at k2=2e-3 (%d core nodes)", r.Name, hubs)
@@ -85,7 +86,7 @@ func TestGrowHubsAddsHubsWhenK2Demands(t *testing.T) {
 func TestLeavesAttachToNearestHub(t *testing.T) {
 	p := cost.Params{K0: 10, K1: 1, K2: 4e-4, K3: 20}
 	e := ctx(t, 15, p, 9)
-	r := Complete(e)
+	r := Complete(context.Background(), e)
 	g := r.Graph
 	core := g.CoreNodes()
 	if len(core) == 0 {

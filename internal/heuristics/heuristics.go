@@ -13,10 +13,12 @@
 package heuristics
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"github.com/networksynth/cold/internal/cost"
 	"github.com/networksynth/cold/internal/graph"
@@ -44,19 +46,21 @@ func Clique(e *cost.Evaluator) Result {
 }
 
 // Star returns the best single-hub star: every greedy algorithm's starting
-// point, and the optimal topology when the hub cost k3 dominates.
-func Star(e *cost.Evaluator) Result {
-	best, _ := star(e)
+// point, and the optimal topology when the hub cost k3 dominates. Once ctx
+// is done it returns the best star so far.
+func Star(ctx context.Context, e *cost.Evaluator) Result {
+	best, _ := star(ctx, e)
 	return best
 }
 
 // star is Star that also reports the hub, the first hub of every greedy
-// algorithm (-1 when no star has a finite cost).
-func star(e *cost.Evaluator) (Result, int) {
-	n := e.N()
-	best, hub := Result{Name: "star", Cost: math.Inf(1)}, -1
-	for h := 0; h < n; h++ {
-		g := starAt(n, h)
+// algorithm. It starts from hub 0's star at that star's own cost, even
+// +Inf, so it returns a valid graph and hub whatever the costs.
+func star(ctx context.Context, e *cost.Evaluator) (Result, int) {
+	g := assemble(e, []int{0}, nil)
+	best, hub := Result{Name: "star", Graph: g, Cost: e.Cost(g)}, 0
+	for h := 1; h < e.N() && ctx.Err() == nil; h++ {
+		g := assemble(e, []int{h}, nil)
 		if c := e.Cost(g); c < best.Cost {
 			best.Graph, best.Cost, hub = g, c, h
 		}
@@ -64,122 +68,106 @@ func star(e *cost.Evaluator) (Result, int) {
 	return best, hub
 }
 
-func starAt(n, hub int) *graph.Graph {
-	g := graph.New(n)
-	for v := 0; v < n; v++ {
-		if v != hub {
-			g.AddEdge(hub, v)
-		}
-	}
-	return g
-}
-
 // hubWiring decides how a newly promoted hub connects to the existing hubs.
 // It receives the hub set including the new hub as the last element and
-// must return the inter-hub edges for the whole hub set.
+// must return the inter-hub links for the whole hub set.
 type hubWiring func(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) [][2]int
 
-// growHubs runs the shared greedy loop: starting from the best single-hub
-// star, promote the cost-reducing leaf (chosen by pick) until no promotion
-// helps. pick receives the current state and returns the best candidate
-// hub with its wired graph and cost, or ok=false when no candidate
-// improves.
-func growHubs(name string, e *cost.Evaluator, wire hubWiring) Result {
-	n := e.N()
-	start, hub0 := star(e)
-	if n == 1 {
-		return Result{Name: name, Graph: graph.New(1), Cost: e.Cost(graph.New(1))}
-	}
-	hubs := []int{hub0}
-	var hubEdges [][2]int
-	cur := start
-	cur.Name = name
-	for len(hubs) < n {
-		bestC := cur.Cost
-		var bestG *graph.Graph
-		var bestHubs []int
-		var bestEdges [][2]int
-		for v := 0; v < n; v++ {
-			if contains(hubs, v) {
-				continue
-			}
-			cand := append(append([]int(nil), hubs...), v)
-			edges := wire(e, cand, hubEdges, v)
-			g := assemble(e, cand, edges)
-			if c := e.Cost(g); c < bestC {
-				bestC = c
-				bestG = g
-				bestHubs = cand
-				bestEdges = edges
-			}
-		}
-		if bestG == nil {
-			break // no promotion reduces cost: terminate
-		}
-		cur = Result{Name: name, Graph: bestG, Cost: bestC}
-		hubs = bestHubs
-		hubEdges = bestEdges
-	}
-	return cur
+// hubNet is one state of the hub-growing template: the network and its
+// cost, the hubs in promotion order and their inter-hub links.
+type hubNet struct {
+	Result
+	hubs  []int
+	links [][2]int
 }
 
-// assemble builds the network for a hub set: the given inter-hub edges plus
-// every remaining leaf attached to its closest hub.
-func assemble(e *cost.Evaluator, hubs []int, hubEdges [][2]int) *graph.Graph {
-	n := e.N()
-	g := graph.New(n)
-	for _, he := range hubEdges {
-		g.AddEdge(he[0], he[1])
+// starNet is the first state of the greedy algorithm name: the best star.
+func starNet(ctx context.Context, name string, e *cost.Evaluator) hubNet {
+	r, hub := star(ctx, e)
+	r.Name = name
+	return hubNet{Result: r, hubs: []int{hub}}
+}
+
+// promote returns the state with leaf v promoted to hub and wired in by
+// wire.
+func (s hubNet) promote(e *cost.Evaluator, wire hubWiring, v int) hubNet {
+	hubs := append(slices.Clip(s.hubs), v)
+	links := wire(e, hubs, s.links, v)
+	g := assemble(e, hubs, links)
+	return hubNet{Result{s.Name, g, e.Cost(g)}, hubs, links}
+}
+
+// growHubs runs the template by best improvement: from the best star, it
+// promotes the leaf whose promotion lowers cost most (the lowest-index
+// leaf on ties) until no promotion lowers it. Once ctx is done it returns
+// the current network, which is connected like every accepted state.
+func growHubs(ctx context.Context, name string, e *cost.Evaluator, wire hubWiring) Result {
+	cur := starNet(ctx, name, e)
+	for {
+		next := cur
+		for v := range e.N() {
+			if slices.Contains(cur.hubs, v) {
+				continue
+			}
+			if ctx.Err() != nil {
+				return cur.Result
+			}
+			if c := cur.promote(e, wire, v); c.Cost < next.Cost {
+				next = c
+			}
+		}
+		if len(next.hubs) == len(cur.hubs) {
+			return cur.Result
+		}
+		cur = next
 	}
-	for v := 0; v < n; v++ {
-		if !contains(hubs, v) {
-			g.AddEdge(v, nearest(e.Dist(), v, hubs))
+}
+
+// assemble builds the network for a hub set: the given inter-hub links
+// plus every remaining leaf attached to its closest hub.
+func assemble(e *cost.Evaluator, hubs []int, links [][2]int) *graph.Graph {
+	g := graph.New(e.N())
+	for _, l := range links {
+		g.AddEdge(l[0], l[1])
+	}
+	for v := range e.N() {
+		if !slices.Contains(hubs, v) {
+			g.AddEdge(v, nearest(e.Dist()[v], hubs))
 		}
 	}
 	return g
 }
 
-// nearest returns the hub closest to v (lowest index on ties).
-func nearest(dist [][]float64, v int, hubs []int) int {
+// nearest returns the hub closest by the distance row dv (the earliest
+// promoted on ties).
+func nearest(dv []float64, hubs []int) int {
 	best, bestD := hubs[0], math.Inf(1)
 	for _, h := range hubs {
-		if h == v {
-			continue
-		}
-		if d := dist[v][h]; d < bestD {
+		if d := dv[h]; d < bestD {
 			best, bestD = h, d
 		}
 	}
 	return best
 }
 
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Complete grows hubs wired as a clique: each new hub links to all existing
 // hubs ("the hubs form a completely connected graph").
-func Complete(e *cost.Evaluator) Result {
-	return growHubs("complete", e, func(_ *cost.Evaluator, hubs []int, _ [][2]int, _ int) [][2]int {
-		var edges [][2]int
+func Complete(ctx context.Context, e *cost.Evaluator) Result {
+	return growHubs(ctx, "complete", e, func(_ *cost.Evaluator, hubs []int, _ [][2]int, _ int) [][2]int {
+		var links [][2]int
 		for i := 0; i < len(hubs); i++ {
 			for j := i + 1; j < len(hubs); j++ {
-				edges = append(edges, [2]int{hubs[i], hubs[j]})
+				links = append(links, [2]int{hubs[i], hubs[j]})
 			}
 		}
-		return edges
+		return links
 	})
 }
 
 // HubMST grows hubs wired as a minimum spanning tree over the hub set
 // (the paper's "MST" greedy variant).
-func HubMST(e *cost.Evaluator) Result {
-	return growHubs("hub-mst", e, func(e *cost.Evaluator, hubs []int, _ [][2]int, _ int) [][2]int {
+func HubMST(ctx context.Context, e *cost.Evaluator) Result {
+	return growHubs(ctx, "hub-mst", e, func(e *cost.Evaluator, hubs []int, _ [][2]int, _ int) [][2]int {
 		k := len(hubs)
 		w := make([][]float64, k)
 		for i := range w {
@@ -189,91 +177,73 @@ func HubMST(e *cost.Evaluator) Result {
 			}
 		}
 		t := graph.MST(k, w)
-		var edges [][2]int
+		var links [][2]int
 		for _, te := range t.Edges() {
-			edges = append(edges, [2]int{hubs[te.I], hubs[te.J]})
+			links = append(links, [2]int{hubs[te.I], hubs[te.J]})
 		}
-		return edges
+		return links
 	})
 }
 
 // GreedyAttachment grows hubs wired greedily: the new hub first takes the
 // single cheapest connecting link, then keeps adding links to other hubs
 // while each addition reduces total cost.
-func GreedyAttachment(e *cost.Evaluator) Result {
-	return growHubs("greedy-attach", e, greedyWire)
+func GreedyAttachment(ctx context.Context, e *cost.Evaluator) Result {
+	return growHubs(ctx, "greedy-attach", e, greedyWire)
 }
 
-// greedyWire keeps prev inter-hub edges and attaches newHub greedily.
+// greedyWire keeps the prev links and links newHub to one existing hub at
+// a time, each the link that gives the lowest network cost, while that
+// cost falls. The best cost starts at +Inf, so the first link is
+// mandatory. If every first link costs +Inf, newHub stays unlinked: its
+// network is disconnected, costs +Inf, and no greedy loop accepts it.
 func greedyWire(e *cost.Evaluator, hubs []int, prev [][2]int, newHub int) [][2]int {
-	edges := append([][2]int(nil), prev...)
-	others := hubs[:len(hubs)-1]
-	// Mandatory first link: the one minimizing resulting network cost.
-	bestH, bestC := -1, math.Inf(1)
-	for _, h := range others {
-		cand := append(append([][2]int(nil), edges...), [2]int{h, newHub})
-		if c := e.Cost(assemble(e, hubs, cand)); c < bestC {
-			bestH, bestC = h, c
-		}
-	}
-	edges = append(edges, [2]int{bestH, newHub})
-	linked := map[int]bool{bestH: true}
-	// Optional further links while they decrease cost.
+	links := slices.Clone(prev)
+	curC := math.Inf(1)
 	for {
-		curC := e.Cost(assemble(e, hubs, edges))
-		bestH, bestC = -1, curC
-		for _, h := range others {
-			if linked[h] {
+		bestH, bestC := -1, curC
+		for _, h := range hubs[:len(hubs)-1] {
+			link := [2]int{h, newHub}
+			if slices.Contains(links[len(prev):], link) {
 				continue
 			}
-			cand := append(append([][2]int(nil), edges...), [2]int{h, newHub})
-			if c := e.Cost(assemble(e, hubs, cand)); c < bestC {
+			if c := e.Cost(assemble(e, hubs, append(slices.Clip(links), link))); c < bestC {
 				bestH, bestC = h, c
 			}
 		}
 		if bestH < 0 {
-			return edges
+			return links
 		}
-		edges = append(edges, [2]int{bestH, newHub})
-		linked[bestH] = true
+		links, curC = append(links, [2]int{bestH, newHub}), bestC
 	}
 }
 
 // RandomGreedy runs the paper's Random Greedy algorithm: iterate over PoPs
 // in a random permutation, promoting a PoP to hub (wired greedily, as in
 // GreedyAttachment) whenever that reduces cost; repeat for perms
-// permutations and keep the best network found.
-func RandomGreedy(e *cost.Evaluator, rng *rand.Rand, perms int) Result {
-	n := e.N()
-	best := Result{Name: "random-greedy", Cost: math.Inf(1)}
-	if n == 1 {
-		g := graph.New(1)
-		return Result{Name: "random-greedy", Graph: g, Cost: e.Cost(g)}
-	}
-	start, hub0 := star(e)
-	for p := 0; p < perms; p++ {
-		hubs := []int{hub0}
-		var hubEdges [][2]int
-		cur, curC := start.Graph, start.Cost
-		for _, v := range rng.Perm(n) {
-			if contains(hubs, v) {
+// permutations and keep the best network found. Once ctx is done each
+// permutation stops at its current network.
+func RandomGreedy(ctx context.Context, e *cost.Evaluator, rng *rand.Rand, perms int) Result {
+	start := starNet(ctx, "random-greedy", e)
+	best := start
+	for range perms {
+		cur := start
+		for _, v := range rng.Perm(e.N()) {
+			if slices.Contains(cur.hubs, v) {
 				continue
 			}
-			cand := append(append([]int(nil), hubs...), v)
-			edges := greedyWire(e, cand, hubEdges, v)
-			g := assemble(e, cand, edges)
-			if c := e.Cost(g); c < curC {
-				cur, curC = g, c
-				hubs = cand
-				hubEdges = edges
+			if ctx.Err() != nil {
+				break
+			}
+			if c := cur.promote(e, greedyWire, v); c.Cost < cur.Cost {
+				cur = c
 			}
 		}
-		if curC < best.Cost {
-			best.Graph = cur
-			best.Cost = curC
+		if cur.Cost < best.Cost {
+			best = cur
 		}
 	}
-	return best
+	return best.Result
 }
 
 // DefaultRandomGreedyPerms is the number of permutations RandomGreedy uses
@@ -281,16 +251,18 @@ func RandomGreedy(e *cost.Evaluator, rng *rand.Rand, perms int) Result {
 const DefaultRandomGreedyPerms = 10
 
 // All runs every heuristic and returns the results, suitable for seeding
-// the genetic algorithm (the paper's "initialised GA").
-func All(e *cost.Evaluator, rng *rand.Rand) []Result {
+// the genetic algorithm (the paper's "initialised GA"). Once ctx is done
+// the hub-based heuristics return their current networks, so All has no
+// error path: its caller checks ctx.
+func All(ctx context.Context, e *cost.Evaluator, rng *rand.Rand) []Result {
 	return []Result{
 		PureMST(e),
 		Clique(e),
-		Star(e),
-		Complete(e),
-		HubMST(e),
-		GreedyAttachment(e),
-		RandomGreedy(e, rng, DefaultRandomGreedyPerms),
+		Star(ctx, e),
+		Complete(ctx, e),
+		HubMST(ctx, e),
+		GreedyAttachment(ctx, e),
+		RandomGreedy(ctx, e, rng, DefaultRandomGreedyPerms),
 	}
 }
 

@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,7 +45,7 @@ func TestClique(t *testing.T) {
 
 func TestStar(t *testing.T) {
 	e := ctx(t, 10, cost.DefaultParams(), 3)
-	r := Star(e)
+	r := Star(context.Background(), e)
 	if !r.Graph.IsConnected() || r.Graph.NumEdges() != 9 {
 		t.Fatalf("star malformed: %v", r.Graph)
 	}
@@ -76,12 +77,12 @@ func TestGreedyVariantsValid(t *testing.T) {
 		e := ctx(t, 14, p, 5)
 		rng := rand.New(rand.NewSource(1))
 		results := []Result{
-			Complete(e),
-			HubMST(e),
-			GreedyAttachment(e),
-			RandomGreedy(e, rng, 3),
+			Complete(context.Background(), e),
+			HubMST(context.Background(), e),
+			GreedyAttachment(context.Background(), e),
+			RandomGreedy(context.Background(), e, rng, 3),
 		}
-		star := Star(e)
+		star := Star(context.Background(), e)
 		for _, r := range results {
 			if r.Graph == nil {
 				t.Fatalf("%s (%v): nil graph", r.Name, p)
@@ -101,7 +102,7 @@ func TestGreedyVariantsValid(t *testing.T) {
 
 func TestCompleteHubsFormClique(t *testing.T) {
 	e := ctx(t, 12, cost.Params{K0: 10, K1: 1, K2: 1e-3, K3: 0}, 7)
-	r := Complete(e)
+	r := Complete(context.Background(), e)
 	hubs := r.Graph.CoreNodes()
 	for i := 0; i < len(hubs); i++ {
 		for j := i + 1; j < len(hubs); j++ {
@@ -118,8 +119,8 @@ func TestCompleteHubsFormClique(t *testing.T) {
 
 func TestRandomGreedyMorePermsNoWorse(t *testing.T) {
 	e := ctx(t, 12, cost.Params{K0: 10, K1: 1, K2: 4e-4, K3: 10}, 11)
-	r1 := RandomGreedy(e, rand.New(rand.NewSource(1)), 1)
-	r10 := RandomGreedy(e, rand.New(rand.NewSource(1)), 10)
+	r1 := RandomGreedy(context.Background(), e, rand.New(rand.NewSource(1)), 1)
+	r10 := RandomGreedy(context.Background(), e, rand.New(rand.NewSource(1)), 10)
 	if r10.Cost > r1.Cost+1e-9 {
 		t.Errorf("10 perms (%v) worse than 1 perm (%v) with same seed", r10.Cost, r1.Cost)
 	}
@@ -128,7 +129,7 @@ func TestRandomGreedyMorePermsNoWorse(t *testing.T) {
 func TestAllAndBest(t *testing.T) {
 	e := ctx(t, 10, cost.DefaultParams(), 13)
 	rng := rand.New(rand.NewSource(2))
-	rs := All(e, rng)
+	rs := All(context.Background(), e, rng)
 	if len(rs) != 7 {
 		t.Fatalf("All returned %d results", len(rs))
 	}
@@ -224,7 +225,7 @@ func TestBruteForceBeatsHeuristics(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		for _, r := range All(e, rng) {
+		for _, r := range All(context.Background(), e, rng) {
 			if r.Cost < opt.Cost-1e-9 {
 				t.Fatalf("seed %d: heuristic %s (%v) beat brute force (%v)", seed, r.Name, r.Cost, opt.Cost)
 			}
@@ -242,13 +243,13 @@ func TestBruteForceRejectsLargeN(t *testing.T) {
 func TestHeuristicsDeterministic(t *testing.T) {
 	e1 := ctx(t, 10, cost.DefaultParams(), 31)
 	e2 := ctx(t, 10, cost.DefaultParams(), 31)
-	a := Complete(e1)
-	b := Complete(e2)
+	a := Complete(context.Background(), e1)
+	b := Complete(context.Background(), e2)
 	if !a.Graph.Equal(b.Graph) || a.Cost != b.Cost {
 		t.Error("Complete not deterministic for identical contexts")
 	}
-	ra := RandomGreedy(e1, rand.New(rand.NewSource(5)), 4)
-	rb := RandomGreedy(e2, rand.New(rand.NewSource(5)), 4)
+	ra := RandomGreedy(context.Background(), e1, rand.New(rand.NewSource(5)), 4)
+	rb := RandomGreedy(context.Background(), e2, rand.New(rand.NewSource(5)), 4)
 	if !ra.Graph.Equal(rb.Graph) {
 		t.Error("RandomGreedy not deterministic for identical seeds")
 	}
@@ -257,7 +258,7 @@ func TestHeuristicsDeterministic(t *testing.T) {
 func TestSingleNode(t *testing.T) {
 	tm := traffic.Gravity([]float64{3}, 1)
 	e := cost.MustNewEvaluator([][]float64{{0}}, tm, cost.DefaultParams())
-	for _, r := range []Result{PureMST(e), Clique(e), Complete(e), RandomGreedy(e, rand.New(rand.NewSource(1)), 2)} {
+	for _, r := range []Result{PureMST(e), Clique(e), Complete(context.Background(), e), RandomGreedy(context.Background(), e, rand.New(rand.NewSource(1)), 2)} {
 		if r.Graph.N() != 1 || r.Graph.NumEdges() != 0 {
 			t.Fatalf("%s wrong on single node: %v", r.Name, r.Graph)
 		}
@@ -268,7 +269,7 @@ func BenchmarkComplete(b *testing.B) {
 	e := ctx(b, 30, cost.Params{K0: 10, K1: 1, K2: 4e-4, K3: 10}, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Complete(e)
+		Complete(context.Background(), e)
 	}
 }
 
@@ -278,6 +279,34 @@ func BenchmarkBruteForceN6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BruteForce(e); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestAllTotal: every heuristic returns a connected network on n PoPs
+// when no star has a finite cost (a huge k2 at n=10) and when ctx is
+// already done.
+func TestAllTotal(t *testing.T) {
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		p    cost.Params
+	}{
+		{"overflow", context.Background(), cost.Params{K0: 10, K1: 1, K2: 1e306, K3: 1}},
+		{"cancelled", done, cost.DefaultParams()},
+	} {
+		for _, n := range []int{1, 2, 10} {
+			e := ctx(t, n, c.p, 3)
+			if c.name == "overflow" && n == 10 && !math.IsInf(Star(context.Background(), e).Cost, 1) {
+				t.Fatal("a star has a finite cost; the overflow case no longer exercises it")
+			}
+			for _, r := range All(c.ctx, e, rand.New(rand.NewSource(1))) {
+				if r.Graph == nil || r.Graph.N() != n || !r.Graph.IsConnected() {
+					t.Fatalf("%s n=%d: %s returned %v", c.name, n, r.Name, r.Graph)
+				}
+			}
 		}
 	}
 }

@@ -114,6 +114,30 @@ func TestGenerateContextPreCancelled(t *testing.T) {
 	}
 }
 
+// TestGenerateContextCancelsHeuristics: the initialised GA's heuristic
+// seeding sees the context. At n=80 the heuristics alone run for tens of
+// seconds, so a 100 ms deadline must end generation well before they would
+// finish.
+func TestGenerateContextCancelsHeuristics(t *testing.T) {
+	cfg := Config{
+		NumPoPs:     80,
+		Seed:        1,
+		Parallelism: 1,
+		Optimizer:   OptimizerSpec{PopulationSize: 10, Generations: 2, SeedWithHeuristics: true},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	nw, err := GenerateContext(ctx, cfg)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v (network=%v)", err, nw != nil)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("generation returned %v after its start, want within 1s", elapsed)
+	}
+}
+
 func TestGenerateContextMatchesGenerate(t *testing.T) {
 	a, err := Generate(fastConfig(10, 11))
 	if err != nil {
