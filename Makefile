@@ -45,8 +45,8 @@ examples:
 
 # Short fuzzing smoke on the evaluator's kernel-equivalence target, the
 # GA crossover against its per-link reference, the validation distances, the untrusted config JSON boundary, the network
-# JSON encoder against its reflection oracle, the store's checkpoint-key
-# parser and the `coldstats trace` parser (CI runs this; crank -fuzztime
+# JSON encoder against its reflection oracle, the store's checkpoint
+# write/read round trip and the `coldstats trace` parser (CI runs this; crank -fuzztime
 # locally for a real session). The evaluator corpus lives under
 # internal/cost/testdata/fuzz/.
 FUZZTIME ?= 10s

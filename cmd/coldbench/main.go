@@ -20,6 +20,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"github.com/networksynth/cold/internal/experiments"
@@ -45,84 +48,78 @@ func run(args []string, stdout io.Writer) error {
 	fs.Int64Var(&o.Seed, "seed", d.Seed, "master seed")
 	validateCount := fs.Int("validate-count", 1000, "COLD ensemble size for the validate experiment")
 	validateRecords := fs.String("validate-records", "", "write the validate experiment's per-topology JSONL records to this file (e.g. VALIDATE_COLD.jsonl)")
+
+	// Shared sweeps, computed at most once.
+	tunability := sync.OnceValue(func() *experiments.TunabilityResult { return experiments.TunabilitySweep(o) })
+	hubbiness := sync.OnceValue(func() *experiments.HubbinessResult { return experiments.HubbinessSweep(o) })
+	// Every experiment, in the order `all` runs them; each returns the
+	// tables it prints.
+	type tables = []*experiments.Table
+	exps := []struct {
+		name string
+		run  func() (tables, error)
+	}{
+		{"table1", func() (tables, error) { return tables{experiments.Table1(o)}, nil }},
+		{"fig1", func() (tables, error) { return tables{experiments.Fig1(o)}, nil }},
+		{"fig2", func() (tables, error) { return tables{experiments.Fig2(o)}, nil }},
+		{"fig3", func() (tables, error) { return tables{experiments.Fig3(0, o), experiments.Fig3(10, o)}, nil }},
+		{"fig4", func() (tables, error) { return tables{experiments.Fig4(nil, o)}, nil }},
+		{"fig5", func() (tables, error) { return tables{tunability().Fig5()}, nil }},
+		{"fig6", func() (tables, error) { return tables{tunability().Fig6()}, nil }},
+		{"fig7", func() (tables, error) { return tables{tunability().Fig7()}, nil }},
+		{"fig8a", func() (tables, error) { return tables{experiments.Fig8a(zoo.CVNDs(zoo.DefaultEnsemble()), o)}, nil }},
+		{"fig8b", func() (tables, error) { return tables{hubbiness().Fig8b()}, nil }},
+		{"fig9", func() (tables, error) { return tables{hubbiness().Fig9()}, nil }},
+		{"brute", func() (tables, error) { return tables{experiments.Brute(o)}, nil }},
+		{"context", func() (tables, error) { return tables{experiments.ContextSensitivity(o)}, nil }},
+		{"routers", func() (tables, error) { return tables{experiments.RouterSpread(o)}, nil }},
+		{"extras", func() (tables, error) { return tables{experiments.ExtraFeatures(0, o)}, nil }},
+		{"validate", func() (tables, error) { return runValidate(o, *validateCount, *validateRecords) }},
+	}
+	all := make([]string, len(exps))
+	for i, e := range exps {
+		all[i] = e.name
+	}
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: coldbench [flags] <experiment>...\nexperiments: %s all\n", strings.Join(all, " "))
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	names := fs.Args()
 	if len(names) == 0 {
-		return fmt.Errorf("no experiment given; try: coldbench all (options: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8a fig8b fig9 brute context routers extras validate)")
+		return fmt.Errorf("no experiment given; try: coldbench all (options: %s)", strings.Join(all, " "))
 	}
 	if len(names) == 1 && names[0] == "all" {
-		names = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9", "brute", "context", "routers", "extras", "validate"}
+		names = all
+	}
+	// Resolve every name before running any, so a typo or a misplaced flag
+	// fails at once instead of after the experiments before it.
+	todo := make([]int, len(names))
+	for k, name := range names {
+		if todo[k] = slices.Index(all, name); todo[k] >= 0 {
+			continue
+		}
+		if strings.HasPrefix(name, "-") {
+			return fmt.Errorf("flag %s after experiment names: flags go before experiment names", name)
+		}
+		return fmt.Errorf("unknown experiment %q", name)
 	}
 
-	// Shared sweeps, computed at most once.
-	var tun *experiments.TunabilityResult
-	tunability := func() *experiments.TunabilityResult {
-		if tun == nil {
-			tun = experiments.TunabilitySweep(o)
-		}
-		return tun
-	}
-	var hub *experiments.HubbinessResult
-	hubbiness := func() *experiments.HubbinessResult {
-		if hub == nil {
-			hub = experiments.HubbinessSweep(o)
-		}
-		return hub
-	}
-
-	for _, name := range names {
+	for _, i := range todo {
 		start := time.Now()
-		var tables []*experiments.Table
-		switch name {
-		case "table1":
-			tables = []*experiments.Table{experiments.Table1(o)}
-		case "fig1":
-			tables = []*experiments.Table{experiments.Fig1(o)}
-		case "fig2":
-			tables = []*experiments.Table{experiments.Fig2(o)}
-		case "fig3":
-			tables = []*experiments.Table{experiments.Fig3(0, o), experiments.Fig3(10, o)}
-		case "fig4":
-			tables = []*experiments.Table{experiments.Fig4(nil, o)}
-		case "fig5":
-			tables = []*experiments.Table{tunability().Fig5()}
-		case "fig6":
-			tables = []*experiments.Table{tunability().Fig6()}
-		case "fig7":
-			tables = []*experiments.Table{tunability().Fig7()}
-		case "fig8a":
-			cvs := zoo.CVNDs(zoo.DefaultEnsemble())
-			tables = []*experiments.Table{experiments.Fig8a(cvs, o)}
-		case "fig8b":
-			tables = []*experiments.Table{hubbiness().Fig8b()}
-		case "fig9":
-			tables = []*experiments.Table{hubbiness().Fig9()}
-		case "brute":
-			tables = []*experiments.Table{experiments.Brute(o)}
-		case "context":
-			tables = []*experiments.Table{experiments.ContextSensitivity(o)}
-		case "routers":
-			tables = []*experiments.Table{experiments.RouterSpread(o)}
-		case "extras":
-			tables = []*experiments.Table{experiments.ExtraFeatures(0, o)}
-		case "validate":
-			var err error
-			tables, err = runValidate(o, *validateCount, *validateRecords)
-			if err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
+		ts, err := exps[i].run()
+		if err != nil {
+			return err
 		}
-		for _, t := range tables {
+		for _, t := range ts {
 			if err := t.Print(stdout); err != nil {
 				return err
 			}
 			fmt.Fprintln(stdout)
 		}
-		fmt.Fprintf(stdout, "-- %s done in %.1fs --\n\n", name, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "-- %s done in %.1fs --\n\n", exps[i].name, time.Since(start).Seconds())
 	}
 	return nil
 }

@@ -63,6 +63,17 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-trials", "x"}, &out); err == nil {
 		t.Error("bad flag should error")
 	}
+	// Every name is checked before any experiment runs: a valid name ahead
+	// of an unknown one or a flag prints nothing.
+	if err := run(append(fastFlags, "table1", "fig99"), &out); err == nil || !strings.Contains(err.Error(), `unknown experiment "fig99"`) {
+		t.Errorf("unknown experiment after table1: err = %v", err)
+	}
+	if err := run(append(fastFlags, "table1", "-trials", "4"), &out); err == nil || !strings.Contains(err.Error(), "flags go before experiment names") {
+		t.Errorf("flag after table1: err = %v, want flags go before experiment names", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("an experiment ran before the names were checked:\n%s", out.String())
+	}
 	// Timing harnesses and their flags live in perfbench, not here.
 	for _, name := range []string{"dijkstra", "csr", "ensemble", "breeding"} {
 		if err := run(append(fastFlags, name), &out); err == nil || !strings.Contains(err.Error(), "unknown experiment") {

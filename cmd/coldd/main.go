@@ -91,7 +91,7 @@ func run() error {
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log encoding: text, json")
 	traceDir := flag.String("trace-dir", "", "write one JSONL telemetry trace per generation job to this directory (file name = job ID)")
-	ckptEvery := flag.Int("checkpoint-every", 16, "persist a resumable checkpoint of each in-flight ensemble every this-many replicas (0 disables crash recovery)")
+	ckptEvery := flag.Int("checkpoint-every", 16, "persist a resumable checkpoint of each in-flight ensemble every this-many replicas (0 writes none; a leftover checkpoint still resumes)")
 	flag.Parse()
 
 	logger, err := newLogger(*logLevel, *logFormat)

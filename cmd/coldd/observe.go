@@ -181,7 +181,7 @@ func (s *server) registerMetrics(reg *telemetry.Registry) {
 		st(func(st store.Stats) float64 { return float64(st.Bytes) }))
 	reg.GaugeFunc("cold_store_partials", "Checkpoint (partial) artifacts currently stored.",
 		st(func(st store.Stats) float64 { return float64(st.Partials) }))
-	reg.CounterFunc("cold_store_partials_dropped_total", "Checkpoints removed as superseded, orphaned, invalid or promoted.",
+	reg.CounterFunc("cold_store_partials_dropped_total", "Checkpoints removed as orphaned by their stored artifact, or corrupt on read.",
 		st(func(st store.Stats) float64 { return float64(st.PartialsDropped) }))
 	reg.CounterFunc("cold_store_temp_swept_total", "Stale temp files from crashed writers deleted at store open.",
 		st(func(st store.Stats) float64 { return float64(st.TempSwept) }))

@@ -46,8 +46,8 @@ type serverOptions struct {
 	// checkpointEvery persists a job's in-order line buffer as a partial
 	// store artifact after every this-many replicas (and once more on a
 	// cancelled job's way down), so a daemon restart resumes generation at
-	// the checkpoint instead of starting over. 0 disables checkpointing
-	// (and resume probing) entirely.
+	// the checkpoint instead of starting over. 0 stops writing checkpoints;
+	// a job still resumes from one left in the store.
 	checkpointEvery int
 }
 
@@ -197,11 +197,11 @@ func (s *server) jobErr(err error) error {
 }
 
 // run executes one generation job: wait for a queue slot, resume from the
-// newest valid checkpoint if one exists, stream replicas into the job
-// buffer in replica order, checkpoint the buffer every
-// opts.checkpointEvery replicas (and on a cancelled job's way down), and
-// on completion promote the artifact to its final key and delete the
-// checkpoint. With -trace-dir set, the generation writes a JSONL trace to
+// key's checkpoint if one exists, stream replicas into the job buffer in
+// replica order, checkpoint the buffer every opts.checkpointEvery
+// replicas (and on a cancelled job's way down), and on completion store
+// the artifact under its final key, which drops the checkpoint. With
+// -trace-dir set, the generation writes a JSONL trace to
 // <dir>/<job_id>.jsonl, its run_start/run_end stamped with the job ID
 // (Config.RunID) so log lines and trace files cross-reference.
 func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
@@ -227,20 +227,18 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 	cfg.Parallelism = s.opts.parallel
 	cfg.Telemetry, cfg.RunID = s.jobTelemetry(j)
 
-	// Resume: replay the newest valid checkpoint's lines into the tail
-	// buffer (clients see them immediately — determinism makes the replay
-	// byte-identical to regeneration) and restart generation at replica
-	// `from`. A checkpoint can never cover the whole ensemble (complete
-	// runs are promoted and their partials deleted), but guard anyway.
+	// Resume: replay the checkpoint's lines into the tail buffer (clients
+	// see them immediately — determinism makes the replay byte-identical
+	// to regeneration) and restart generation at replica `from`. A
+	// checkpoint can never cover the whole ensemble (storing the complete
+	// artifact drops it), but guard anyway.
 	from := 0
-	if s.opts.checkpointEvery > 0 {
-		if data, lines, err := s.store.NewestPartial(j.key); err == nil && lines < count {
-			j.prefill(data, lines)
-			from = lines
-			s.ckptResumes.Inc()
-			s.ckptResumedReplicas.Add(uint64(lines))
-			s.log.Info("job resumed", "job_id", j.id, "key", j.key, "resumed_from", lines)
-		}
+	if data, lines, err := s.store.Partial(j.key); err == nil && lines < count {
+		j.prefill(data, lines)
+		from = lines
+		s.ckptResumes.Inc()
+		s.ckptResumedReplicas.Add(uint64(lines))
+		s.log.Info("job resumed", "job_id", j.id, "key", j.key, "resumed_from", lines)
 	}
 
 	lastCkpt := from
@@ -304,10 +302,6 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 		// A cache write failure degrades future requests to regeneration;
 		// this one still has its bytes.
 		s.log.Warn("job artifact not cached", "job_id", j.id, "key", j.key, "err", perr)
-	} else if s.opts.checkpointEvery > 0 {
-		if derr := s.store.DeletePartials(j.key); derr != nil {
-			s.log.Warn("job checkpoint cleanup", "job_id", j.id, "key", j.key, "err", derr)
-		}
 	}
 	s.log.Info("job finished", "job_id", j.id, "outcome", "ok", "dur", time.Since(start),
 		"replicas", count, "resumed_from", from, "bytes", len(data))

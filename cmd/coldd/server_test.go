@@ -596,12 +596,9 @@ func TestRequestIDTraceCorrelation(t *testing.T) {
 // TestResumeFromCheckpoint is the crash-recovery acceptance path: a job
 // whose key has a valid partial checkpoint replays it and generates only
 // the remaining replicas, and the response is byte-identical to an
-// uninterrupted run.
+// uninterrupted run. With checkpointEvery 0 the job writes no checkpoints
+// but still resumes from one left in the store.
 func TestResumeFromCheckpoint(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The library reference for tinyBody(101, 4).
 	cfg := cold.Config{NumPoPs: 8, Seed: 101, Parallelism: 1,
 		Optimizer: cold.OptimizerSpec{PopulationSize: 8, Generations: 4}}
@@ -623,39 +620,50 @@ func TestResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := artifactKey(hash, 4)
-	// Fabricate the checkpoint a crashed daemon would have left: the first
-	// 2 of 4 artifact lines.
+	// The checkpoint a crashed daemon would have left: the first 2 of 4
+	// artifact lines.
 	lines := bytes.SplitAfter(want.Bytes(), []byte("\n"))
 	prefix := append(append([]byte{}, lines[0]...), lines[1]...)
-	if err := st.PutPartial(key, 2, prefix); err != nil {
-		t.Fatal(err)
-	}
 
-	s, ts := newTestServer(t, serverOptions{store: st, checkpointEvery: 2})
-	resp := post(t, ts, tinyBody(101, 4))
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	for _, every := range []int{2, 0} {
+		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutPartial(key, 2, prefix); err != nil {
+				t.Fatal(err)
+			}
+			s, ts := newTestServer(t, serverOptions{store: st, checkpointEvery: every})
+			resp := post(t, ts, tinyBody(101, 4))
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			if !bytes.Equal(body, want.Bytes()) {
+				t.Fatal("resumed response differs from an uninterrupted run")
+			}
+			m := serverMetrics(t, s)
+			if r, rr := m["cold_checkpoint_resumes_total"], m["cold_checkpoint_resumed_replicas_total"]; r != 1 || rr != 2 {
+				t.Errorf("resumes=%v resumed_replicas=%v, want 1/2", r, rr)
+			}
+			if w := m["cold_checkpoint_writes_total"]; w != 0 {
+				t.Errorf("checkpoint writes = %v, want 0", w)
+			}
+			// Storing the artifact dropped the checkpoint.
+			if p := m["cold_store_partials"]; p != 0 {
+				t.Errorf("partials = %v after promotion, want 0", p)
+			}
+			if d := m["cold_store_partials_dropped_total"]; d != 1 {
+				t.Errorf("partials dropped = %v after promotion, want 1", d)
+			}
+			second := post(t, ts, tinyBody(101, 4))
+			if got := second.Header.Get("X-Cold-Cache"); got != "hit" {
+				t.Errorf("post-resume request cache = %q, want hit", got)
+			}
+			readAll(t, second)
+		})
 	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Fatal("resumed response differs from an uninterrupted run")
-	}
-	m := serverMetrics(t, s)
-	if r, rr := m["cold_checkpoint_resumes_total"], m["cold_checkpoint_resumed_replicas_total"]; r != 1 || rr != 2 {
-		t.Errorf("resumes=%v resumed_replicas=%v, want 1/2", r, rr)
-	}
-	// Completion promoted the artifact and deleted the checkpoint.
-	if p := m["cold_store_partials"]; p != 0 {
-		t.Errorf("partials = %v after promotion, want 0", p)
-	}
-	if d := m["cold_store_partials_dropped_total"]; d != 1 {
-		t.Errorf("partials dropped = %v after promotion, want 1", d)
-	}
-	second := post(t, ts, tinyBody(101, 4))
-	if got := second.Header.Get("X-Cold-Cache"); got != "hit" {
-		t.Errorf("post-resume request cache = %q, want hit", got)
-	}
-	readAll(t, second)
 }
 
 // TestCheckpointWriteAndPromote: with checkpointing enabled, a job writes

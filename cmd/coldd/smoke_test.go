@@ -246,11 +246,11 @@ func scrapeMetrics(t *testing.T, base string) metrics {
 }
 
 // hasCheckpoint reports whether the cache directory holds a partial
-// (".part-") checkpoint file.
+// (".part") checkpoint file.
 func hasCheckpoint(cache string) bool {
 	found := false
 	filepath.WalkDir(cache, func(path string, e fs.DirEntry, err error) error { //nolint:errcheck
-		if err == nil && !e.IsDir() && strings.Contains(e.Name(), ".part-") {
+		if err == nil && !e.IsDir() && strings.HasSuffix(e.Name(), ".part") {
 			found = true
 		}
 		return nil

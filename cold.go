@@ -28,7 +28,6 @@ package cold
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -328,8 +327,10 @@ func GenerateEnsembleContext(ctx context.Context, cfg Config, count int) ([]*Net
 // the slice GenerateEnsembleContext returns for the same Config: streaming
 // changes delivery, never results. Emitted members are released by the
 // engine as they are handed over, so peak memory is bounded by the
-// reorder window rather than by count. If emit returns an error, the run
-// is canceled and that error is returned verbatim (not wrapped).
+// reorder window rather than by count. If a member fails, every member
+// before it is still emitted and the lowest failing member's error is
+// returned as "cold: ensemble member i: …". If emit returns an error, the
+// run is canceled and that error is returned verbatim (not wrapped).
 func GenerateEnsembleStream(ctx context.Context, cfg Config, count int, emit func(i int, nw *Network) error) error {
 	return GenerateEnsembleStreamFrom(ctx, cfg, count, 0, emit)
 }
@@ -365,60 +366,59 @@ func GenerateEnsembleStreamFrom(ctx context.Context, cfg Config, count, start in
 
 	// Replica indices are claimed through par.Each, the caller's goroutine
 	// being worker 0; each worker runs whole replicas. Per-replica seeding
-	// makes members independent of which worker (or order) computed them;
-	// pending[i] holds completed members until every earlier replica has
-	// been emitted, so emissions come out in replica order.
+	// makes members independent of which worker (or order) computed them.
+	// slots[i] holds member i's outcome until every earlier member has been
+	// emitted, so emissions — and the first member error — come out in
+	// replica order: the pool is cancelled only when the flush meets a
+	// failure, once every lower member has been emitted, and no claim
+	// above the lowest failure seen so far starts.
+	type outcome struct {
+		nw  *Network
+		err error
+	}
 	pool, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		mu       sync.Mutex
-		emitErr  error
-		firstErr error
-		errIdx   int
+		mu     sync.Mutex
+		runErr error // the first member or emit error in replica order
 	)
-	next := start // lowest replica index not yet emitted
-	pending := make([]*Network, count)
+	failed := count // lowest replica index known to have failed
+	next := start   // lowest replica index not yet emitted
+	slots := make([]outcome, count)
 	par.Each(workers, remaining, func(w, k int) {
-		if pool.Err() != nil {
+		i := start + k
+		mu.Lock()
+		skip := i > failed
+		mu.Unlock()
+		if skip || pool.Err() != nil {
 			return // aborted: the remaining claims drain without work
 		}
-		i := start + k
 		nw, err := generateReplica(pool, cfg, run, i, w)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
-			// Cancellation errors are fallout of the pool-wide abort (or
-			// of the caller's ctx, reported as ctx.Err() below), not this
-			// replica's fault: don't let them mask the originating error.
-			if !errors.Is(err, context.Canceled) && (firstErr == nil || i < errIdx) {
-				firstErr, errIdx = err, i
-			}
-			cancel() // abort remaining replicas
-			return
+			failed = min(failed, i)
 		}
-		pending[i] = nw
+		slots[i] = outcome{nw, err}
 		// Flush the in-order prefix. Emit runs under mu, which is what
 		// serializes emissions; a slow emit backpressures the workers.
-		for emitErr == nil && next < count && pending[next] != nil {
-			if err := emit(next, pending[next]); err != nil {
-				emitErr = err
-				cancel()
-				break
+		for runErr == nil && next < count && (slots[next].nw != nil || slots[next].err != nil) {
+			if o := slots[next]; o.err != nil {
+				runErr = fmt.Errorf("cold: ensemble member %d: %w", next, o.err)
+			} else {
+				runErr = emit(next, o.nw)
 			}
-			pending[next] = nil
+			slots[next] = outcome{}
 			next++
+		}
+		if runErr != nil {
+			cancel()
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if emitErr != nil {
-		return emitErr
-	}
-	if firstErr != nil {
-		return fmt.Errorf("cold: ensemble member %d: %w", errIdx, firstErr)
-	}
-	return nil
+	return runErr
 }
 
 // replicaTag domain-separates replica-seed derivation from every other

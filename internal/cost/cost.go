@@ -362,7 +362,6 @@ func (e *Evaluator) fillCSR(g *graph.Graph) {
 			c.weights[k] = row[c.cols[k]]
 		}
 	}
-	e.counters.csrBuilds.Inc()
 }
 
 // CostUncached computes the cost of g without touching the memoization

@@ -16,7 +16,6 @@ import (
 // to the sweeps they count).
 type evalCounters struct {
 	fullSweeps telemetry.Counter // all-sources Dijkstra sweeps
-	csrBuilds  telemetry.Counter // CSR graph snapshots built (one per routed graph)
 }
 
 // FallbackCounts is the type of the deprecated Stats.Fallbacks field. It
@@ -38,10 +37,6 @@ type Stats struct {
 	CacheMisses uint64
 	// FullSweeps counts all-sources Dijkstra sweeps.
 	FullSweeps uint64
-	// CSRBuilds counts flat-memory CSR graph snapshots built: one per full
-	// sweep and RouteCost call. The snapshot is pooled per evaluator, so
-	// this counts fills, not allocations.
-	CSRBuilds uint64
 
 	// DeltaEvals is always 0.
 	//
@@ -62,7 +57,6 @@ func (e *Evaluator) Stats() Stats {
 		CacheHits:   hits,
 		CacheMisses: misses,
 		FullSweeps:  e.counters.fullSweeps.Load(),
-		CSRBuilds:   e.counters.csrBuilds.Load(),
 	}
 }
 

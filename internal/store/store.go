@@ -13,11 +13,11 @@
 // partial artifact. Recency is persisted via file mtimes: a Get touches
 // its artifact, so the LRU survives restarts.
 //
-// Alongside final artifacts the store keeps checkpoints of line-oriented
-// artifacts still in flight, under <base>.part-<lines> keys (PutPartial /
-// NewestPartial / DeletePartials): at most one per base, written with the
-// same atomic rename, validated on read, and garbage-collected on open
-// once orphaned or superseded. The first operation after Open also sweeps
+// Alongside final artifacts the store keeps one checkpoint per line-
+// oriented artifact still in flight, under the key <base>.part (PutPartial
+// / Partial): each write replaces the last by the same atomic rename, Put
+// of the base drops it, and a checkpoint whose base already exists is
+// garbage-collected on open. The first operation after Open also sweeps
 // tmp-* debris older than an hour, so crashed writers cannot leak disk
 // past the LRU bound.
 package store
@@ -29,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -40,12 +39,12 @@ import (
 // ErrNotFound is returned by Get for keys with no stored artifact.
 var ErrNotFound = errors.New("store: artifact not found")
 
-// partialSep separates a checkpoint key's base from its line count. A
-// checkpoint ("partial") is the durable prefix of a line-oriented artifact
-// still being produced: <base>.part-<lines> holds exactly <lines> complete
-// lines of the artifact that will eventually be promoted to <base>.
-// cmd/coldd uses partials to resume interrupted ensemble generations.
-const partialSep = ".part-"
+// partialSuffix turns a base key into its checkpoint key. A checkpoint
+// ("partial") is the durable prefix of a line-oriented artifact still
+// being produced: <base>.part holds the complete lines written so far of
+// the artifact that will eventually be stored under <base>. cmd/coldd uses
+// partials to resume interrupted ensemble generations.
+const partialSuffix = ".part"
 
 // tempMaxAge gates the open-time sweep of leftover tmp-* files: a temp
 // file older than this cannot belong to a live writer (Puts hold the
@@ -53,33 +52,6 @@ const partialSep = ".part-"
 // Younger ones are spared — another process sharing the directory may
 // still be renaming them into place.
 const tempMaxAge = time.Hour
-
-// PartialKey returns the checkpoint key holding the first lines lines of
-// the artifact that will be stored under base.
-func PartialKey(base string, lines int) string {
-	return base + partialSep + strconv.Itoa(lines)
-}
-
-// parsePartialKey splits a checkpoint key into its base key and line
-// count; ok is false for keys outside the partial namespace. It accepts
-// exactly the keys PartialKey writes for a valid base: the count must be
-// canonical decimal, so "<base>.part-02" or "<base>.part-+2" is not a
-// second checkpoint of "<base>.part-2" that PutPartial's pruning misses.
-func parsePartialKey(key string) (base string, lines int, ok bool) {
-	i := strings.LastIndex(key, partialSep)
-	if i < 0 {
-		return "", 0, false
-	}
-	base, digits := key[:i], key[i+len(partialSep):]
-	if !validKey(base) || digits == "" || digits[0] < '1' || digits[0] > '9' {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(digits)
-	if err != nil {
-		return "", 0, false
-	}
-	return base, n, true
-}
 
 // Options bound the store.
 type Options struct {
@@ -108,10 +80,10 @@ type Stats struct {
 	// too — they occupy the same disk the LRU bound caps.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// Partials is the number of checkpoint (".part-") entries currently
-	// indexed; PartialsDropped counts checkpoints removed because they were
-	// superseded by a newer one, orphaned by their final artifact, invalid
-	// on read, or promoted (DeletePartials).
+	// Partials is the number of checkpoint (".part") entries currently
+	// indexed; PartialsDropped counts checkpoints removed because their
+	// final artifact was Put (or, at open, already existed) or because
+	// they were corrupt or vanished on read.
 	Partials        int    `json:"partials"`
 	PartialsDropped uint64 `json:"partials_dropped"`
 	// TempSwept counts stale tmp-* files (older than an hour — crashed
@@ -192,9 +164,8 @@ func (s *Store) path(key string) string {
 
 // load builds the in-memory index from disk on the first operation. It
 // also sweeps crash debris: stale tmp-* files past tempMaxAge, and
-// checkpoint partials that are orphaned (their final artifact exists) or
-// superseded (a same-base partial with more lines exists). Callers hold
-// s.mu.
+// checkpoints orphaned by a crash between a Put and its checkpoint's
+// removal (their final artifact exists). Callers hold s.mu.
 func (s *Store) load() error {
 	if s.loaded {
 		return nil
@@ -235,30 +206,16 @@ func (s *Store) load() error {
 			if err != nil {
 				continue // raced with an eviction or external delete
 			}
-			s.entries[name] = &entry{size: info.Size(), atime: info.ModTime()}
-			s.size += info.Size()
-		}
-	}
-	// GC checkpoints: a partial whose final artifact exists is left over
-	// from a crash between promotion and cleanup, and only the newest
-	// checkpoint per base is worth resuming from.
-	newest := make(map[string]int)
-	for k := range s.entries {
-		if b, n, ok := parsePartialKey(k); ok && n > newest[b] {
-			newest[b] = n
-		}
-	}
-	for k, e := range s.entries {
-		b, n, ok := parsePartialKey(k)
-		if !ok {
-			continue
-		}
-		if _, final := s.entries[b]; final || n < newest[b] {
-			if err := os.Remove(s.path(k)); err != nil && !errors.Is(err, os.ErrNotExist) {
-				continue
+			e := &entry{size: info.Size(), atime: info.ModTime()}
+			s.entries[name] = e
+			s.size += e.size
+			// ReadDir sorts by name, and <base>.part shares its base's
+			// bucket, so an existing base is already indexed here.
+			if base, ok := strings.CutSuffix(name, partialSuffix); ok {
+				if _, final := s.entries[base]; final {
+					s.removePartialLocked(name, e)
+				}
 			}
-			s.dropLocked(k, e)
-			s.stats.PartialsDropped++
 		}
 	}
 	s.loaded = true
@@ -332,9 +289,10 @@ func (s *Store) Has(key string) (bool, error) {
 // Put stores data under key atomically: the artifact is written to a temp
 // file in the key's bucket and renamed into place, so readers only ever
 // see complete artifacts. Overwriting an existing key is allowed (the
-// content-addressed caller writes identical bytes anyway). Put then
-// evicts least-recently-used artifacts as needed to respect
-// Options.MaxBytes — never the artifact just written.
+// content-addressed caller writes identical bytes anyway). The key's
+// checkpoint, if any, is dead weight once the artifact is whole, so Put
+// removes it. Put then evicts least-recently-used artifacts as needed to
+// respect Options.MaxBytes — never the artifact just written.
 func (s *Store) Put(key string, data []byte) error {
 	start := time.Now()
 	defer func() { s.putDur.Observe(float64(time.Since(start))) }()
@@ -373,105 +331,68 @@ func (s *Store) Put(key string, data []byte) error {
 	s.entries[key] = &entry{size: int64(len(data)), atime: time.Now()}
 	s.size += int64(len(data))
 	s.stats.Puts++
+	if e, ok := s.entries[key+partialSuffix]; ok {
+		s.removePartialLocked(key+partialSuffix, e)
+	}
 	s.evictLocked(key)
 	return nil
 }
 
-// PutPartial checkpoints the first lines complete lines of the artifact
-// being produced for base: data is stored under PartialKey(base, lines)
-// with Put's usual temp+rename atomicity (a crash never leaves a torn
-// checkpoint), then older checkpoints of the same base are pruned — at
-// most one partial per base survives, the newest. data must hold exactly
-// lines newline-terminated lines; NewestPartial validates this on read
-// and discards checkpoints that do not.
+// PutPartial checkpoints the artifact being produced for base: data,
+// which must hold exactly lines complete (newline-terminated) lines, is
+// Put under <base>.part. The atomic rename replaces the previous
+// checkpoint, so a crash leaves either the old one or the new one, never a
+// torn one.
 func (s *Store) PutPartial(base string, lines int, data []byte) error {
-	if lines < 1 {
-		return fmt.Errorf("store: checkpoint of %q with %d lines", base, lines)
+	if !validKey(base) || lines < 1 || completeLines(data) != lines {
+		return fmt.Errorf("store: checkpoint of %q is not %d complete lines", base, lines)
 	}
-	if err := s.Put(PartialKey(base, lines), data); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, e := range s.entries {
-		if b, n, ok := parsePartialKey(k); ok && b == base && n < lines {
-			if err := os.Remove(s.path(k)); err != nil && !errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			s.dropLocked(k, e)
-			s.stats.PartialsDropped++
-		}
-	}
-	return nil
+	return s.Put(base+partialSuffix, data)
 }
 
-// NewestPartial returns the newest valid checkpoint for base — the
-// indexed partial with the most lines whose content really holds that
-// many complete lines — or ErrNotFound when none exists. Invalid or
-// vanished partials are deleted on sight and the next-newest is tried, so
-// a corrupt checkpoint degrades resumption, never poisons it. Partial
+// Partial returns base's checkpoint and the number of lines it holds, or
+// ErrNotFound when there is none. A checkpoint that is corrupt (empty or
+// ending mid-line) or unreadable is removed on sight and reads as
+// ErrNotFound, so it degrades resumption, never poisons it. Partial
 // probes are not lookups in the Stats hit/miss contract (that contract
 // covers Get and Has).
-func (s *Store) NewestPartial(base string) (data []byte, lines int, err error) {
+func (s *Store) Partial(base string) (data []byte, lines int, err error) {
 	if !validKey(base) {
 		return nil, 0, fmt.Errorf("store: invalid key %q", base)
 	}
+	key := base + partialSuffix
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.load(); err != nil {
 		return nil, 0, err
 	}
-	for {
-		var (
-			best      string
-			bestLines int
-			bestE     *entry
-		)
-		for k, e := range s.entries {
-			if b, n, ok := parsePartialKey(k); ok && b == base && n > bestLines {
-				best, bestLines, bestE = k, n, e
-			}
+	if e, ok := s.entries[key]; ok {
+		data, err := os.ReadFile(s.path(key))
+		if n := completeLines(data); err == nil && n > 0 {
+			return data, n, nil
 		}
-		if best == "" {
-			return nil, 0, fmt.Errorf("store: %q: %w", base, ErrNotFound)
-		}
-		data, err := os.ReadFile(s.path(best))
-		if err == nil && validPartial(data, bestLines) {
-			return data, bestLines, nil
-		}
-		os.Remove(s.path(best)) //nolint:errcheck
-		s.dropLocked(best, bestE)
-		s.stats.PartialsDropped++
+		s.removePartialLocked(key, e)
 	}
+	return nil, 0, fmt.Errorf("store: %q: %w", key, ErrNotFound)
 }
 
-// validPartial reports whether data holds exactly lines complete
-// (newline-terminated) lines — the checkpoint's self-consistency check.
-func validPartial(data []byte, lines int) bool {
-	return len(data) > 0 && data[len(data)-1] == '\n' && bytes.Count(data, []byte{'\n'}) == lines
+// completeLines returns how many newline-terminated lines data holds, or
+// 0 when data is empty or ends mid-line.
+func completeLines(data []byte) int {
+	if len(data) == 0 || data[len(data)-1] != '\n' {
+		return 0
+	}
+	return bytes.Count(data, []byte{'\n'})
 }
 
-// DeletePartials removes every checkpoint of base; callers invoke it
-// after promoting the final artifact, when the partials are dead weight.
-func (s *Store) DeletePartials(base string) error {
-	if !validKey(base) {
-		return fmt.Errorf("store: invalid key %q", base)
+// removePartialLocked deletes the checkpoint stored under key. A file that
+// cannot be removed stays indexed. Callers hold s.mu.
+func (s *Store) removePartialLocked(key string, e *entry) {
+	if err := os.Remove(s.path(key)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.load(); err != nil {
-		return err
-	}
-	for k, e := range s.entries {
-		if b, _, ok := parsePartialKey(k); ok && b == base {
-			if err := os.Remove(s.path(k)); err != nil && !errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			s.dropLocked(k, e)
-			s.stats.PartialsDropped++
-		}
-	}
-	return nil
+	s.dropLocked(key, e)
+	s.stats.PartialsDropped++
 }
 
 // dropLocked removes key from the in-memory index. Callers hold s.mu.
@@ -517,7 +438,7 @@ func (s *Store) Stats() Stats {
 	st.Entries = len(s.entries)
 	st.Bytes = s.size
 	for k := range s.entries {
-		if _, _, ok := parsePartialKey(k); ok {
+		if strings.HasSuffix(k, partialSuffix) {
 			st.Partials++
 		}
 	}

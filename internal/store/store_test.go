@@ -250,13 +250,26 @@ func TestConcurrentPutGet(t *testing.T) {
 }
 
 func TestPartialLifecycle(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := "abc123-c8-a1"
-	if err := s.PutPartial(base, 0, []byte("x\n")); err == nil {
-		t.Error("PutPartial with 0 lines should error")
+	// The write-time check: data must be exactly `lines` complete lines.
+	for _, bad := range []struct {
+		lines int
+		data  string
+	}{{0, "x\n"}, {1, "l0\nl1\n"}, {3, "l0\nl1\n"}, {2, "l0\nl1"}, {1, ""}} {
+		if err := s.PutPartial(base, bad.lines, []byte(bad.data)); err == nil {
+			t.Errorf("PutPartial(%d lines, %q) should error", bad.lines, bad.data)
+		}
+	}
+	if err := s.PutPartial("a", 1, []byte("x\n")); err == nil {
+		t.Error("PutPartial with an invalid base should error")
+	}
+	if st := s.Stats(); st.Partials != 0 || st.Puts != 0 {
+		t.Fatalf("rejected checkpoints were stored: %+v", st)
 	}
 	if err := s.PutPartial(base, 2, []byte("l0\nl1\n")); err != nil {
 		t.Fatal(err)
@@ -264,71 +277,94 @@ func TestPartialLifecycle(t *testing.T) {
 	if err := s.PutPartial(base, 4, []byte("l0\nl1\nl2\nl3\n")); err != nil {
 		t.Fatal(err)
 	}
-	// The newer checkpoint pruned the older one: at most one per base.
-	if st := s.Stats(); st.Partials != 1 || st.PartialsDropped != 1 {
-		t.Fatalf("after supersede: %+v", st)
+	// The newer checkpoint replaced the older one under the same key.
+	if st := s.Stats(); st.Partials != 1 || st.PartialsDropped != 0 {
+		t.Fatalf("after replace: %+v", st)
 	}
-	data, lines, err := s.NewestPartial(base)
+	data, lines, err := s.Partial(base)
 	if err != nil || lines != 4 || string(data) != "l0\nl1\nl2\nl3\n" {
-		t.Fatalf("NewestPartial = %q, %d, %v", data, lines, err)
+		t.Fatalf("Partial = %q, %d, %v", data, lines, err)
 	}
 	// Partials of other bases are invisible.
-	if _, _, err := s.NewestPartial("otherbase"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("NewestPartial(otherbase) = %v, want ErrNotFound", err)
+	if _, _, err := s.Partial("otherbase"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Partial(otherbase) = %v, want ErrNotFound", err)
 	}
-	if err := s.DeletePartials(base); err != nil {
+	// Storing the final artifact drops its checkpoint, on disk too.
+	if err := s.Put(base, []byte("l0\nl1\nl2\nl3\nl4\n")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.NewestPartial(base); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("NewestPartial after DeletePartials = %v, want ErrNotFound", err)
+	if _, _, err := s.Partial(base); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Partial after Put = %v, want ErrNotFound", err)
 	}
-	if st := s.Stats(); st.Partials != 0 {
-		t.Fatalf("partials survive DeletePartials: %+v", st)
+	if st := s.Stats(); st.Partials != 0 || st.PartialsDropped != 1 || st.Entries != 1 {
+		t.Fatalf("checkpoint survives Put of its base: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ab", base+partialSuffix)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("checkpoint file still on disk: %v", err)
 	}
 }
 
+// TestNewestPartialDiscardsInvalid: a checkpoint that is corrupt on disk
+// or has vanished underneath the index is dropped on sight and reads as
+// ErrNotFound, so the job regenerates instead of resuming from it.
 func TestNewestPartialDiscardsInvalid(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := "def456-c8-a1"
+	// A torn checkpoint with no trailing newline, written via Put directly
+	// so PutPartial's write-time check is bypassed.
+	if err := s.Put(base+partialSuffix, []byte("l0\nl1\nl2")); err != nil {
+		t.Fatal(err)
+	}
+	if data, lines, err := s.Partial(base); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Partial of a corrupt checkpoint = %q, %d, %v; want ErrNotFound", data, lines, err)
+	}
+	if st := s.Stats(); st.PartialsDropped != 1 || st.Partials != 0 {
+		t.Fatalf("corrupt checkpoint not dropped: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "de", base+partialSuffix)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("corrupt checkpoint file still on disk: %v", err)
+	}
+	// A checkpoint deleted behind the store's back.
 	if err := s.PutPartial(base, 2, []byte("l0\nl1\n")); err != nil {
 		t.Fatal(err)
 	}
-	// A corrupt newer checkpoint: claims 4 lines, holds 3 and no trailing
-	// newline. Written via Put directly so PutPartial's pruning is bypassed.
-	if err := s.Put(PartialKey(base, 4), []byte("l0\nl1\nl2")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "de", base+partialSuffix)); err != nil {
 		t.Fatal(err)
 	}
-	data, lines, err := s.NewestPartial(base)
-	if err != nil || lines != 2 || string(data) != "l0\nl1\n" {
-		t.Fatalf("NewestPartial should fall back past the corrupt checkpoint: %q, %d, %v", data, lines, err)
+	if _, _, err := s.Partial(base); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Partial of a vanished checkpoint = %v, want ErrNotFound", err)
 	}
-	if st := s.Stats(); st.PartialsDropped != 1 || st.Partials != 1 {
-		t.Fatalf("corrupt checkpoint not dropped: %+v", st)
+	if st := s.Stats(); st.PartialsDropped != 2 || st.Partials != 0 || st.Bytes != 0 {
+		t.Fatalf("vanished checkpoint not dropped: %+v", st)
 	}
 }
 
+// TestOpenGCsOrphanedAndSupersededPartials: open removes a checkpoint
+// whose final artifact exists (a crash between Put's rename and the
+// checkpoint's removal), and a superseded checkpoint never survives to be
+// collected, because each PutPartial replaces the last.
 func TestOpenGCsOrphanedAndSupersededPartials(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Base "aa...": final artifact exists alongside a leftover checkpoint
-	// (crash between promotion and cleanup). Base "bb...": two checkpoints
-	// (crash between a PutPartial's rename and its prune).
+	// Base "aa...": final artifact beside a leftover checkpoint, written
+	// after it so Put does not drop it. Base "bb...": two checkpoints.
 	if err := s.Put("aaorphan-c4-a1", []byte("l0\nl1\nl2\nl3\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(PartialKey("aaorphan-c4-a1", 2), []byte("l0\nl1\n")); err != nil {
+	if err := s.PutPartial("aaorphan-c4-a1", 2, []byte("l0\nl1\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(PartialKey("bbstale-c4-a1", 1), []byte("l0\n")); err != nil {
+	if err := s.PutPartial("bbstale-c4-a1", 1, []byte("l0\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(PartialKey("bbstale-c4-a1", 3), []byte("l0\nl1\nl2\n")); err != nil {
+	if err := s.PutPartial("bbstale-c4-a1", 3, []byte("l0\nl1\nl2\n")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -336,17 +372,17 @@ func TestOpenGCsOrphanedAndSupersededPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s2.NewestPartial("aaorphan-c4-a1"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s2.Partial("aaorphan-c4-a1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("orphaned checkpoint survived open GC: %v", err)
 	}
-	if _, lines, err := s2.NewestPartial("bbstale-c4-a1"); err != nil || lines != 3 {
+	if _, lines, err := s2.Partial("bbstale-c4-a1"); err != nil || lines != 3 {
 		t.Fatalf("newest checkpoint should survive open GC: %d, %v", lines, err)
 	}
 	st := s2.Stats()
-	if st.Partials != 1 || st.PartialsDropped != 2 {
+	if st.Partials != 1 || st.PartialsDropped != 1 || st.Entries != 2 {
 		t.Fatalf("open GC stats: %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "aa", PartialKey("aaorphan-c4-a1", 2))); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(dir, "aa", "aaorphan-c4-a1"+partialSuffix)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("orphaned checkpoint file still on disk: %v", err)
 	}
 }
@@ -417,60 +453,92 @@ func TestRestartPreservesLRUOrder(t *testing.T) {
 	}
 }
 
-// TestNonCanonicalPartialIsNotACheckpoint pins "one partial per base": a
-// file whose line count is not written the way PartialKey writes it (a
-// leading zero) is not a checkpoint of that base, so PutPartial cannot
-// leave it beside the canonical one.
+// TestNonCanonicalPartialIsNotACheckpoint: only <base>.part is a
+// checkpoint of base. A file in the older <base>.part-<lines> form is an
+// ordinary entry: it is never resumed from, never dropped by Put of the
+// base, and left to the LRU like any artifact nobody requests.
 func TestNonCanonicalPartialIsNotACheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	base := "abc123-c8-a1"
 	if err := os.MkdirAll(filepath.Join(dir, "ab"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "ab", base+partialSep+"02"), []byte("x0\nx1\n"), 0o644); err != nil {
+	legacy := filepath.Join(dir, "ab", base+".part-2")
+	if err := os.WriteFile(legacy, []byte("x0\nx1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := s.Partial(base); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Partial read the legacy file: %v", err)
+	}
 	if err := s.PutPartial(base, 2, []byte("l0\nl1\n")); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Partials != 1 {
-		t.Fatalf("%d checkpoints of one base after PutPartial, want 1: %+v", st.Partials, st)
+	if st := s.Stats(); st.Partials != 1 || st.Entries != 2 {
+		t.Fatalf("want one checkpoint beside one ordinary entry: %+v", st)
 	}
-	data, lines, err := s.NewestPartial(base)
+	data, lines, err := s.Partial(base)
 	if err != nil || lines != 2 || string(data) != "l0\nl1\n" {
-		t.Fatalf("NewestPartial = %q, %d, %v; want the canonical checkpoint", data, lines, err)
+		t.Fatalf("Partial = %q, %d, %v; want the canonical checkpoint", data, lines, err)
+	}
+	if err := s.Put(base, []byte("l0\nl1\nl2\n")); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Partials != 0 || st.PartialsDropped != 1 || st.Entries != 2 {
+		t.Fatalf("after Put: %+v", st)
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Fatalf("legacy file should be left to the LRU: %v", err)
 	}
 }
 
-// FuzzPartialKey checks that parsePartialKey accepts exactly the keys
-// PartialKey writes: every accepted key round-trips, and every key written
-// for a valid base and a positive count parses back to its parts.
+// FuzzPartialKey checks the checkpoint namespace: PutPartial accepts
+// exactly a valid base with data of exactly `lines` complete lines, stores
+// it under <base>.part in the base's bucket, Partial reads the same bytes
+// and line count back, and Put of the base drops the checkpoint.
 func FuzzPartialKey(f *testing.F) {
-	for _, k := range []string{
-		"abc123-c8-a1.part-2", "abc123-c8-a1.part-02", "abc123-c8-a1.part-+2",
-		"abc123-c8-a1.part-0", "ab.part-3.part-2", ".part-1", "a.part-1",
-		"abc.part-", "abc.part-99999999999999999999", "AB.part-1", "abc",
+	for _, c := range []struct {
+		base, data string
+		lines      int
+	}{
+		{"abc123-c8-a1", "l0\nl1\n", 2}, {"abc123-c8-a1", "l0\nl1\n", 1},
+		{"abc123-c8-a1", "l0\nl1", 2}, {"abc123-c8-a1", "", 0},
+		{"abc123-c8-a1", "\n", 1}, {"ab", "x\n", 1}, {"a", "x\n", 1},
+		{"AB", "x\n", 1}, {"ab/../cd", "x\n", 1}, {"abc.part", "x\ny\n", 2},
+		{"abc123-c8-a1.part-2", "x\n", 1}, {"abc", "x\n\n\n", 3}, {"abc", "x\n", -1},
 	} {
-		f.Add(k, "ab", 1)
+		f.Add(c.base, c.data, c.lines)
 	}
-	f.Add("", "abc123-c8-a1", 4)
-	f.Add("", "x.part-7", 12)
-	f.Fuzz(func(t *testing.T, key, b string, n int) {
-		if base, lines, ok := parsePartialKey(key); ok {
-			if !validKey(base) || lines < 1 || PartialKey(base, lines) != key {
-				t.Fatalf("parsePartialKey(%q) = (%q, %d, true), which PartialKey does not write", key, base, lines)
-			}
+	dir := f.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, base, data string, lines int) {
+		err := s.PutPartial(base, lines, []byte(data))
+		valid := validKey(base) && lines > 0 && strings.HasSuffix(data, "\n") &&
+			strings.Count(data, "\n") == lines
+		if (err == nil) != valid {
+			t.Fatalf("PutPartial(%q, %d, %q) = %v, want accepted=%v", base, lines, data, err, valid)
 		}
-		if !validKey(b) || n < 1 {
+		if !valid {
 			return
 		}
-		k := PartialKey(b, n)
-		if base, lines, ok := parsePartialKey(k); !ok || base != b || lines != n {
-			t.Fatalf("parsePartialKey(PartialKey(%q, %d)) = (%q, %d, %v)", b, n, base, lines, ok)
+		if _, err := os.Stat(filepath.Join(dir, base[:2], base+partialSuffix)); err != nil {
+			t.Fatalf("checkpoint of %q not at <bucket>/<base>.part: %v", base, err)
+		}
+		got, n, err := s.Partial(base)
+		if err != nil || n != lines || string(got) != data {
+			t.Fatalf("Partial(%q) = %q, %d, %v; want %q, %d", base, got, n, err, data, lines)
+		}
+		if err := s.Put(base, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Partial(base); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Partial(%q) after Put = %v, want ErrNotFound", base, err)
 		}
 	})
 }

@@ -193,9 +193,9 @@ func TestEnsembleInvalidConfigError(t *testing.T) {
 }
 
 // TestEnsembleMemberErrorNamesLowestMember: when every member fails, the
-// engine reports member 0 — the lowest-index error that is not fallout of
-// the abort — wrapped so errors.Is still finds ErrInvalidConfig, and emits
-// nothing, at every parallelism.
+// engine reports member 0 — the lowest-index failure, whichever worker
+// finished first — wrapped so errors.Is still finds ErrInvalidConfig, and
+// emits nothing, at every parallelism.
 func TestEnsembleMemberErrorNamesLowestMember(t *testing.T) {
 	var cfg Config
 	if err := json.Unmarshal([]byte(overflowRepros[0]), &cfg); err != nil {

@@ -14,7 +14,7 @@ import (
 const TraceSchemaVersion = telemetry.SchemaVersion
 
 // evalTotals sums the cost evaluator's counters (memoization, full
-// sweeps, CSR snapshots) over finished replicas. Counter values are NOT
+// sweeps) over finished replicas. Counter values are NOT
 // part of the determinism contract — generated networks are bit-identical
 // across Parallelism and telemetry settings, but parallel workers racing to
 // evaluate the same topology can shift hit/miss and sweep counts between
@@ -23,7 +23,6 @@ type evalTotals struct {
 	cacheHits   uint64
 	cacheMisses uint64
 	fullSweeps  uint64
-	csrBuilds   uint64
 }
 
 // add folds one replica's evaluator counters into the totals. Callers hold
@@ -32,7 +31,6 @@ func (a *evalTotals) add(s cost.Stats) {
 	a.cacheHits += s.CacheHits
 	a.cacheMisses += s.CacheMisses
 	a.fullSweeps += s.FullSweeps
-	a.csrBuilds += s.CSRBuilds
 }
 
 // Telemetry collects metrics and (optionally) a JSONL event trace from every
@@ -145,8 +143,6 @@ func (t *Telemetry) RegisterMetrics(reg *telemetry.Registry) {
 		agg(func(s evalTotals) uint64 { return s.cacheMisses }))
 	reg.CounterFunc("cold_eval_full_sweeps_total", "All-sources shortest-path sweeps.",
 		agg(func(s evalTotals) uint64 { return s.fullSweeps }))
-	reg.CounterFunc("cold_eval_csr_builds_total", "Flat-memory CSR graph snapshots built.",
-		agg(func(s evalTotals) uint64 { return s.csrBuilds }))
 }
 
 // RecordCheckpoint emits a service-side "checkpoint" trace event: the

@@ -225,7 +225,6 @@ func TestTelemetryCounters(t *testing.T) {
 		"cold_evaluations_total",
 		"cold_eval_cache_misses_total",
 		"cold_eval_full_sweeps_total",
-		"cold_eval_csr_builds_total",
 		"cold_eval_duration_seconds_count",
 		"cold_eval_duration_seconds_sum",
 		"cold_replica_busy_seconds_total",
