@@ -83,12 +83,13 @@ validate-smoke:
 # cold_artifact_cache_hits_total=1 and cold_generation_jobs_total=1 on a
 # /metrics scrape that passes the exposition-format lint), checks that
 # /v1/stats and /debug/vars are 404 while /debug/pprof/ serves, checks the
-# per-job JSONL trace file and /healthz build identity, then checks clean
-# shutdown on SIGTERM. TestColddRestartSmoke: SIGKILLs the daemon
-# mid-ensemble once a checkpoint file exists, restarts it over the same
-# cache, and asserts the job resumes (cold_checkpoint_resume* counters on
-# /metrics) with a byte-identical final artifact. CI runs both after
-# `make check`.
+# per-job JSONL trace file and /healthz build identity, requests the same
+# config as SSE and asserts its network events carry exactly the JSONL
+# body's lines, then checks clean shutdown on SIGTERM.
+# TestColddRestartSmoke: SIGKILLs the daemon mid-ensemble once a
+# checkpoint file exists, restarts it over the same cache, and asserts the
+# job resumes (cold_checkpoint_resume* counters on /metrics) with a
+# byte-identical final artifact. CI runs both after `make check`.
 coldd-smoke:
 	$(GO) test ./cmd/coldd -run 'TestColdd' -count=1 -v
 

@@ -126,7 +126,7 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	ri := reqInfoFrom(r)
 	ri.hash, ri.count = hash, count
 
-	data, j, err := s.lookup(req.Config, count, key, ri.id)
+	j, cache, err := s.lookup(req.Config, count, key, ri.id)
 	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -135,19 +135,9 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
-	case data != nil:
-		ri.cache = "hit"
-		s.writeHeaders(w, hash, count, "hit", sse)
-		if sse {
-			writeSSELines(w, r, data)
-			writeSSEDone(w, hash, count, "hit")
-			return
-		}
-		w.Write(data) //nolint:errcheck
-		return
 	}
-	ri.cache, ri.jobID = "miss", j.id
-	s.streamJob(w, r, j, hash, count, sse)
+	ri.cache, ri.jobID = cache, j.id
+	s.streamJob(w, r, j, hash, count, cache, sse)
 }
 
 // wantSSE reports whether the client asked for server-sent events, either
@@ -174,18 +164,18 @@ func (s *server) writeHeaders(w http.ResponseWriter, hash string, count int, cac
 	h.Set("X-Cold-Cache", cache)
 }
 
-// streamJob tails a live job, writing artifact bytes (or SSE events) as
-// replicas finish. Headers are deferred until the first byte or completion
-// so early failures still get a real status code; client disconnection
-// releases the caller's interest in the job, cancelling the generation if
-// it was the last one.
-func (s *server) streamJob(w http.ResponseWriter, r *http.Request, j *job, hash string, count int, sse bool) {
+// streamJob tails a job, live or a finished store hit, writing artifact
+// bytes (or one SSE network event per line) as replicas finish. Headers
+// are deferred until the first byte or completion so early failures still
+// get a real status code. Chunks are flushed only while more may follow
+// or when the job failed, so a hit goes out as one write. Client
+// disconnection releases the caller's interest in the job, cancelling the
+// generation if it was the last one.
+func (s *server) streamJob(w http.ResponseWriter, r *http.Request, j *job, hash string, count int, cache string, sse bool) {
 	defer j.leave()
-	cache := "miss"
 	flusher, _ := w.(http.Flusher)
 	off := 0
 	sent := false
-	var sseTail []byte // partial line carried between chunks
 	for {
 		chunk, done, jerr, next := j.snapshot(off)
 		if len(chunk) == 0 && !done {
@@ -204,25 +194,18 @@ func (s *server) streamJob(w http.ResponseWriter, r *http.Request, j *job, hash 
 			s.writeHeaders(w, hash, count, cache, sse)
 			sent = true
 		}
-		if len(chunk) > 0 {
-			off += len(chunk)
-			if sse {
-				sseTail = append(sseTail, chunk...)
-				var line []byte
-				for {
-					i := bytes.IndexByte(sseTail, '\n')
-					if i < 0 {
-						break
-					}
-					line, sseTail = sseTail[:i], sseTail[i+1:]
-					fmt.Fprintf(w, "event: network\ndata: %s\n\n", line)
-				}
-			} else {
-				w.Write(chunk) //nolint:errcheck
+		off += len(chunk)
+		if sse {
+			for len(chunk) > 0 { // job chunks are whole lines
+				i := bytes.IndexByte(chunk, '\n')
+				fmt.Fprintf(w, "event: network\ndata: %s\n\n", chunk[:i])
+				chunk = chunk[i+1:]
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+		} else if len(chunk) > 0 {
+			w.Write(chunk) //nolint:errcheck
+		}
+		if flusher != nil && (!done || jerr != nil) {
+			flusher.Flush()
 		}
 		if done {
 			if jerr != nil {
@@ -257,17 +240,6 @@ func (s *server) writeJobError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 	default:
 		httpError(w, http.StatusInternalServerError, "%v", err)
-	}
-}
-
-// writeSSELines replays a finished artifact as SSE network events.
-func writeSSELines(w http.ResponseWriter, r *http.Request, data []byte) {
-	flusher, _ := w.(http.Flusher)
-	for _, line := range bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n")) {
-		fmt.Fprintf(w, "event: network\ndata: %s\n\n", line)
-	}
-	if flusher != nil {
-		flusher.Flush()
 	}
 }
 

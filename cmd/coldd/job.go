@@ -14,12 +14,12 @@ import (
 //
 // The buffer holds the artifact bytes exactly as they will be stored:
 // one compact network JSON per line, in replica order. Appends are
-// whole-line, so a reader that consumes the buffer in chunks still sees
-// only complete lines once the job is done.
+// whole lines, so every chunk a reader takes from the buffer is whole
+// lines too. A store hit is served as a job that is already done and
+// holds the stored artifact (server.lookup).
 type job struct {
 	key    string
 	id     string // correlation ID: the starting request's ID, also the trace file name
-	total  int    // requested ensemble size
 	cancel context.CancelFunc
 
 	// flushTrace closes the job's JSONL trace file, when one was opened.
@@ -35,8 +35,8 @@ type job struct {
 	notify chan struct{} // closed and replaced on every state change
 }
 
-func newJob(key string, total int, id string, cancel context.CancelFunc) *job {
-	return &job{key: key, id: id, total: total, cancel: cancel, refs: 1, notify: make(chan struct{})}
+func newJob(key, id string, cancel context.CancelFunc) *job {
+	return &job{key: key, id: id, cancel: cancel, refs: 1, notify: make(chan struct{})}
 }
 
 // wake closes the current notify channel, releasing every tailing reader.
@@ -46,24 +46,13 @@ func (j *job) wake() {
 	j.notify = make(chan struct{})
 }
 
-// append adds one complete artifact line (network JSON + '\n').
-func (j *job) append(line []byte) {
-	j.mu.Lock()
-	j.buf = append(j.buf, line...)
-	j.lines++
-	j.wake()
-	j.mu.Unlock()
-}
-
-// prefill seeds the buffer with a resumed checkpoint's bytes — lines
-// complete artifact lines — before generation restarts at replica lines.
-// Tailing readers see the replayed prefix immediately; determinism makes
-// it byte-identical to the lines a fresh run would stream. The runner
-// calls this at most once, before any append.
-func (j *job) prefill(data []byte, lines int) {
+// append adds data, which holds exactly lines complete artifact lines
+// (network JSON + '\n' each): one generated replica, or a resumed
+// checkpoint's prefix.
+func (j *job) append(data []byte, lines int) {
 	j.mu.Lock()
 	j.buf = append(j.buf, data...)
-	j.lines = lines
+	j.lines += lines
 	j.wake()
 	j.mu.Unlock()
 }
@@ -96,27 +85,6 @@ func (j *job) snapshot(off int) (chunk []byte, done bool, err error, next <-chan
 		chunk = j.buf[off:]
 	}
 	return chunk, j.done, j.err, j.notify
-}
-
-// result blocks until the job finishes and returns the full artifact.
-func (j *job) result(ctx context.Context) ([]byte, error) {
-	off := 0
-	for {
-		chunk, done, err, next := j.snapshot(off)
-		off += len(chunk)
-		if done {
-			if err != nil {
-				return nil, err
-			}
-			buf, _, _, _ := j.snapshot(0)
-			return buf, nil
-		}
-		select {
-		case <-next:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // tryJoin registers another interested request. It reports false when the

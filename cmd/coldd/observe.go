@@ -165,7 +165,7 @@ func (s *server) registerMetrics(reg *telemetry.Registry) {
 	reg.DurationHistogram("cold_store_put_duration_seconds", "Artifact store Put wall time.", s.storePut)
 
 	st := func(get func(s store.Stats) float64) func() float64 {
-		return func() float64 { return get(s.store.Stats()) }
+		return func() float64 { return get(s.opts.store.Stats()) }
 	}
 	reg.CounterFunc("cold_store_hits_total", "Artifact store lookup hits.",
 		st(func(st store.Stats) float64 { return float64(st.Hits) }))

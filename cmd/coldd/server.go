@@ -55,13 +55,11 @@ type serverOptions struct {
 // generation engine, fronted by a content-addressed artifact cache and
 // single-flight collapsing of identical concurrent requests.
 type server struct {
-	opts  serverOptions
-	store *store.Store
-	tel   *cold.Telemetry
-	q     *queue
-	base  context.Context
-	log   *slog.Logger
-	reg   *telemetry.Registry // the GET /metrics surface
+	opts serverOptions
+	tel  *cold.Telemetry
+	q    *queue
+	log  *slog.Logger
+	reg  *telemetry.Registry // the GET /metrics surface
 
 	mu   sync.Mutex
 	jobs map[string]*job
@@ -105,14 +103,12 @@ func newServer(opts serverOptions) *server {
 		opts.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := &server{
-		opts:  opts,
-		store: opts.store,
-		tel:   cold.NewTelemetry(),
-		q:     newQueue(opts.jobs, opts.queueDepth),
-		base:  opts.base,
-		log:   opts.logger,
-		reg:   telemetry.NewRegistry(),
-		jobs:  make(map[string]*job),
+		opts: opts,
+		tel:  cold.NewTelemetry(),
+		q:    newQueue(opts.jobs, opts.queueDepth),
+		log:  opts.logger,
+		reg:  telemetry.NewRegistry(),
+		jobs: make(map[string]*job),
 
 		reqDur:    telemetry.NewHistogramVec(telemetry.DurationBuckets(), "route", "status"),
 		respBytes: telemetry.NewHistogram(sizeBuckets()),
@@ -121,44 +117,46 @@ func newServer(opts serverOptions) *server {
 		storePut:  telemetry.NewHistogram(telemetry.DurationBuckets()),
 	}
 	s.q.waitHist = s.queueWait
-	s.store.SetLatencyHistograms(s.storeGet, s.storePut)
+	opts.store.SetLatencyHistograms(s.storeGet, s.storePut)
 	s.registerMetrics(s.reg)
 	return s
 }
 
-// lookup resolves one request to either cached artifact bytes or a job to
-// tail: store hit → (data, nil); in-flight identical request → join it;
-// otherwise admit the queue and start a new job carrying the requester's
-// ID (its correlation handle in logs and trace files). The queue-full
-// check is synchronous, so a rejected request never creates a job.
-func (s *server) lookup(cfg cold.Config, count int, key, reqID string) (data []byte, j *job, err error) {
-	if data, err := s.store.Get(key); err == nil {
+// lookup resolves one request to a job to tail and its cache label: a
+// store hit is a job that is already done and holds the artifact, with no
+// ID, runner or queue slot ("hit"); an in-flight identical request is
+// joined ("miss"); otherwise lookup admits the queue and starts a new job
+// carrying the requester's ID, its correlation handle in logs and trace
+// files ("miss"). The queue-full check is synchronous, so a rejected
+// request never creates a job.
+func (s *server) lookup(cfg cold.Config, count int, key, reqID string) (j *job, cache string, err error) {
+	if data, err := s.opts.store.Get(key); err == nil {
 		s.cacheHits.Inc()
-		return data, nil, nil
+		return &job{buf: data, done: true, refs: 1}, "hit", nil
 	} else if !errors.Is(err, store.ErrNotFound) {
-		return nil, nil, err
+		return nil, "", err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[key]; ok && j.tryJoin() {
 		s.sfShared.Inc()
-		return nil, j, nil
+		return j, "miss", nil
 	}
 	// No live job (any mapped one is being torn down after losing its last
 	// requester — replace it; its runner only detaches itself). Admission
 	// before job creation keeps 429 synchronous.
 	if err := s.q.admit(); err != nil {
 		s.queueFull.Inc()
-		return nil, nil, err
+		return nil, "", err
 	}
-	ctx, cancel := context.WithCancel(s.base)
-	nj := newJob(key, count, reqID, cancel)
+	ctx, cancel := context.WithCancel(s.opts.base)
+	nj := newJob(key, reqID, cancel)
 	s.jobs[key] = nj
 	s.cacheMisses.Inc()
 	s.log.Info("job queued", "job_id", nj.id, "key", key, "count", count)
 	s.runners.Add(1)
 	go s.run(ctx, nj, cfg, count)
-	return nil, nj, nil
+	return nj, "miss", nil
 }
 
 // errShutdown tags job failures caused by the daemon draining; the
@@ -233,8 +231,8 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 	// checkpoint can never cover the whole ensemble (storing the complete
 	// artifact drops it), but guard anyway.
 	from := 0
-	if data, lines, err := s.store.Partial(j.key); err == nil && lines < count {
-		j.prefill(data, lines)
+	if data, lines, err := s.opts.store.Partial(j.key); err == nil && lines < count {
+		j.append(data, lines)
 		from = lines
 		s.ckptResumes.Inc()
 		s.ckptResumedReplicas.Add(uint64(lines))
@@ -247,7 +245,7 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 		if lines <= lastCkpt || lines >= count {
 			return // nothing new, or the full artifact (promotion handles it)
 		}
-		if perr := s.store.PutPartial(j.key, lines, data); perr != nil {
+		if perr := s.opts.store.PutPartial(j.key, lines, data); perr != nil {
 			// Checkpointing is best-effort insurance; generation goes on.
 			s.log.Warn("job checkpoint failed", "job_id", j.id, "key", j.key, "err", perr)
 			return
@@ -265,7 +263,7 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 		if err != nil {
 			return err
 		}
-		j.append(append(line, '\n'))
+		j.append(append(line, '\n'), 1)
 		if every := s.opts.checkpointEvery; every > 0 && i+1-lastCkpt >= every {
 			checkpoint()
 		}
@@ -298,7 +296,7 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 		return
 	}
 	data, _, _, _ := j.snapshot(0)
-	if perr := s.store.Put(j.key, data); perr != nil {
+	if perr := s.opts.store.Put(j.key, data); perr != nil {
 		// A cache write failure degrades future requests to regeneration;
 		// this one still has its bytes.
 		s.log.Warn("job artifact not cached", "job_id", j.id, "key", j.key, "err", perr)

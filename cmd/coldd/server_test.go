@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -70,6 +72,35 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// postSSE POSTs body to base's generate endpoint as an SSE request and
+// returns the event stream.
+func postSSE(t *testing.T, base, body string) string {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/generate?stream=sse", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("SSE status %d: %s", resp.StatusCode, data)
+	}
+	return string(data)
+}
+
+// sseBody is the event stream that carries the JSONL body jsonl: one
+// network event per line, in order, then the done event with the cache
+// label.
+func sseBody(jsonl []byte, hash string, count int, cache string) string {
+	var b strings.Builder
+	for _, line := range bytes.SplitAfter(jsonl, []byte("\n")) {
+		if len(line) > 0 {
+			fmt.Fprintf(&b, "event: network\ndata: %s\n", line)
+		}
+	}
+	fmt.Fprintf(&b, "event: done\ndata: {\"hash\":%q,\"count\":%d,\"cache\":%q}\n\n", hash, count, cache)
+	return b.String()
 }
 
 // metrics is one /metrics exposition: series ("name" or "name{labels}")
@@ -443,6 +474,23 @@ func TestSSEStream(t *testing.T) {
 	}
 }
 
+// TestSSEIsJSONLLines: a miss and a hit both stream exactly the JSONL
+// body's lines as SSE network events, then the done event with the right
+// cache label.
+func TestSSEIsJSONLLines(t *testing.T) {
+	body := tinyBody(6, 3)
+	_, ref := newTestServer(t, serverOptions{})
+	resp := post(t, ref, body)
+	jsonl := readAll(t, resp)
+	hash := resp.Header.Get("X-Cold-Config-Hash")
+	_, ts := newTestServer(t, serverOptions{})
+	for _, cache := range []string{"miss", "hit"} {
+		if got, want := postSSE(t, ts.URL, body), sseBody(jsonl, hash, 3, cache); got != want {
+			t.Fatalf("%s: SSE body\n%s\nwant\n%s", cache, got, want)
+		}
+	}
+}
+
 // TestHealthAndStatsEndpoints pins the route table: /healthz, /metrics and
 // pprof are served; /v1/stats and expvar's /debug/vars are not.
 func TestHealthAndStatsEndpoints(t *testing.T) {
@@ -664,6 +712,24 @@ func TestResumeFromCheckpoint(t *testing.T) {
 			readAll(t, second)
 		})
 	}
+	// A resumed job streams the replayed checkpoint lines as SSE events
+	// like the ones it generates.
+	t.Run("sse", func(t *testing.T) {
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutPartial(key, 2, prefix); err != nil {
+			t.Fatal(err)
+		}
+		s, ts := newTestServer(t, serverOptions{store: st})
+		if got, exp := postSSE(t, ts.URL, tinyBody(101, 4)), sseBody(want.Bytes(), hash, 4, "miss"); got != exp {
+			t.Fatalf("resumed SSE body\n%s\nwant\n%s", got, exp)
+		}
+		if r := serverMetrics(t, s)["cold_checkpoint_resumes_total"]; r != 1 {
+			t.Errorf("resumes = %v, want 1", r)
+		}
+	})
 }
 
 // TestCheckpointWriteAndPromote: with checkpointing enabled, a job writes
@@ -688,7 +754,7 @@ func TestCheckpointWriteAndPromote(t *testing.T) {
 		t.Errorf("partials = %v after success, want 0", p)
 	}
 	hash := resp.Header.Get("X-Cold-Config-Hash")
-	if ok, err := s.store.Has(artifactKey(hash, 3)); err != nil || !ok {
+	if ok, err := s.opts.store.Has(artifactKey(hash, 3)); err != nil || !ok {
 		t.Errorf("final artifact missing after promotion: %v, %v", ok, err)
 	}
 }
@@ -767,6 +833,35 @@ func TestShutdownCheckpointsMidStream(t *testing.T) {
 	// The drain left a resumable checkpoint behind.
 	if p := serverMetrics(t, s)["cold_store_partials"]; p < 1 {
 		t.Errorf("partials = %v after drain, want >= 1", p)
+	}
+}
+
+// TestJSONLFailureAbortsConnection: a JSONL client whose job fails after
+// bytes were streamed (here: the shutdown drain) cannot be sent a status,
+// so the connection is aborted and the client reads an error, never a
+// clean end of a truncated body.
+func TestJSONLFailureAbortsConnection(t *testing.T) {
+	base, cancelJobs := context.WithCancel(context.Background())
+	defer cancelJobs()
+	s, ts := newTestServer(t, serverOptions{base: base, jobs: 1})
+	body := `{"config":{"NumPoPs":16,"Seed":44,"Optimizer":{"PopulationSize":16,"Generations":200}},"count":50}`
+	// Headers arrive with the first flushed replica.
+	resp := post(t, ts, body)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	br := bufio.NewReader(resp.Body)
+	if _, err := br.ReadBytes('\n'); err != nil {
+		t.Fatalf("reading the first line: %v", err)
+	}
+	s.beginShutdown()
+	cancelJobs()
+	if rest, err := io.ReadAll(br); err == nil {
+		t.Fatalf("truncated JSONL body ended cleanly after %d more bytes", len(rest))
+	}
+	if err := s.drainJobs(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

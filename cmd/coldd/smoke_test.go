@@ -6,8 +6,10 @@ package main
 // TestColddSmoke starts coldd on a free port with a fresh cache, POSTs one
 // tiny config twice, and asserts the second response was served from the
 // artifact store (cache-hit counter up, generation counter still 1 on
-// /metrics) with a byte-identical body. It then sends SIGTERM and asserts
-// the same clean drain SIGINT gets ("coldd: shut down" on stderr, exit 0).
+// /metrics) with a byte-identical body, and that the same config requested
+// as SSE streams exactly that body's lines as network events. It then
+// sends SIGTERM and asserts the same clean drain SIGINT gets ("coldd: shut
+// down" on stderr, exit 0).
 //
 // TestColddRestartSmoke is the crash-recovery leg: it SIGKILLs a daemon
 // mid-ensemble (after a checkpoint file appeared in the cache), restarts it
@@ -125,6 +127,7 @@ func TestColddSmoke(t *testing.T) {
 	)
 
 	body := `{"config":{"NumPoPs":8,"Seed":42,"Optimizer":{"PopulationSize":8,"Generations":4}},"count":2}`
+	var hash string
 	postOnce := func(wantCache string) []byte {
 		resp, err := http.Post(d.base+"/v1/generate", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -137,6 +140,7 @@ func TestColddSmoke(t *testing.T) {
 		if got := resp.Header.Get("X-Cold-Cache"); got != wantCache {
 			t.Fatalf("X-Cold-Cache = %q, want %q", got, wantCache)
 		}
+		hash = resp.Header.Get("X-Cold-Config-Hash")
 		var buf bytes.Buffer
 		if _, err := buf.ReadFrom(resp.Body); err != nil {
 			t.Fatal(err)
@@ -201,6 +205,12 @@ func TestColddSmoke(t *testing.T) {
 	hresp.Body.Close()
 	if health.Status != "ok" || health.GoVersion == "" {
 		t.Fatalf("healthz = %+v, want ok with a go version", health)
+	}
+
+	// The hot config as SSE: a hit whose events carry exactly the JSONL
+	// body's lines.
+	if got, want := postSSE(t, d.base, body), sseBody(first, hash, 2, "hit"); got != want {
+		t.Fatalf("SSE hit body\n%s\nwant\n%s", got, want)
 	}
 
 	// SIGTERM must drain exactly like SIGINT: clean exit, shutdown banner.

@@ -88,19 +88,6 @@ func (r *Routing) Path(s, d int) []int {
 	return rev
 }
 
-// NextHop returns the first hop on the shortest path from s toward d, or -1
-// if unreachable or s == d.
-func (r *Routing) NextHop(s, d int) int {
-	if s == d || r.Parent[s][d] < 0 {
-		return -1
-	}
-	v := d
-	for int(r.Parent[s][v]) != s {
-		v = int(r.Parent[s][v])
-	}
-	return v
-}
-
 // Evaluation is the full breakdown of a topology's cost, together with the
 // link capacities and the routing that produced them.
 type Evaluation struct {

@@ -230,22 +230,13 @@ func TestLeafLoadIsRowSum(t *testing.T) {
 	}
 }
 
-func TestRoutingPathAndNextHop(t *testing.T) {
+func TestRoutingPath(t *testing.T) {
 	e := lineContext(t, DefaultParams())
 	g, _ := graph.FromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	ev := e.Evaluate(g)
 	p := ev.Routing.Path(0, 2)
 	if len(p) != 3 || p[0] != 0 || p[1] != 1 || p[2] != 2 {
 		t.Fatalf("Path(0,2) = %v", p)
-	}
-	if got := ev.Routing.NextHop(0, 2); got != 1 {
-		t.Fatalf("NextHop(0,2) = %d", got)
-	}
-	if got := ev.Routing.NextHop(2, 0); got != 1 {
-		t.Fatalf("NextHop(2,0) = %d", got)
-	}
-	if got := ev.Routing.NextHop(1, 1); got != -1 {
-		t.Fatalf("NextHop(1,1) = %d", got)
 	}
 	if got := ev.Routing.Path(1, 1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Path(1,1) = %v", got)
@@ -259,9 +250,6 @@ func TestRoutingUnreachable(t *testing.T) {
 	ev := e.Evaluate(g)
 	if p := ev.Routing.Path(0, 2); p != nil {
 		t.Fatalf("unreachable path = %v, want nil", p)
-	}
-	if h := ev.Routing.NextHop(0, 2); h != -1 {
-		t.Fatalf("unreachable next hop = %d", h)
 	}
 }
 

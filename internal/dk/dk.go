@@ -29,14 +29,6 @@ func Distribution1K(g *graph.Graph) map[int]int {
 	return out
 }
 
-// Average0K returns the 0K distribution: the average node degree.
-func Average0K(g *graph.Graph) float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return 2 * float64(g.NumEdges()) / float64(g.N())
-}
-
 // JointDegree2K returns the 2K distribution: for each edge, the sorted
 // pair of endpoint degrees → count. It captures assortativity and the
 // entropy statistic of Li et al.

@@ -34,15 +34,6 @@ func TestDistribution1K(t *testing.T) {
 	}
 }
 
-func TestAverage0K(t *testing.T) {
-	if Average0K(graph.Complete(5)) != 4 {
-		t.Error("K5 0K wrong")
-	}
-	if Average0K(graph.New(0)) != 0 {
-		t.Error("empty 0K wrong")
-	}
-}
-
 func TestJointDegree2K(t *testing.T) {
 	// Path on 3: edges with degree pairs (1,2) and (1,2).
 	g := mustGraph(t, 3, [][2]int{{0, 1}, {1, 2}})

@@ -53,22 +53,8 @@ func NumLeaves(g *graph.Graph) int {
 // (Figure 6 of the paper). Disconnected graphs return -1; graphs with
 // fewer than two nodes return 0.
 func Diameter(g *graph.Graph) int {
-	n := g.N()
-	if n <= 1 {
-		return 0
-	}
-	max := 0
-	for s := 0; s < n; s++ {
-		for _, d := range g.BFSHops(s) {
-			if d < 0 {
-				return -1
-			}
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
+	dia, _ := PathStats(g)
+	return dia
 }
 
 // AveragePathLength returns the mean hop count over all distinct node
@@ -82,7 +68,7 @@ func AveragePathLength(g *graph.Graph) float64 {
 // BFS sweep — the streaming validation pipeline calls both per topology, and
 // the separate functions would each pay the full O(n·m) traversal.
 // Disconnected graphs return (-1, NaN); graphs with fewer than two nodes
-// return (0, NaN), matching the individual functions exactly.
+// return (0, NaN).
 func PathStats(g *graph.Graph) (diameter int, avgPathLen float64) {
 	n := g.N()
 	if n <= 1 {
@@ -185,70 +171,34 @@ func Assortativity(g *graph.Graph) float64 {
 // pairs are not counted toward their own centrality. Each unordered pair
 // is counted once.
 func NodeBetweenness(g *graph.Graph) []float64 {
-	n := g.N()
-	bc := make([]float64, n)
-	// Brandes: single-source shortest-path counts + dependency
-	// accumulation.
-	sigma := make([]float64, n)
-	dist := make([]int, n)
-	delta := make([]float64, n)
-	preds := make([][]int, n)
-	queue := make([]int, 0, n)
-	order := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		for i := 0; i < n; i++ {
-			sigma[i] = 0
-			dist[i] = -1
-			delta[i] = 0
-			preds[i] = preds[i][:0]
-		}
-		sigma[s] = 1
-		dist[s] = 0
-		queue = append(queue[:0], s)
-		order = order[:0]
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			g.EachNeighbor(v, func(w int) {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-				if dist[w] == dist[v]+1 {
-					sigma[w] += sigma[v]
-					preds[w] = append(preds[w], v)
-				}
-			})
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			w := order[i]
-			for _, v := range preds[w] {
-				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-			}
-			if w != s {
-				bc[w] += delta[w]
-			}
-		}
-	}
-	// Each unordered pair was counted twice (once per endpoint as
-	// source).
-	for i := range bc {
-		bc[i] /= 2
-	}
+	bc := make([]float64, g.N())
+	brandes(g, bc, nil)
 	return bc
 }
 
 // EdgeBetweenness returns betweenness for every edge of g, aligned with
 // g.Edges(). Each unordered pair of nodes is counted once.
 func EdgeBetweenness(g *graph.Graph) []float64 {
+	bc := make([]float64, g.NumEdges())
+	brandes(g, nil, bc)
+	return bc
+}
+
+// brandes runs Brandes' single-source shortest-path counting and
+// dependency accumulation from every node, adding each node's dependency
+// into node (length n) and each shortest-path arc's share into edge
+// (aligned with g.Edges()); either may be nil. Every unordered pair is
+// swept from both endpoints, so both results are halved at the end.
+func brandes(g *graph.Graph, node, edge []float64) {
 	n := g.N()
-	edges := g.Edges()
-	index := make(map[graph.Edge]int, len(edges))
-	for i, e := range edges {
-		index[e] = i
+	var index map[graph.Edge]int
+	if edge != nil {
+		edges := g.Edges()
+		index = make(map[graph.Edge]int, len(edges))
+		for i, e := range edges {
+			index[e] = i
+		}
 	}
-	bc := make([]float64, len(edges))
 	sigma := make([]float64, n)
 	dist := make([]int, n)
 	delta := make([]float64, n)
@@ -286,15 +236,21 @@ func EdgeBetweenness(g *graph.Graph) []float64 {
 			for _, v := range preds[w] {
 				c := sigma[v] / sigma[w] * (1 + delta[w])
 				delta[v] += c
-				e := graph.Edge{I: min(v, w), J: max(v, w)}
-				bc[index[e]] += c
+				if edge != nil {
+					edge[index[graph.Edge{I: min(v, w), J: max(v, w)}]] += c
+				}
+			}
+			if node != nil && w != s {
+				node[w] += delta[w]
 			}
 		}
 	}
-	for i := range bc {
-		bc[i] /= 2
+	for i := range node {
+		node[i] /= 2
 	}
-	return bc
+	for i := range edge {
+		edge[i] /= 2
+	}
 }
 
 // Summary bundles the headline statistics for one topology.

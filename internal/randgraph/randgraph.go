@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/networksynth/cold/internal/geom"
 	"github.com/networksynth/cold/internal/graph"
@@ -192,26 +191,4 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// DegreeSequenceTail reports the empirical complementary CDF of the degree
-// sequence at each distinct degree, for verifying power-law shape in tests:
-// pairs (degree, fraction of nodes with degree >= that value).
-func DegreeSequenceTail(g *graph.Graph) (degrees []int, ccdf []float64) {
-	n := g.N()
-	if n == 0 {
-		return nil, nil
-	}
-	ds := g.Degrees()
-	sort.Ints(ds)
-	for i := 0; i < n; {
-		j := i
-		for j < n && ds[j] == ds[i] {
-			j++
-		}
-		degrees = append(degrees, ds[i])
-		ccdf = append(ccdf, float64(n-i)/float64(n))
-		i = j
-	}
-	return degrees, ccdf
 }

@@ -187,29 +187,6 @@ func TestPLRGSimpleGraph(t *testing.T) {
 	}
 }
 
-func TestDegreeSequenceTail(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := ER(50, 0.2, rng)
-	degs, ccdf := DegreeSequenceTail(g)
-	if len(degs) != len(ccdf) || len(degs) == 0 {
-		t.Fatal("tail shape wrong")
-	}
-	if ccdf[0] != 1 {
-		t.Errorf("ccdf[0] = %v, want 1 (all nodes >= min degree)", ccdf[0])
-	}
-	for i := 1; i < len(ccdf); i++ {
-		if ccdf[i] >= ccdf[i-1] {
-			t.Fatal("ccdf must strictly decrease across distinct degrees")
-		}
-		if degs[i] <= degs[i-1] {
-			t.Fatal("degrees must increase")
-		}
-	}
-	if d, c := DegreeSequenceTail(graph.New(0)); d != nil || c != nil {
-		t.Error("empty tail mishandled")
-	}
-}
-
 func TestBarabasiAlbert(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g, err := BarabasiAlbert(200, 2, rng)

@@ -207,8 +207,7 @@ func (s *Store) load() error {
 				continue // raced with an eviction or external delete
 			}
 			e := &entry{size: info.Size(), atime: info.ModTime()}
-			s.entries[name] = e
-			s.size += e.size
+			s.indexLocked(name, e)
 			// ReadDir sorts by name, and <base>.part shares its base's
 			// bucket, so an existing base is already indexed here.
 			if base, ok := strings.CutSuffix(name, partialSuffix); ok {
@@ -326,10 +325,9 @@ func (s *Store) Put(key string, data []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	if old, ok := s.entries[key]; ok {
-		s.size -= old.size
+		s.dropLocked(key, old)
 	}
-	s.entries[key] = &entry{size: int64(len(data)), atime: time.Now()}
-	s.size += int64(len(data))
+	s.indexLocked(key, &entry{size: int64(len(data)), atime: time.Now()})
 	s.stats.Puts++
 	if e, ok := s.entries[key+partialSuffix]; ok {
 		s.removePartialLocked(key+partialSuffix, e)
@@ -395,10 +393,24 @@ func (s *Store) removePartialLocked(key string, e *entry) {
 	s.stats.PartialsDropped++
 }
 
+// indexLocked adds key to the in-memory index. It and dropLocked are the
+// only writers of the index, so the size and checkpoint counts they keep
+// always match it. Callers hold s.mu.
+func (s *Store) indexLocked(key string, e *entry) {
+	s.entries[key] = e
+	s.size += e.size
+	if strings.HasSuffix(key, partialSuffix) {
+		s.stats.Partials++
+	}
+}
+
 // dropLocked removes key from the in-memory index. Callers hold s.mu.
 func (s *Store) dropLocked(key string, e *entry) {
 	delete(s.entries, key)
 	s.size -= e.size
+	if strings.HasSuffix(key, partialSuffix) {
+		s.stats.Partials--
+	}
 }
 
 // evictLocked deletes least-recently-used artifacts until the store fits
@@ -431,16 +443,12 @@ func (s *Store) evictLocked(keep string) {
 }
 
 // Stats returns a snapshot of the operation counters and current contents.
+// The index writers keep every field current, so it copies, never walks.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Entries = len(s.entries)
 	st.Bytes = s.size
-	for k := range s.entries {
-		if strings.HasSuffix(k, partialSuffix) {
-			st.Partials++
-		}
-	}
 	return st
 }

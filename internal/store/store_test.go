@@ -387,6 +387,74 @@ func TestOpenGCsOrphanedAndSupersededPartials(t *testing.T) {
 	}
 }
 
+// TestPartialsCountMatchesDisk: Stats().Partials is kept by the index
+// writers rather than counted on demand, so every path that adds or
+// removes a checkpoint must keep it equal to the .part files on disk —
+// including LRU eviction, which removes checkpoints like any other entry.
+func TestPartialsCountMatchesDisk(t *testing.T) {
+	dir := t.TempDir()
+	onDisk := func() int {
+		n := 0
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(d.Name(), partialSuffix) {
+				n++
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	check := func(s *Store, step string, want int) {
+		t.Helper()
+		if got, disk := s.Stats().Partials, onDisk(); got != disk || disk != want {
+			t.Fatalf("after %s: Stats().Partials = %d, .part files on disk = %d, want %d", step, got, disk, want)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, Options{MaxBytes: 64})
+	must(err)
+	must(s.PutPartial("aalive-c4-a1", 1, []byte("l0\n")))
+	check(s, "PutPartial", 1)
+	must(s.PutPartial("aalive-c4-a1", 2, []byte("l0\nl1\n")))
+	check(s, "replacing PutPartial", 1)
+	must(s.Put("aalive-c4-a1", []byte("l0\nl1\nl2\nl3\n")))
+	check(s, "Put of the base", 0)
+
+	must(s.PutPartial("bbtorn-c4-a1", 1, []byte("l0\n")))
+	must(os.WriteFile(filepath.Join(dir, "bb", "bbtorn-c4-a1"+partialSuffix), []byte("l0\nl1"), 0o644))
+	if _, _, err := s.Partial("bbtorn-c4-a1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Partial of a torn checkpoint = %v, want ErrNotFound", err)
+	}
+	check(s, "corrupt-checkpoint drop", 0)
+
+	// An orphan (its base is stored) beside a live checkpoint.
+	must(s.Put("ccorphan-c4-a1", []byte("l0\nl1\n")))
+	must(s.PutPartial("ccorphan-c4-a1", 1, []byte("l0\n")))
+	must(s.PutPartial("ddlive-c4-a1", 1, []byte("l0\n")))
+	check(s, "two PutPartials", 2)
+	s, err = Open(dir, Options{MaxBytes: 64})
+	must(err)
+	if _, err := s.Has("eemissing"); err != nil {
+		t.Fatal(err) // the first operation loads the index and GCs the orphan
+	}
+	check(s, "open-time orphan GC", 1)
+
+	// A Put that fills the bound evicts every other entry, the live
+	// checkpoint with them.
+	must(s.Put("ffbig-c1-a1", make([]byte, 64)))
+	if st := s.Stats(); st.Evictions == 0 || st.Entries != 1 {
+		t.Fatalf("the big Put should have evicted everything else: %+v", st)
+	}
+	check(s, "LRU eviction of a checkpoint", 0)
+}
+
 func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "ab"), 0o755); err != nil {

@@ -209,12 +209,3 @@ func Graphs(nets []Network) []*graph.Graph {
 	}
 	return out
 }
-
-// Summaries returns the metric summary of every network.
-func Summaries(nets []Network) []metrics.Summary {
-	out := make([]metrics.Summary, len(nets))
-	for i, n := range nets {
-		out[i] = metrics.Summarize(n.Graph)
-	}
-	return out
-}

@@ -120,19 +120,6 @@ func TestArchetypeBoundaries(t *testing.T) {
 	}
 }
 
-func TestSummaries(t *testing.T) {
-	nets := DefaultEnsemble()[:10]
-	sums := Summaries(nets)
-	if len(sums) != 10 {
-		t.Fatal("summaries length wrong")
-	}
-	for i, s := range sums {
-		if s.N != nets[i].Graph.N() {
-			t.Fatalf("summary %d inconsistent", i)
-		}
-	}
-}
-
 func TestEnsembleSizeZero(t *testing.T) {
 	if nets := Ensemble(0, rand.New(rand.NewSource(1))); len(nets) != 0 {
 		t.Error("empty ensemble mishandled")
