@@ -96,7 +96,8 @@ coldd-smoke:
 # Trace round-trip smoke: record a real JSONL telemetry trace with
 # coldgen, then make `coldstats trace` parse and summarize it. CI runs
 # this and uploads TRACE_COLD.jsonl as a build artifact so a run's
-# convergence/phase profile is inspectable per commit.
+# convergence, per-replica breed/evaluate timings and evaluator counters
+# are inspectable per commit.
 trace-smoke:
 	$(GO) run ./cmd/coldgen -n 16 -count 4 -pop 24 -gens 12 \
 		-trace TRACE_COLD.jsonl > /dev/null

@@ -22,9 +22,9 @@ type job struct {
 	id     string // correlation ID: the starting request's ID, also the trace file name
 	cancel context.CancelFunc
 
-	// flushTrace closes the job's JSONL trace file, when one was opened.
-	// Set and called only by the runner goroutine (server.run).
-	flushTrace func() error
+	// finishTrace flushes and closes the job's JSONL trace file, when one
+	// was opened. Set and called only by the runner goroutine (server.run).
+	finishTrace func(recErr error) error
 
 	mu     sync.Mutex
 	buf    []byte

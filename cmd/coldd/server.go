@@ -1,13 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -274,8 +272,8 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 		// job) so a restart resumes here instead of regenerating.
 		checkpoint()
 	}
-	if flush := j.flushTrace; flush != nil {
-		if terr := flush(); terr != nil {
+	if finish := j.finishTrace; finish != nil {
+		if terr := finish(cfg.Telemetry.TraceErr()); terr != nil {
 			s.log.Warn("job trace", "job_id", j.id, "err", terr)
 		}
 	}
@@ -315,26 +313,13 @@ func (s *server) jobTelemetry(j *job) (*cold.Telemetry, string) {
 	if s.opts.traceDir == "" {
 		return s.tel, j.id
 	}
-	path := filepath.Join(s.opts.traceDir, j.id+".jsonl")
-	f, err := os.Create(path)
+	w, finish, err := telemetry.CreateFile(filepath.Join(s.opts.traceDir, j.id+".jsonl"))
 	if err != nil {
 		s.log.Warn("job trace", "job_id", j.id, "err", err)
 		return s.tel, j.id
 	}
-	bw := bufio.NewWriter(f)
-	tel := s.tel.WithTrace(bw)
-	j.flushTrace = func() error {
-		if err := tel.TraceErr(); err != nil {
-			f.Close() //nolint:errcheck
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			f.Close() //nolint:errcheck
-			return err
-		}
-		return f.Close()
-	}
-	return tel, j.id
+	j.finishTrace = finish
+	return s.tel.WithTrace(w), j.id
 }
 
 // detach removes a finished (or replaced) job from the index.

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -39,7 +38,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("coldgen", flag.ContinueOnError)
 	n := fs.Int("n", 30, "number of PoPs")
 	params, ga := cold.DefaultParams(), core.DefaultSettings()
@@ -69,26 +68,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *trace != "" || *metricsAddr != "" {
 		tel = cold.NewTelemetry()
 	}
-	var flushTrace func() error
 	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return err
+		w, finish, ferr := telemetry.CreateFile(*trace)
+		if ferr != nil {
+			return ferr
 		}
-		bw := bufio.NewWriter(f)
-		tel.TraceTo(bw)
-		flushTrace = func() error {
-			if err := tel.TraceErr(); err != nil {
-				f.Close() //nolint:errcheck
-				return fmt.Errorf("trace: %w", err)
+		tel.TraceTo(w)
+		// A failed or canceled run keeps the events it recorded.
+		defer func() {
+			if ferr := finish(tel.TraceErr()); err == nil && ferr != nil {
+				err = fmt.Errorf("trace: %w", ferr)
 			}
-			if err := bw.Flush(); err != nil {
-				f.Close() //nolint:errcheck
-				return fmt.Errorf("trace: %w", err)
-			}
-			return f.Close()
-		}
-		defer f.Close() //nolint:errcheck // no-op after flushTrace's close
+		}()
 	}
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
@@ -139,7 +130,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	// Each network is written (and its file closed) as it arrives, in
 	// replica order.
-	err := cold.GenerateEnsembleStream(ctx, cfg, *count, func(i int, nw *cold.Network) error {
+	return cold.GenerateEnsembleStream(ctx, cfg, *count, func(i int, nw *cold.Network) error {
 		if err := save(nw, i, *count, *out, *format, stdout); err != nil {
 			return err
 		}
@@ -148,13 +139,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if flushTrace != nil {
-		return flushTrace()
-	}
-	return nil
 }
 
 // save writes network i of count to stdout, or to the file out (suffixed

@@ -21,11 +21,14 @@ import (
 )
 
 // traceEvent is the union of every trace-event payload, tolerant of schema
-// v1 through v3 (v2 adds run_id on run_start/run_end; v3 drops run_end's
-// incremental-evaluation counters, which older traces still carry and this
-// decoder ignores). Field names are unique across event types except where
-// events deliberately share them (replica, dur_ns, replicas), so one struct
-// decodes every line.
+// v1 through v4 (v2 adds run_id on run_start/run_end; v3 drops run_end's
+// incremental-evaluation counters; v4 moves the evaluator counters from
+// run_end to replica_end and drops the phase event and run_end's busy_ns
+// and utilization). This decoder ignores the fields and events a later
+// version dropped: the report computes every rollup from the facts.
+// Field names are unique across event types except where events
+// deliberately share them (replica, dur_ns, replicas, the evaluator
+// counters), so one struct decodes every line.
 type traceEvent struct {
 	V     int    `json:"v"`
 	Event string `json:"event"`
@@ -47,26 +50,16 @@ type traceEvent struct {
 	Gen           int     `json:"gen"`
 	Best          float64 `json:"best"`
 	Mean          float64 `json:"mean"`
-	Worst         float64 `json:"worst"`
 	Diversity     float64 `json:"diversity"`
 	EliteSurvived int     `json:"elite_survived"`
 	BreedNs       int64   `json:"breed_ns"`
 	EvalNs        int64   `json:"eval_ns"`
-	Evals         uint64  `json:"evals"`
 
-	// phase
-	Phase   string `json:"phase"`
-	TotalNs int64  `json:"total_ns"`
-
-	// replica_end
-	DurNs int64   `json:"dur_ns"`
-	Cost  float64 `json:"cost"`
-	Links int     `json:"links"`
-	Err   string  `json:"err"`
-
-	// run_end
-	BusyNs      int64   `json:"busy_ns"`
-	Utilization float64 `json:"utilization"`
+	// replica_end (and run_end: dur_ns, and the counters before v4)
+	DurNs       int64   `json:"dur_ns"`
+	Cost        float64 `json:"cost"`
+	Links       int     `json:"links"`
+	Err         string  `json:"err"`
 	CacheHits   uint64  `json:"cache_hits"`
 	CacheMisses uint64  `json:"cache_misses"`
 	FullSweeps  uint64  `json:"full_sweeps"`
@@ -81,10 +74,8 @@ type traceReplica struct {
 	cost    float64
 	links   int
 	err     string
-	breedNs int64 // phase rollup: "breed"
-	evalNs  int64 // phase rollup: "evaluate"
-	gens    int
-	evals   uint64 // cumulative cost-function calls (last generation event)
+	breedNs int64 // summed over the generation events
+	evalNs  int64
 	ended   bool
 }
 
@@ -104,7 +95,19 @@ type traceRun struct {
 	replicas map[int]*traceReplica
 	gens     map[int]*traceGen
 	maxGen   int
-	events   int
+	busyNs   int64 // Σ replica_end dur_ns
+
+	// Evaluator totals: the replica_end counters (v4) plus the run_end
+	// counters (v1–v3). Each version writes them in one place only, so
+	// the one sum reads every version.
+	hits, misses, sweeps uint64
+}
+
+// addCounters folds one event's evaluator counters into the run totals.
+func (tr *traceRun) addCounters(ev *traceEvent) {
+	tr.hits += ev.CacheHits
+	tr.misses += ev.CacheMisses
+	tr.sweeps += ev.FullSweeps
 }
 
 func newTraceRun(start *traceEvent) *traceRun {
@@ -121,7 +124,6 @@ func (tr *traceRun) replica(i int) *traceReplica {
 }
 
 func (tr *traceRun) add(ev *traceEvent) {
-	tr.events++
 	switch ev.Event {
 	case "replica_start":
 		r := tr.replica(ev.Replica)
@@ -129,8 +131,8 @@ func (tr *traceRun) add(ev *traceEvent) {
 		r.queueNs = ev.QueueNs
 	case "generation":
 		r := tr.replica(ev.Replica)
-		r.gens++
-		r.evals = ev.Evals
+		r.breedNs += ev.BreedNs
+		r.evalNs += ev.EvalNs
 		g, ok := tr.gens[ev.Gen]
 		if !ok {
 			g = &traceGen{}
@@ -144,14 +146,6 @@ func (tr *traceRun) add(ev *traceEvent) {
 		if ev.Gen > tr.maxGen {
 			tr.maxGen = ev.Gen
 		}
-	case "phase":
-		r := tr.replica(ev.Replica)
-		switch ev.Phase {
-		case "breed":
-			r.breedNs = ev.TotalNs
-		case "evaluate":
-			r.evalNs = ev.TotalNs
-		}
 	case "replica_end":
 		r := tr.replica(ev.Replica)
 		r.worker = ev.Worker
@@ -160,6 +154,8 @@ func (tr *traceRun) add(ev *traceEvent) {
 		r.links = ev.Links
 		r.err = ev.Err
 		r.ended = true
+		tr.busyNs += ev.DurNs
+		tr.addCounters(ev)
 	}
 }
 
@@ -191,7 +187,7 @@ func parseTrace(rd io.Reader) (runs []*traceRun, lines int, err error) {
 		case "run_end":
 			if cur != nil {
 				cur.end = &ev
-				cur.events++
+				cur.addCounters(&ev)
 			}
 			cur = nil
 		default:
@@ -248,24 +244,25 @@ func printRun(w io.Writer, idx int, tr *traceRun, maxReplicas int) {
 	fmt.Fprintln(w, head)
 
 	if end := tr.end; end != nil {
-		fmt.Fprintf(w, "  wall %v, busy %v, utilization %.2f\n",
-			ns(end.DurNs), ns(end.BusyNs), end.Utilization)
-		printEvaluator(w, end)
+		util := 0.0
+		if end.DurNs > 0 && end.Workers > 0 {
+			util = float64(tr.busyNs) / (float64(end.DurNs) * float64(end.Workers))
+		}
+		fmt.Fprintf(w, "  wall %v, busy %v, utilization %.2f\n", ns(end.DurNs), ns(tr.busyNs), util)
 	} else {
 		fmt.Fprintln(w, "  (missing run_end — run canceled or trace truncated)")
 	}
+	// A run without run_end (a single Generate, or a canceled run) still
+	// reports the counters its v4 replica_end events carried.
+	if lookups := tr.hits + tr.misses; tr.end != nil || lookups > 0 {
+		fmt.Fprintf(w, "  evaluator: %d cost lookups", lookups)
+		if lookups > 0 {
+			fmt.Fprintf(w, " — cache hit %.1f%%, %d full sweeps", 100*float64(tr.hits)/float64(lookups), tr.sweeps)
+		}
+		fmt.Fprintln(w)
+	}
 	printConvergence(w, tr)
 	printReplicas(w, tr, maxReplicas)
-}
-
-func printEvaluator(w io.Writer, end *traceEvent) {
-	lookups := end.CacheHits + end.CacheMisses
-	fmt.Fprintf(w, "  evaluator: %d cost lookups", lookups)
-	if lookups > 0 {
-		fmt.Fprintf(w, " — cache hit %.1f%%, %d full sweeps",
-			100*float64(end.CacheHits)/float64(lookups), end.FullSweeps)
-	}
-	fmt.Fprintln(w)
 }
 
 // printConvergence prints mean best-cost / diversity / elite-survival

@@ -80,8 +80,9 @@ func TestTraceSubcommand(t *testing.T) {
 }
 
 // TestParseTrace covers the parser's edge cases with handwritten JSONL:
-// v1 events (no run_id), multiple runs per file, headless tails, and the
-// error paths.
+// v1 events (no run_id, counters on run_end, phase events), v4 events
+// (counters on replica_end, bare run_end), multiple runs per file,
+// headless tails, and the error paths.
 func TestParseTrace(t *testing.T) {
 	v1 := `{"v":1,"event":"run_start","replicas":1,"workers":1,"n":5,"pop":4,"gens":2}
 {"v":1,"event":"replica_start","replica":0,"worker":0,"queue_ns":10}
@@ -110,6 +111,51 @@ func TestParseTrace(t *testing.T) {
 		}
 		if tr.maxGen != 1 || tr.gens[1].best != 8.5 || tr.gens[1].elite != 2 {
 			t.Fatalf("generation aggregate wrong: maxGen=%d gens=%+v", tr.maxGen, tr.gens[1])
+		}
+		if tr.busyNs != 100 || tr.hits != 3 || tr.misses != 5 || tr.sweeps != 5 {
+			t.Fatalf("run rollup: busy %d, counters %d/%d/%d, want 100 and 3/5/5", tr.busyNs, tr.hits, tr.misses, tr.sweeps)
+		}
+	})
+
+	t.Run("v4", func(t *testing.T) {
+		v4 := `{"v":4,"event":"run_start","replicas":2,"workers":1,"n":5,"pop":4,"gens":1}
+{"v":4,"event":"generation","replica":0,"gen":0,"best":9.5,"mean":11,"breed_ns":5,"eval_ns":6,"evals":4}
+{"v":4,"event":"replica_end","replica":0,"worker":0,"dur_ns":100,"cost":9.5,"links":4,"cache_hits":1,"cache_misses":4,"full_sweeps":4}
+{"v":4,"event":"generation","replica":1,"gen":0,"best":8.5,"mean":10,"breed_ns":7,"eval_ns":8,"evals":4}
+{"v":4,"event":"replica_end","replica":1,"worker":0,"dur_ns":60,"cost":8.5,"links":4,"cache_hits":2,"cache_misses":3,"full_sweeps":3}
+{"v":4,"event":"run_end","replicas":2,"workers":1,"dur_ns":200}
+`
+		runs, _, err := parseTrace(strings.NewReader(v4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := runs[0]
+		if tr.busyNs != 160 || tr.hits != 3 || tr.misses != 7 || tr.sweeps != 7 {
+			t.Fatalf("run rollup: busy %d, counters %d/%d/%d, want 160 and 3/7/7", tr.busyNs, tr.hits, tr.misses, tr.sweeps)
+		}
+		if r := tr.replicas[1]; r.breedNs != 7 || r.evalNs != 8 {
+			t.Fatalf("replica 1 phases: breed %d eval %d, want 7 and 8", r.breedNs, r.evalNs)
+		}
+		var out bytes.Buffer
+		printRun(&out, 0, tr, 0)
+		for _, want := range []string{"busy 160ns, utilization 0.80", "evaluator: 10 cost lookups — cache hit 30.0%, 7 full sweeps"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("report missing %q:\n%s", want, out.String())
+			}
+		}
+
+		// Without run_end (a canceled run, or a single Generate's
+		// replica-0 events) the replica counters are still reported.
+		runs, _, err = parseTrace(strings.NewReader(v4[:strings.Index(v4, `{"v":4,"event":"run_end"`)]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		printRun(&out, 0, runs[0], 0)
+		for _, want := range []string{"missing run_end", "evaluator: 10 cost lookups"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("report without run_end missing %q:\n%s", want, out.String())
+			}
 		}
 	})
 
@@ -156,8 +202,11 @@ func TestParseTrace(t *testing.T) {
 	})
 }
 
-// TestTraceSchemaVersions pins the reader's schema window across the v3
-// bump, which dropped run_end's incremental-evaluation counters.
+// TestTraceSchemaVersions pins the reader's schema window: v2 (before the
+// v3 bump dropped run_end's incremental-evaluation counters), v3 (before
+// the v4 bump moved the evaluator counters to replica_end and dropped the
+// phase event and run_end's rollups), a live v4 recording, and v5
+// rejected.
 func TestTraceSchemaVersions(t *testing.T) {
 	noDeltaRollup := func(t *testing.T, report string) {
 		t.Helper()
@@ -184,7 +233,7 @@ func TestTraceSchemaVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(runs) != 1 || runs[0].end == nil || runs[0].end.FullSweeps != 252 || runs[0].end.CacheHits != 76 {
+		if len(runs) != 1 || runs[0].end == nil || runs[0].sweeps != 252 || runs[0].hits != 76 {
 			t.Fatalf("v2 run_end parsed wrong: %+v", runs)
 		}
 		var out bytes.Buffer
@@ -198,30 +247,74 @@ func TestTraceSchemaVersions(t *testing.T) {
 	})
 
 	t.Run("v3", func(t *testing.T) {
+		// Recorded by coldgen at schema v3: phase events, and run_end
+		// carries busy_ns, utilization and the evaluator totals.
+		path := filepath.Join("testdata", "trace_v3.jsonl")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`{"v":3,"event":"run_end"`)) || !bytes.Contains(data, []byte(`"event":"phase"`)) {
+			t.Fatalf("%s is not a v3 trace with phase events", path)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"trace", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "cache hit 65.8%, 727 full sweeps") {
+			t.Errorf("v3 evaluator rollup missing:\n%s", out.String())
+		}
+		noDeltaRollup(t, out.String())
+	})
+
+	t.Run("v4", func(t *testing.T) {
 		path := recordTrace(t, "", 2)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Contains(data, []byte(`{"v":3,"event":"run_end"`)) {
-			t.Fatalf("recorded trace is not schema v3:\n%s", data)
+		if !bytes.Contains(data, []byte(`{"v":4,"event":"run_end"`)) || bytes.Contains(data, []byte(`"full_sweeps":0}`)) ||
+			bytes.Contains(data, []byte(`"event":"phase"`)) {
+			t.Fatalf("recorded trace is not schema v4 with replica counters and no phase events:\n%s", data)
 		}
 		var out bytes.Buffer
 		if err := run([]string{"trace", path}, &out); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(out.String(), "full sweeps") {
-			t.Errorf("v3 evaluator rollup missing:\n%s", out.String())
+			t.Errorf("v4 evaluator rollup missing:\n%s", out.String())
 		}
 		noDeltaRollup(t, out.String())
 	})
 
-	t.Run("v4 rejected", func(t *testing.T) {
-		_, _, err := parseTrace(strings.NewReader(`{"v":4,"event":"run_start"}`))
-		if err == nil || !strings.Contains(err.Error(), "unsupported trace schema v4") {
-			t.Fatalf("err = %v, want unsupported schema v4", err)
+	t.Run("v5 rejected", func(t *testing.T) {
+		_, _, err := parseTrace(strings.NewReader(`{"v":5,"event":"run_start"}`))
+		if err == nil || !strings.Contains(err.Error(), "unsupported trace schema v5") {
+			t.Fatalf("err = %v, want unsupported schema v5", err)
 		}
 	})
+}
+
+// TestTraceReportGolden pins the report of each checked-in trace, recorded
+// at an older schema, byte for byte: a reader that computes its rollups
+// from the facts prints what the recording release's coldstats printed
+// from the rollup events. The goldens were produced by that release.
+func TestTraceReportGolden(t *testing.T) {
+	for _, name := range []string{"trace_v2", "trace_v3"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".report"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := run([]string{"trace", filepath.Join("testdata", name+".jsonl")}, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("report differs from testdata/%s.report:\n%s", name, out.String())
+			}
+		})
+	}
 }
 
 // TestTraceUsageErrors: the subcommand rejects missing files and no args.
@@ -289,6 +382,12 @@ func FuzzTrace(f *testing.F) {
 {"v":1,"event":"phase","replica":0,"phase":"breed","total_ns":10,"count":2}
 {"v":1,"event":"replica_end","replica":0,"worker":0,"dur_ns":100,"cost":8.5,"links":4}
 {"v":1,"event":"run_end","replicas":1,"workers":1,"dur_ns":120,"busy_ns":100,"utilization":0.83,"cache_hits":3,"cache_misses":5,"full_sweeps":5}
+`))
+	f.Add([]byte(`{"v":4,"event":"run_start","replicas":1,"workers":1,"n":5,"pop":4,"gens":1}
+{"v":4,"event":"replica_start","replica":0,"worker":0,"queue_ns":10}
+{"v":4,"event":"generation","replica":0,"gen":0,"best":9.5,"mean":11,"diversity":2,"breed_ns":5,"eval_ns":6,"evals":4}
+{"v":4,"event":"replica_end","replica":0,"worker":0,"dur_ns":100,"cost":9.5,"links":4,"cache_hits":1,"cache_misses":4,"full_sweeps":4}
+{"v":4,"event":"run_end","replicas":1,"workers":1,"dur_ns":120}
 `))
 	f.Add([]byte(`{"v":2,"event":"generation","replica":-3,"gen":-1,"best":4}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -470,11 +470,27 @@ func GenerateVariantsContext(ctx context.Context, cfg Config, count int) ([]*Net
 	if err != nil {
 		return nil, err
 	}
+	// One GA run, so one replica-0 scope, as in GenerateContext.
+	rt := cfg.Telemetry.replica(nil, 0, 0)
 	sc, err := buildContext(nc)
 	if err != nil {
+		rt.end(nil, nil, err)
 		return nil, err
 	}
-	res, err := runOptimizer(ctx, sc, nil)
+	rt.attach(sc.eval)
+	nets, err := variants(ctx, sc, rt, count)
+	if err != nil {
+		rt.end(nil, sc.eval, err)
+		return nil, err
+	}
+	rt.end(nets[0], sc.eval, nil)
+	return nets, nil
+}
+
+// variants runs the GA on a built context and materializes up to count
+// distinct members of its final population, best first.
+func variants(ctx context.Context, sc *synthContext, rt *replicaTracker, count int) ([]*Network, error) {
+	res, err := runOptimizer(ctx, sc, rt)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@ package telemetry
 
 import "math"
 
-// Trace-event payloads, schema version 3 (SchemaVersion). Each struct
+// Trace-event payloads, schema version 4 (SchemaVersion). Each struct
 // corresponds to one event name; the JSONL recorder stamps "v" and "event"
 // and splices the payload fields after them. Replica indices are zero-based;
 // single-network runs (Generate) report replica 0. Event names:
@@ -10,7 +10,6 @@ import "math"
 //	run_start     — one per ensemble run, before any replica starts
 //	replica_start — a worker picked up a replica
 //	generation    — one per GA generation of every replica
-//	phase         — per-replica rollup of one GA phase (breed/evaluate)
 //	replica_end   — a replica finished (or failed: Err non-empty)
 //	checkpoint    — a streaming consumer durably persisted the run's
 //	                in-order prefix (service-side; emitted by cmd/coldd)
@@ -18,6 +17,10 @@ import "math"
 //
 // The checkpoint event was added within schema v2: readers tolerate event
 // names they do not know (coldstats counts and skips them).
+//
+// Each number is recorded once. Rollups (a replica's breed and evaluate
+// time, a run's busy time and utilization, a run's evaluator totals) are
+// sums a reader computes from these events, not events of their own.
 //
 // All durations are nanoseconds of monotonic wall time. Cost fields are
 // sanitized: ±Inf and NaN (possible only for degenerate configurations)
@@ -63,23 +66,23 @@ type Generation struct {
 	Evals         uint64 `json:"evals"` // cumulative cost-function calls this run
 }
 
-// PhaseTotal is a per-replica rollup of one GA phase across the whole run.
-type PhaseTotal struct {
-	Replica int    `json:"replica"`
-	Phase   string `json:"phase"` // "breed" or "evaluate"
-	TotalNs int64  `json:"total_ns"`
-	Count   int    `json:"count"` // generations contributing
-}
-
 // ReplicaEnd marks a replica finishing. On failure Err carries the error
-// text and the result fields are zero.
+// text and the result fields are zero. The evaluator counters (schema v4)
+// are the replica's own evaluator's memo-cache hits and misses and
+// all-sources shortest-path sweeps; each replica owns its evaluator, so
+// they are exact, and they are zero when the context never built. Like
+// every counter they are outside the determinism contract: the GA's
+// parallel workers racing to evaluate one topology can shift them.
 type ReplicaEnd struct {
-	Replica int     `json:"replica"`
-	Worker  int     `json:"worker"`
-	DurNs   int64   `json:"dur_ns"`
-	Cost    float64 `json:"cost"`
-	Links   int     `json:"links"`
-	Err     string  `json:"err,omitempty"`
+	Replica     int     `json:"replica"`
+	Worker      int     `json:"worker"`
+	DurNs       int64   `json:"dur_ns"`
+	Cost        float64 `json:"cost"`
+	Links       int     `json:"links"`
+	Err         string  `json:"err,omitempty"`
+	CacheHits   uint64  `json:"cache_hits"`
+	CacheMisses uint64  `json:"cache_misses"`
+	FullSweeps  uint64  `json:"full_sweeps"`
 }
 
 // Checkpoint is a service-side event: a streaming consumer (cmd/coldd's
@@ -94,19 +97,14 @@ type Checkpoint struct {
 	Bytes       int    `json:"bytes"`
 }
 
-// RunEnd summarizes an ensemble run. Utilization is Σ replica busy time
-// over workers × wall time, in (0, 1]; the evaluator counters are totals
-// across every replica's evaluator at the moment the run finished.
+// RunEnd closes an ensemble run after all its replicas. A run's busy
+// time, utilization and evaluator totals are sums over its replica_end
+// events (schema v1 to v3 also wrote them here).
 type RunEnd struct {
-	RunID       string  `json:"run_id,omitempty"` // schema v2; matches the run's run_start
-	Replicas    int     `json:"replicas"`
-	Workers     int     `json:"workers"`
-	DurNs       int64   `json:"dur_ns"`
-	BusyNs      int64   `json:"busy_ns"`
-	Utilization float64 `json:"utilization"`
-	CacheHits   uint64  `json:"cache_hits"`
-	CacheMisses uint64  `json:"cache_misses"`
-	FullSweeps  uint64  `json:"full_sweeps"`
+	RunID    string `json:"run_id,omitempty"` // schema v2; matches the run's run_start
+	Replicas int    `json:"replicas"`
+	Workers  int    `json:"workers"`
+	DurNs    int64  `json:"dur_ns"`
 }
 
 // SanitizeFloat clamps non-finite values so they survive JSON encoding:

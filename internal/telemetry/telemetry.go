@@ -16,9 +16,11 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,8 +34,13 @@ import (
 // optional "run_id" correlating a trace with service request logs; 3 —
 // run_end drops the incremental-evaluation counters "delta_evals",
 // "fallbacks", "base_hits", "base_misses", "base_evictions" and
-// "base_distance" (the evaluator has a single full-sweep path).
-const SchemaVersion = 3
+// "base_distance" (the evaluator has a single full-sweep path); 4 — each
+// number is written once: replica_end gains the replica's evaluator
+// counters "cache_hits", "cache_misses" and "full_sweeps", the "phase"
+// event is gone (sum the generation events' breed_ns and eval_ns), and
+// run_end keeps only run_id, replicas, workers and dur_ns (busy time,
+// utilization and evaluator totals are sums over replica_end).
+const SchemaVersion = 4
 
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; all methods are safe for concurrent use. A nil *Counter is
@@ -238,4 +245,26 @@ func (r *JSONLRecorder) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
+}
+
+// CreateFile creates the trace file at path. It returns a buffered writer
+// to attach as the recorder's sink, and a finish function that flushes
+// and closes the file and returns the first error: recErr (the recorder's
+// own first error, which leaves the file unflushed), then flush, then
+// close.
+func CreateFile(path string) (w *bufio.Writer, finish func(recErr error) error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	bw := bufio.NewWriter(f)
+	return bw, func(recErr error) error {
+		if recErr == nil {
+			recErr = bw.Flush()
+		}
+		if err := f.Close(); recErr == nil {
+			recErr = err
+		}
+		return recErr
+	}, nil
 }

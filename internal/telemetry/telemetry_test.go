@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -248,5 +250,43 @@ func TestSanitizeFloat(t *testing.T) {
 	}
 	if got := SanitizeFloat(math.NaN()); got != 0 {
 		t.Fatalf("SanitizeFloat(NaN) = %v, want 0", got)
+	}
+}
+
+// TestFile: Finish flushes what the recorder buffered and closes the file;
+// a recorder error comes back first and leaves the file unflushed.
+func TestFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	w, finish, err := CreateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewJSONL(w)
+	rec.Record("run_start", RunStart{Replicas: 1})
+	if err := finish(rec.Err()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(`{"v":`)) || !bytes.HasSuffix(data, []byte("}\n")) {
+		t.Fatalf("trace file holds %q, want one flushed event line", data)
+	}
+
+	w, finish, err = CreateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.WriteString("buffered") //nolint:errcheck // bufio only buffers here
+	recErr := errors.New("sink failed")
+	if err := finish(recErr); !errors.Is(err, recErr) {
+		t.Fatalf("Finish = %v, want the recorder's error", err)
+	}
+	if data, _ := os.ReadFile(path); len(data) != 0 {
+		t.Fatalf("file after a recorder error holds %q, want nothing flushed", data)
+	}
+	if _, _, err := CreateFile(filepath.Join(t.TempDir(), "missing", "trace.jsonl")); err == nil {
+		t.Fatal("CreateFile in a missing directory must fail")
 	}
 }

@@ -2,7 +2,6 @@ package cold
 
 import (
 	"io"
-	"sync"
 
 	"github.com/networksynth/cold/internal/core"
 	"github.com/networksynth/cold/internal/cost"
@@ -12,26 +11,6 @@ import (
 // TraceSchemaVersion is the JSONL trace schema version stamped into every
 // event line as "v". The schema is documented in DESIGN.md ("Observability").
 const TraceSchemaVersion = telemetry.SchemaVersion
-
-// evalTotals sums the cost evaluator's counters (memoization, full
-// sweeps) over finished replicas. Counter values are NOT
-// part of the determinism contract — generated networks are bit-identical
-// across Parallelism and telemetry settings, but parallel workers racing to
-// evaluate the same topology can shift hit/miss and sweep counts between
-// runs.
-type evalTotals struct {
-	cacheHits   uint64
-	cacheMisses uint64
-	fullSweeps  uint64
-}
-
-// add folds one replica's evaluator counters into the totals. Callers hold
-// whatever lock guards a.
-func (a *evalTotals) add(s cost.Stats) {
-	a.cacheHits += s.CacheHits
-	a.cacheMisses += s.CacheMisses
-	a.fullSweeps += s.FullSweeps
-}
 
 // Telemetry collects metrics and (optionally) a JSONL event trace from every
 // run of a Config that points at it. The zero value is not usable; create
@@ -68,8 +47,12 @@ type telemetryInstruments struct {
 	busyNs          telemetry.Counter
 	queueNs         telemetry.Counter
 
-	mu  sync.Mutex
-	agg evalTotals // evaluator counters summed over finished replicas
+	// Evaluator counters summed over finished replicas. Like every counter
+	// they are outside the determinism contract: parallel GA workers racing
+	// to evaluate one topology can shift hits, misses and sweeps.
+	cacheHits   telemetry.Counter
+	cacheMisses telemetry.Counter
+	fullSweeps  telemetry.Counter
 }
 
 // NewTelemetry returns a ready Telemetry with no trace sink attached.
@@ -81,7 +64,7 @@ func NewTelemetry() *Telemetry {
 
 // TraceTo attaches a JSONL trace sink: one JSON object per line, each
 // stamped with the schema version ("v") and an "event" name (run_start,
-// replica_start, generation, phase, replica_end, run_end — see DESIGN.md
+// replica_start, generation, replica_end, run_end — see DESIGN.md
 // for the full schema). Writes are serialized internally, so w needs no
 // locking of its own; buffer and flush are the caller's concern. Attach
 // before the first run using this Telemetry; the first write error is
@@ -129,20 +112,9 @@ func (t *Telemetry) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("cold_replica_queue_wait_seconds_total", "Total replica wait from run start to worker pickup.",
 		func() float64 { return float64(t.queueNs.Load()) / 1e9 })
 	reg.DurationHistogram("cold_eval_duration_seconds", "Wall time of real (non-memoized) cost evaluations.", t.evalDur)
-
-	agg := func(get func(evalTotals) uint64) func() float64 {
-		return func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return float64(get(t.agg))
-		}
-	}
-	reg.CounterFunc("cold_eval_cache_hits_total", "Evaluator memo-cache hits (finished replicas).",
-		agg(func(s evalTotals) uint64 { return s.cacheHits }))
-	reg.CounterFunc("cold_eval_cache_misses_total", "Evaluator memo-cache misses (finished replicas).",
-		agg(func(s evalTotals) uint64 { return s.cacheMisses }))
-	reg.CounterFunc("cold_eval_full_sweeps_total", "All-sources shortest-path sweeps.",
-		agg(func(s evalTotals) uint64 { return s.fullSweeps }))
+	reg.Counter("cold_eval_cache_hits_total", "Evaluator memo-cache hits (finished replicas).", &t.cacheHits)
+	reg.Counter("cold_eval_cache_misses_total", "Evaluator memo-cache misses (finished replicas).", &t.cacheMisses)
+	reg.Counter("cold_eval_full_sweeps_total", "All-sources shortest-path sweeps.", &t.fullSweeps)
 }
 
 // RecordCheckpoint emits a service-side "checkpoint" trace event: the
@@ -166,26 +138,14 @@ func (t *Telemetry) record(name string, payload any) {
 	t.rec.Record(name, payload)
 }
 
-// addEvalTotals folds one finished replica's evaluator counters into the
-// aggregate.
-func (t *Telemetry) addEvalTotals(s cost.Stats) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.agg.add(s)
-}
-
-// runTracker scopes one ensemble run's trace events and rollups. A nil
-// tracker (telemetry off) is inert.
+// runTracker scopes one ensemble run's trace events. A nil tracker
+// (telemetry off) is inert.
 type runTracker struct {
 	t        *Telemetry
 	runID    string
 	replicas int
 	workers  int
 	span     telemetry.Span
-	busyNs   telemetry.Counter
-
-	mu  sync.Mutex
-	agg evalTotals
 }
 
 // startRun opens an ensemble run scope for a normal-form config and emits
@@ -206,58 +166,24 @@ func (t *Telemetry) startRun(replicas, workers int, cfg Config) *runTracker {
 	return &runTracker{t: t, runID: cfg.RunID, replicas: replicas, workers: workers, span: telemetry.StartSpan()}
 }
 
-// end closes the run scope and emits run_end with utilization and the
-// evaluator counter totals across the run's replicas.
+// end closes the run scope and emits run_end.
 func (r *runTracker) end() {
 	if r == nil {
 		return
 	}
-	dur := r.span.ElapsedNs()
-	busy := int64(r.busyNs.Load())
-	util := 0.0
-	if dur > 0 && r.workers > 0 {
-		util = float64(busy) / (float64(dur) * float64(r.workers))
-	}
-	r.mu.Lock()
-	agg := r.agg
-	r.mu.Unlock()
-	r.t.record("run_end", telemetry.RunEnd{
-		RunID:       r.runID,
-		Replicas:    r.replicas,
-		Workers:     r.workers,
-		DurNs:       dur,
-		BusyNs:      busy,
-		Utilization: util,
-		CacheHits:   agg.cacheHits,
-		CacheMisses: agg.cacheMisses,
-		FullSweeps:  agg.fullSweeps,
-	})
-}
-
-func (r *runTracker) addEvalTotals(s cost.Stats) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.agg.add(s)
+	r.t.record("run_end", telemetry.RunEnd{RunID: r.runID, Replicas: r.replicas, Workers: r.workers, DurNs: r.span.ElapsedNs()})
 }
 
 // replicaTracker scopes one replica's events: replica_start has already
 // been emitted when it exists; the GA observer and end feed it. All methods
-// are nil-safe; a replica runs on one goroutine, so the non-atomic fields
-// need no locking.
+// are nil-safe; a replica runs on one goroutine, so prevEvals needs no
+// locking.
 type replicaTracker struct {
-	t       *Telemetry
-	run     *runTracker
-	replica int
-	worker  int
-	span    telemetry.Span
-
+	t         *Telemetry
+	replica   int
+	worker    int
+	span      telemetry.Span
 	prevEvals uint64
-	breedNs   int64
-	evalNs    int64
-	gens      int
 }
 
 // replica opens a replica scope (emitting replica_start) inside an optional
@@ -276,7 +202,7 @@ func (t *Telemetry) replica(run *runTracker, replica, worker int) *replicaTracke
 	t.activeReplicas.Add(1)
 	t.queueNs.Add(uint64(queueNs))
 	t.record("replica_start", telemetry.ReplicaStart{Replica: replica, Worker: worker, QueueNs: queueNs})
-	return &replicaTracker{t: t, run: run, replica: replica, worker: worker, span: telemetry.StartSpan()}
+	return &replicaTracker{t: t, replica: replica, worker: worker, span: telemetry.StartSpan()}
 }
 
 // attach points the context's evaluator at the shared duration histogram.
@@ -298,9 +224,6 @@ func (rt *replicaTracker) observer() func(core.GenStats) {
 		t.generations.Inc()
 		t.evaluations.Add(st.Evals - rt.prevEvals)
 		rt.prevEvals = st.Evals
-		rt.breedNs += st.BreedNs
-		rt.evalNs += st.EvalNs
-		rt.gens++
 		t.record("generation", telemetry.Generation{
 			Replica:       rt.replica,
 			Gen:           st.Gen,
@@ -316,8 +239,9 @@ func (rt *replicaTracker) observer() func(core.GenStats) {
 	}
 }
 
-// end closes the replica scope: phase rollups, replica_end, and the
-// evaluator counter aggregation. e may be nil when the context never built.
+// end closes the replica scope: it folds the replica's wall time and
+// evaluator counters into the shared instruments and emits replica_end
+// carrying the same counters. e may be nil when the context never built.
 func (rt *replicaTracker) end(nw *Network, e *cost.Evaluator, err error) {
 	if rt == nil {
 		return
@@ -327,11 +251,6 @@ func (rt *replicaTracker) end(nw *Network, e *cost.Evaluator, err error) {
 	t.activeReplicas.Add(-1)
 	t.replicasDone.Inc()
 	t.busyNs.Add(uint64(dur))
-	rt.run.busy(dur)
-	if rt.gens > 0 {
-		t.record("phase", telemetry.PhaseTotal{Replica: rt.replica, Phase: "breed", TotalNs: rt.breedNs, Count: rt.gens})
-		t.record("phase", telemetry.PhaseTotal{Replica: rt.replica, Phase: "evaluate", TotalNs: rt.evalNs, Count: rt.gens})
-	}
 	ev := telemetry.ReplicaEnd{Replica: rt.replica, Worker: rt.worker, DurNs: dur}
 	switch {
 	case err != nil:
@@ -340,18 +259,12 @@ func (rt *replicaTracker) end(nw *Network, e *cost.Evaluator, err error) {
 		ev.Cost = telemetry.SanitizeFloat(nw.Cost.Total)
 		ev.Links = len(nw.Links)
 	}
-	t.record("replica_end", ev)
 	if e != nil {
 		st := e.Stats()
-		t.addEvalTotals(st)
-		rt.run.addEvalTotals(st)
+		ev.CacheHits, ev.CacheMisses, ev.FullSweeps = st.CacheHits, st.CacheMisses, st.FullSweeps
+		t.cacheHits.Add(st.CacheHits)
+		t.cacheMisses.Add(st.CacheMisses)
+		t.fullSweeps.Add(st.FullSweeps)
 	}
-}
-
-// busy folds one replica's wall time into the run rollup.
-func (r *runTracker) busy(durNs int64) {
-	if r == nil {
-		return
-	}
-	r.busyNs.Add(uint64(durNs))
+	t.record("replica_end", ev)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,8 +73,8 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 }
 
 // TestTelemetryTraceSchema checks the JSONL event stream of an ensemble
-// run: versioned lines, the documented event vocabulary, and the expected
-// event counts and ordering.
+// run: versioned lines, the documented event vocabulary, the expected
+// event counts and ordering, and a run_end that holds only its own facts.
 func TestTelemetryTraceSchema(t *testing.T) {
 	const count = 3
 	var trace bytes.Buffer
@@ -88,23 +89,31 @@ func TestTelemetryTraceSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type event struct {
-		V     int    `json:"v"`
-		Event string `json:"event"`
-	}
 	counts := map[string]int{}
 	var order []string
 	sc := bufio.NewScanner(&trace)
 	for sc.Scan() {
-		var e event
+		var e map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("invalid trace line %q: %v", sc.Text(), err)
 		}
-		if e.V != TraceSchemaVersion {
-			t.Fatalf("event %q has v=%d, want %d", e.Event, e.V, TraceSchemaVersion)
+		name, _ := e["event"].(string)
+		if e["v"] != float64(TraceSchemaVersion) {
+			t.Fatalf("event %q has v=%v, want %d", name, e["v"], TraceSchemaVersion)
 		}
-		counts[e.Event]++
-		order = append(order, e.Event)
+		if name == "run_end" {
+			// Busy time, utilization and evaluator totals are sums over
+			// replica_end; run_end repeats none of them.
+			for field := range e {
+				switch field {
+				case "v", "event", "run_id", "replicas", "workers", "dur_ns":
+				default:
+					t.Errorf("run_end carries %q", field)
+				}
+			}
+		}
+		counts[name]++
+		order = append(order, name)
 	}
 	if order[0] != "run_start" || order[len(order)-1] != "run_end" {
 		t.Fatalf("trace must be bracketed by run_start..run_end, got %s..%s", order[0], order[len(order)-1])
@@ -119,12 +128,9 @@ func TestTelemetryTraceSchema(t *testing.T) {
 	if counts["generation"] != wantGens {
 		t.Fatalf("%d generation events, want %d", counts["generation"], wantGens)
 	}
-	if counts["phase"] != 2*count {
-		t.Fatalf("%d phase events, want %d (breed+evaluate per replica)", counts["phase"], 2*count)
-	}
 	for name := range counts {
 		switch name {
-		case "run_start", "run_end", "replica_start", "replica_end", "generation", "phase":
+		case "run_start", "run_end", "replica_start", "replica_end", "generation":
 		default:
 			t.Fatalf("undocumented event %q in trace", name)
 		}
@@ -196,9 +202,34 @@ func scrape(t *testing.T, tel *Telemetry) map[string]float64 {
 	return series
 }
 
+// replicaEndCounters sums the evaluator counters of a trace's replica_end
+// events, keyed by the /metrics family that aggregates each one, and
+// returns how many replica_end events it read.
+func replicaEndCounters(t *testing.T, trace []byte) (map[string]float64, int) {
+	t.Helper()
+	sums := map[string]float64{}
+	n := 0
+	sc := bufio.NewScanner(bytes.NewReader(trace))
+	for sc.Scan() {
+		if !bytes.Contains(sc.Bytes(), []byte(`"event":"replica_end"`)) {
+			continue
+		}
+		var end telemetry.ReplicaEnd
+		if err := json.Unmarshal(sc.Bytes(), &end); err != nil {
+			t.Fatal(err)
+		}
+		n++
+		sums["cold_eval_cache_hits_total"] += float64(end.CacheHits)
+		sums["cold_eval_cache_misses_total"] += float64(end.CacheMisses)
+		sums["cold_eval_full_sweeps_total"] += float64(end.FullSweeps)
+	}
+	return sums, n
+}
+
 // TestTelemetryCounters checks the aggregated counters after runs, read
-// through the registry that backs /metrics, and that the run's run_end
-// trace event carries the same evaluator totals.
+// through the registry that backs /metrics, and that the evaluator
+// counters the trace's replica_end events carry sum to the same totals,
+// for an ensemble and for a single Generate.
 func TestTelemetryCounters(t *testing.T) {
 	var trace bytes.Buffer
 	tel := NewTelemetry().TraceTo(&trace)
@@ -233,30 +264,27 @@ func TestTelemetryCounters(t *testing.T) {
 			t.Fatalf("%s = %v, want > 0", name, s[name])
 		}
 	}
-	var end telemetry.RunEnd
-	sc := bufio.NewScanner(&trace)
-	for sc.Scan() {
-		if bytes.Contains(sc.Bytes(), []byte(`"event":"run_end"`)) {
-			if err := json.Unmarshal(sc.Bytes(), &end); err != nil {
-				t.Fatal(err)
+	sameCounters := func(s map[string]float64, trace []byte, wantEnds int) {
+		t.Helper()
+		sums, ends := replicaEndCounters(t, trace)
+		if ends != wantEnds {
+			t.Fatalf("trace has %d replica_end events, want %d", ends, wantEnds)
+		}
+		for name, got := range sums {
+			if want, ok := s[name]; !ok || got != want {
+				t.Fatalf("replica_end events sum to %v for %s, /metrics reads %v (present %v)", got, name, want, ok)
 			}
 		}
 	}
-	for name, got := range map[string]uint64{
-		"cold_eval_cache_hits_total":   end.CacheHits,
-		"cold_eval_cache_misses_total": end.CacheMisses,
-		"cold_eval_full_sweeps_total":  end.FullSweeps,
-	} {
-		if want, ok := s[name]; !ok || float64(got) != want {
-			t.Fatalf("run_end carries %d for %s, /metrics reads %v (present %v)", got, name, want, ok)
-		}
-	}
+	sameCounters(s, trace.Bytes(), count)
 
-	// A second run on the same Telemetry accumulates.
+	// A second run on the same Telemetry accumulates, and a single
+	// Generate's trace carries its counters on replica_end too.
 	if _, err := Generate(cfg); err != nil {
 		t.Fatal(err)
 	}
 	s2 := scrape(t, tel)
+	sameCounters(s2, trace.Bytes(), count+1)
 	if s2["cold_replicas_done_total"] != count+1 {
 		t.Fatalf("replicas done = %v after single run, want %d", s2["cold_replicas_done_total"], count+1)
 	}
@@ -266,6 +294,77 @@ func TestTelemetryCounters(t *testing.T) {
 	if s2["cold_eval_cache_misses_total"] <= s["cold_eval_cache_misses_total"] {
 		t.Fatalf("cache misses did not accumulate: %v then %v",
 			s["cold_eval_cache_misses_total"], s2["cold_eval_cache_misses_total"])
+	}
+}
+
+// TestGenerateVariantsTelemetry: GenerateVariants is one GA run, so it
+// records the same replica-0 scope as Generate of the same config: the
+// same event vocabulary, generation count and evaluations, counters on
+// replica_end, and no run. Observing it leaves the variants unchanged.
+func TestGenerateVariantsTelemetry(t *testing.T) {
+	plain, err := GenerateVariants(fastConfig(10, 6), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var observed []*Network
+	record := func(gen func(Config) error) (map[string]float64, []byte) {
+		t.Helper()
+		var trace bytes.Buffer
+		tel := NewTelemetry().TraceTo(&trace)
+		cfg := fastConfig(10, 6)
+		cfg.Telemetry = tel
+		if err := gen(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := tel.TraceErr(); err != nil {
+			t.Fatal(err)
+		}
+		return scrape(t, tel), trace.Bytes()
+	}
+	single, singleTrace := record(func(cfg Config) error { _, err := Generate(cfg); return err })
+	vars, varsTrace := record(func(cfg Config) (err error) { observed, err = GenerateVariants(cfg, 3); return err })
+	if len(observed) != len(plain) {
+		t.Fatalf("%d variants under telemetry, %d without", len(observed), len(plain))
+	}
+	for i := range plain {
+		if !bytes.Equal(exportBytes(t, plain[i]), exportBytes(t, observed[i])) {
+			t.Fatalf("variant %d differs under telemetry", i)
+		}
+	}
+
+	for _, name := range []string{"cold_evaluations_total", "cold_ga_generations_total", "cold_replicas_done_total"} {
+		if vars[name] == 0 || vars[name] != single[name] {
+			t.Errorf("%s: GenerateVariants %v, Generate %v", name, vars[name], single[name])
+		}
+	}
+	if vars["cold_runs_total"] != 0 {
+		t.Errorf("GenerateVariants counted %v runs, want 0", vars["cold_runs_total"])
+	}
+	events := func(trace []byte) map[string]int {
+		counts := map[string]int{}
+		sc := bufio.NewScanner(bytes.NewReader(trace))
+		for sc.Scan() {
+			var e struct {
+				Event string `json:"event"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatal(err)
+			}
+			counts[e.Event]++
+		}
+		return counts
+	}
+	if got, want := events(varsTrace), events(singleTrace); len(got) == 0 || !maps.Equal(got, want) {
+		t.Errorf("GenerateVariants trace events %v, Generate's %v", got, want)
+	}
+	sums, ends := replicaEndCounters(t, varsTrace)
+	if ends != 1 || sums["cold_eval_cache_misses_total"] == 0 {
+		t.Fatalf("GenerateVariants trace: %d replica_end events with counters %v", ends, sums)
+	}
+	for name, got := range sums {
+		if got != vars[name] {
+			t.Errorf("replica_end carries %v for %s, /metrics reads %v", got, name, vars[name])
+		}
 	}
 }
 
