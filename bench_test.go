@@ -92,10 +92,9 @@ func BenchmarkFig5Sweep(b *testing.B) {
 }
 
 func BenchmarkFig8aZoo(b *testing.B) {
-	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		nets := zoo.Ensemble(60, rand.New(rand.NewSource(int64(i))))
-		experiments.Fig8a(zoo.CVNDs(nets), o)
+		experiments.Fig8a(zoo.CVNDs(nets))
 	}
 }
 

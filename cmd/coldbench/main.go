@@ -50,8 +50,8 @@ func run(args []string, stdout io.Writer) error {
 	validateRecords := fs.String("validate-records", "", "write the validate experiment's per-topology JSONL records to this file (e.g. VALIDATE_COLD.jsonl)")
 
 	// Shared sweeps, computed at most once.
-	tunability := sync.OnceValue(func() *experiments.TunabilityResult { return experiments.TunabilitySweep(o) })
-	hubbiness := sync.OnceValue(func() *experiments.HubbinessResult { return experiments.HubbinessSweep(o) })
+	tunability := sync.OnceValue(func() *experiments.Grid { return experiments.TunabilitySweep(o) })
+	hubbiness := sync.OnceValue(func() *experiments.Grid { return experiments.HubbinessSweep(o) })
 	// Every experiment, in the order `all` runs them; each returns the
 	// tables it prints.
 	type tables = []*experiments.Table
@@ -67,7 +67,7 @@ func run(args []string, stdout io.Writer) error {
 		{"fig5", func() (tables, error) { return tables{tunability().Fig5()}, nil }},
 		{"fig6", func() (tables, error) { return tables{tunability().Fig6()}, nil }},
 		{"fig7", func() (tables, error) { return tables{tunability().Fig7()}, nil }},
-		{"fig8a", func() (tables, error) { return tables{experiments.Fig8a(zoo.CVNDs(zoo.DefaultEnsemble()), o)}, nil }},
+		{"fig8a", func() (tables, error) { return tables{experiments.Fig8a(zoo.CVNDs(zoo.DefaultEnsemble()))}, nil }},
 		{"fig8b", func() (tables, error) { return tables{hubbiness().Fig8b()}, nil }},
 		{"fig9", func() (tables, error) { return tables{hubbiness().Fig9()}, nil }},
 		{"brute", func() (tables, error) { return tables{experiments.Brute(o)}, nil }},

@@ -231,14 +231,21 @@ func runTrace(args []string, stdout io.Writer) error {
 }
 
 func printRun(w io.Writer, idx int, tr *traceRun, maxReplicas int) {
+	// cold.Generate and GenerateVariants trace replica 0 with no run
+	// events around it; only a run that lacks one of them is damaged.
+	_, has0 := tr.replicas[0]
+	single := tr.start == nil && tr.end == nil && has0 && len(tr.replicas) == 1
 	head := fmt.Sprintf("run %d", idx+1)
-	if tr.start != nil {
+	switch {
+	case tr.start != nil:
 		if tr.start.RunID != "" {
 			head += " run_id=" + tr.start.RunID
 		}
 		head += fmt.Sprintf(": replicas=%d workers=%d n=%d pop=%d gens=%d",
 			tr.start.Replicas, tr.start.Workers, tr.start.N, tr.start.Pop, tr.start.Gens)
-	} else {
+	case single:
+		head += ": single network (no run scope)"
+	default:
 		head += " (missing run_start — truncated trace?)"
 	}
 	fmt.Fprintln(w, head)
@@ -249,7 +256,7 @@ func printRun(w io.Writer, idx int, tr *traceRun, maxReplicas int) {
 			util = float64(tr.busyNs) / (float64(end.DurNs) * float64(end.Workers))
 		}
 		fmt.Fprintf(w, "  wall %v, busy %v, utilization %.2f\n", ns(end.DurNs), ns(tr.busyNs), util)
-	} else {
+	} else if !single {
 		fmt.Fprintln(w, "  (missing run_end — run canceled or trace truncated)")
 	}
 	// A run without run_end (a single Generate, or a canceled run) still

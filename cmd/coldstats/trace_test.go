@@ -144,8 +144,8 @@ func TestParseTrace(t *testing.T) {
 			}
 		}
 
-		// Without run_end (a canceled run, or a single Generate's
-		// replica-0 events) the replica counters are still reported.
+		// Without run_end (a canceled run) the run is flagged and the
+		// replica counters are still reported.
 		runs, _, err = parseTrace(strings.NewReader(v4[:strings.Index(v4, `{"v":4,"event":"run_end"`)]))
 		if err != nil {
 			t.Fatal(err)
@@ -295,12 +295,15 @@ func TestTraceSchemaVersions(t *testing.T) {
 	})
 }
 
-// TestTraceReportGolden pins the report of each checked-in trace, recorded
-// at an older schema, byte for byte: a reader that computes its rollups
-// from the facts prints what the recording release's coldstats printed
-// from the rollup events. The goldens were produced by that release.
+// TestTraceReportGolden pins the report of each checked-in trace byte for
+// byte. trace_v2 and trace_v3 were recorded at older schemas, and their
+// goldens were produced by the recording release's coldstats: a reader
+// that computes its rollups from the facts prints what that release
+// printed from the rollup events. trace_v4_single is one cold.Generate's
+// trace, replica 0 with no run events: a whole single network, reported
+// as such rather than as a truncated run.
 func TestTraceReportGolden(t *testing.T) {
-	for _, name := range []string{"trace_v2", "trace_v3"} {
+	for _, name := range []string{"trace_v2", "trace_v3", "trace_v4_single"} {
 		t.Run(name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", name+".report"))
 			if err != nil {
@@ -390,6 +393,11 @@ func FuzzTrace(f *testing.F) {
 {"v":4,"event":"run_end","replicas":1,"workers":1,"dur_ns":120}
 `))
 	f.Add([]byte(`{"v":2,"event":"generation","replica":-3,"gen":-1,"best":4}` + "\n"))
+	single, err := os.ReadFile(filepath.Join("testdata", "trace_v4_single.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(single)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		within(t, 5*time.Second, func() {
 			runs, _, err := parseTrace(bytes.NewReader(data))

@@ -496,23 +496,3 @@ func (e *Evaluator) pushLoads(s int, parent, order []int32) {
 		acc[pv] += acc[v]
 	}
 }
-
-// RouteCost returns Σ_r t_r·L_r over all unordered PoP pairs: the
-// route-length-weighted traffic of equation (1) in the paper. It uses the
-// same routing as Cost, so k2·Σℓ_i·w_i == k2·RouteCost (a property the
-// tests verify). Returns +Inf for disconnected graphs.
-func (e *Evaluator) RouteCost(g *graph.Graph) float64 {
-	n := e.n
-	e.fillCSR(g)
-	var total float64
-	for s := 0; s < n; s++ {
-		e.dijkstra(s)
-		for d := s + 1; d < n; d++ {
-			if math.IsInf(e.dj.dist[d], 1) {
-				return math.Inf(1)
-			}
-			total += e.tm.Demand[s][d] * e.dj.dist[d]
-		}
-	}
-	return total
-}

@@ -119,6 +119,27 @@ func referenceEvaluate(e *Evaluator, g *graph.Graph) *Evaluation {
 	return ev
 }
 
+// RouteCost returns Σ_r t_r·L_r over all unordered PoP pairs: the
+// route-length-weighted traffic of equation (1) in the paper. It uses the
+// same routing as Cost, so k2·Σℓ_i·w_i == k2·RouteCost, the identity the
+// tests pin with it as the oracle. Returns +Inf for disconnected graphs.
+// Only tests need it, so it lives beside them.
+func (e *Evaluator) RouteCost(g *graph.Graph) float64 {
+	n := e.n
+	e.fillCSR(g)
+	var total float64
+	for s := 0; s < n; s++ {
+		e.dijkstra(s)
+		for d := s + 1; d < n; d++ {
+			if math.IsInf(e.dj.dist[d], 1) {
+				return math.Inf(1)
+			}
+			total += e.tm.Demand[s][d] * e.dj.dist[d]
+		}
+	}
+	return total
+}
+
 // referenceRouteCost is RouteCost over the reference's distances.
 func referenceRouteCost(e *Evaluator, g *graph.Graph) float64 {
 	e.fillCSR(g)

@@ -2,12 +2,47 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/cost"
-	"github.com/networksynth/cold/internal/stats"
 )
+
+// contextModel is one context model of ContextSensitivity or RouterSpread.
+type contextModel struct {
+	name      string
+	locations cold.LocationSpec
+	traffic   cold.TrafficSpec
+}
+
+// contextModels are the context models ContextSensitivity compares.
+var contextModels = []contextModel{
+	{"uniform+exp (default)", cold.LocationSpec{}, cold.TrafficSpec{}},
+	{"bursty+exp", cold.LocationSpec{Kind: cold.LocClustered, Clusters: 4, Sigma: 0.05}, cold.TrafficSpec{}},
+	{"long-thin+exp", cold.LocationSpec{Aspect: 9}, cold.TrafficSpec{}}, // 3:1/3 at unit area
+	{"uniform+pareto(1.5)", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 1.5}},
+	{"uniform+pareto(10/9)", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 10.0 / 9.0}},
+}
+
+// modelSamples returns the metrics read reports for every member of each
+// model's ensemble at k2=2e-4 and k3=0: samples[model][metric][member].
+func modelSamples(models []contextModel, o Options, read func(i int, nw *cold.Network) []float64) [][][]float64 {
+	cfg := o.config(2e-4, 0)
+	var samples [][][]float64
+	for _, m := range models {
+		cfg.Locations, cfg.Traffic = m.locations, m.traffic
+		samples = append(samples, sample(cfg, o.Trials, read))
+	}
+	return samples
+}
+
+// contextSamples returns average degree, CVND, diameter, clustering and
+// leaf count per member for each of contextModels.
+func contextSamples(o Options) [][][]float64 {
+	return modelSamples(contextModels, o, func(_ int, nw *cold.Network) []float64 {
+		st := nw.Stats()
+		return []float64{st.AverageDegree, st.DegreeCV, float64(st.Diameter), st.Clustering, float64(st.Leaves)}
+	})
+}
 
 // ContextSensitivity reproduces the §3.1/§7 finding: the statistics of the
 // generated PoP-level ensembles are *insensitive* to the context model —
@@ -17,44 +52,13 @@ import (
 // only the k3 hub cost can produce.
 func ContextSensitivity(o Options) *Table {
 	o = o.normalize()
-	models := []struct {
-		name      string
-		locations cold.LocationSpec
-		traffic   cold.TrafficSpec
-	}{
-		{"uniform+exp (default)", cold.LocationSpec{}, cold.TrafficSpec{}},
-		{"bursty+exp", cold.LocationSpec{Kind: cold.LocClustered, Clusters: 4, Sigma: 0.05}, cold.TrafficSpec{}},
-		{"long-thin+exp", cold.LocationSpec{Aspect: 9}, cold.TrafficSpec{}}, // 3:1/3 at unit area
-		{"uniform+pareto(1.5)", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 1.5}},
-		{"uniform+pareto(10/9)", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 10.0 / 9.0}},
-	}
-	cfg := o.config(2e-4, 0)
-	t := &Table{
-		Title: fmt.Sprintf("§3.1/§7: context sensitivity of the synthesized ensemble (n=%d, %s)", o.N, cost.Params(cfg.Params)),
+	return &Table{
+		Title: fmt.Sprintf("§3.1/§7: context sensitivity of the synthesized ensemble (n=%d, %s)", o.N, cost.Params(o.config(2e-4, 0).Params)),
 		Notes: []string{
 			fmt.Sprintf("%d networks per context model; mean [95%% bootstrap CI]", o.Trials),
 			"paper: effects are small; even Pareto(10/9) traffic cannot raise CVND near 1",
 		},
 		Columns: []string{"context", "avg degree", "CVND", "diameter", "clustering", "leaves"},
+		Rows:    ciRows(func(p int) string { return contextModels[p].name }, contextSamples(o), o, 333),
 	}
-	ciRNG := rand.New(rand.NewSource(o.Seed + 333))
-	for _, m := range models {
-		cfg.Locations, cfg.Traffic = m.locations, m.traffic
-		var degs, cvs, dias, clus, leaves []float64
-		ensemble(cfg, o.Trials, func(_ int, nw *cold.Network) {
-			st := nw.Stats()
-			degs = append(degs, st.AverageDegree)
-			cvs = append(cvs, st.DegreeCV)
-			dias = append(dias, float64(st.Diameter))
-			clus = append(clus, st.Clustering)
-			leaves = append(leaves, float64(st.Leaves))
-		})
-		row := []string{m.name}
-		for _, xs := range [][]float64{degs, cvs, dias, clus, leaves} {
-			ci := stats.BootstrapMeanCI(xs, 0.95, o.Bootstrap, ciRNG)
-			row = append(row, fmtCI(ci.Mean, ci.Lo, ci.Hi))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
 }

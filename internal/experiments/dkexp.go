@@ -12,6 +12,29 @@ import (
 	"github.com/networksynth/cold/internal/stats"
 )
 
+// fig1Sizes are Figure 1's graph sizes.
+var fig1Sizes = []int{10, 20, 30, 40, 50}
+
+// fig1Counts returns, at each of Figure 1's sizes, the number of distinct
+// dK parameters for d = 2, 3, 4 and the edge count of every random graph:
+// counts[size][metric][graph].
+func fig1Counts(o Options) [][][]float64 {
+	rng := rand.New(rand.NewSource(o.Seed))
+	counts := make([][][]float64, len(fig1Sizes))
+	for p, n := range fig1Sizes {
+		counts[p] = make([][]float64, 4)
+		for trial := 0; trial < o.Trials; trial++ {
+			g := randgraph.ER(n, 4/float64(n-1), rng)
+			for d := 2; d <= 4; d++ {
+				v, _ := dk.CountDistinctSubgraphs(g, d)
+				counts[p][d-2] = append(counts[p][d-2], float64(v))
+			}
+			counts[p][3] = append(counts[p][3], float64(g.NumEdges()))
+		}
+	}
+	return counts
+}
+
 // Fig1 reproduces Figure 1: the number of distinct dK-series parameters
 // (degree-labeled connected subgraph classes) versus graph size for
 // d = 2, 3, 4, averaged over random graphs at each size. The paper's point
@@ -19,7 +42,6 @@ import (
 // count rapidly exceeds n and even the edge count.
 func Fig1(o Options) *Table {
 	o = o.normalize()
-	rng := rand.New(rand.NewSource(o.Seed))
 	t := &Table{
 		Title: "Figure 1: distinct dK subgraph parameters vs n (ER graphs, avg degree 4)",
 		Notes: []string{
@@ -27,22 +49,12 @@ func Fig1(o Options) *Table {
 		},
 		Columns: []string{"n", "d=2", "d=3", "d=4", "edges(avg)"},
 	}
-	for _, n := range []int{10, 20, 30, 40, 50} {
-		var c2, c3, c4, edges float64
-		for trial := 0; trial < o.Trials; trial++ {
-			g := randgraph.ER(n, 4/float64(n-1), rng)
-			v2, _ := dk.CountDistinctSubgraphs(g, 2)
-			v3, _ := dk.CountDistinctSubgraphs(g, 3)
-			v4, _ := dk.CountDistinctSubgraphs(g, 4)
-			c2 += float64(v2)
-			c3 += float64(v3)
-			c4 += float64(v4)
-			edges += float64(g.NumEdges())
+	for p, point := range fig1Counts(o) {
+		row := []string{fmt.Sprint(fig1Sizes[p])}
+		for _, xs := range point {
+			row = append(row, fmtF(stats.Mean(xs)))
 		}
-		k := float64(o.Trials)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), fmtF(c2 / k), fmtF(c3 / k), fmtF(c4 / k), fmtF(edges / k),
-		})
+		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
@@ -155,31 +167,33 @@ func Table1(o Options) *Table {
 	return t
 }
 
+// fig8aQuantiles returns the CVND and the empirical CDF at Figure 8a's
+// quantiles of cvnds, the per-network samples of the zoo stand-in.
+func fig8aQuantiles(cvnds []float64) (cvnd, cdf []float64) {
+	pts, ecdf := stats.ECDF(cvnds)
+	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.85, 0.9, 0.95, 1.0} {
+		idx := min(max(int(q*float64(len(pts)))-1, 0), len(pts)-1)
+		cvnd, cdf = append(cvnd, pts[idx]), append(cdf, ecdf[idx])
+	}
+	return cvnd, cdf
+}
+
 // Fig8a reproduces Figure 8a: the distribution of the coefficient of
-// variation of node degree across the Topology-Zoo stand-in ensemble. The
-// paper's headline: about 15% of real networks have CVND over 1 — a value
-// COLD cannot reach without the node cost k3.
-func Fig8a(ensembleCVNDs []float64, o Options) *Table {
-	o = o.normalize()
-	pts, cdf := stats.ECDF(ensembleCVNDs)
+// variation of node degree across the Topology-Zoo stand-in ensemble, from
+// its networks' CVNDs. The paper's headline: about 15% of real networks
+// have CVND over 1 — a value COLD cannot reach without the node cost k3.
+func Fig8a(cvnds []float64) *Table {
 	t := &Table{
 		Title:   "Figure 8a: CVND distribution across the Topology-Zoo stand-in",
 		Columns: []string{"CVND", "CDF"},
 		Notes: []string{
 			fmt.Sprintf("%d networks; fraction with CVND > 1: %.3f (paper: ~0.15)",
-				len(ensembleCVNDs), stats.FractionAbove(ensembleCVNDs, 1)),
+				len(cvnds), stats.FractionAbove(cvnds, 1)),
 		},
 	}
-	// Report the CDF at evenly spaced quantiles to keep the table small.
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.85, 0.9, 0.95, 1.0} {
-		idx := int(q*float64(len(pts))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(pts) {
-			idx = len(pts) - 1
-		}
-		t.Rows = append(t.Rows, []string{fmtF(pts[idx]), fmtF(cdf[idx])})
+	cvnd, cdf := fig8aQuantiles(cvnds)
+	for i := range cvnd {
+		t.Rows = append(t.Rows, []string{fmtF(cvnd[i]), fmtF(cdf[i])})
 	}
 	return t
 }

@@ -1,8 +1,13 @@
 // Package experiments contains one harness per table and figure of the
-// COLD paper's evaluation (§2, §5–§7). Each harness generates the
-// workload, runs the sweep and returns a Table whose rows/series mirror
-// what the paper reports; cmd/coldbench prints them and bench_test.go wraps
-// them in testing.B benchmarks.
+// COLD paper's evaluation (§2, §5–§7); cmd/coldbench prints them and
+// bench_test.go wraps them in testing.B benchmarks.
+//
+// A harness has three parts, so tests read numbers rather than cells. A
+// run function returns per-member float64 samples in member order,
+// samples[point][metric]; a metric drops a member on which it is
+// undefined (NaN). The one CI step, cis, bootstraps every metric's 95% CI
+// from the harness's own stream, point-major and metric-minor; that draw
+// order is part of the printed bytes. A renderer builds the Table.
 //
 // Every COLD network a harness measures is a member of a cold.Config
 // ensemble from cold.GenerateEnsembleStream (Figure 4 times single
@@ -17,13 +22,17 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 
 	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/cost"
 	"github.com/networksynth/cold/internal/geom"
 	"github.com/networksynth/cold/internal/graph"
+	"github.com/networksynth/cold/internal/par"
+	"github.com/networksynth/cold/internal/stats"
 	"github.com/networksynth/cold/internal/traffic"
 )
 
@@ -53,7 +62,8 @@ func Defaults() Options {
 	return Options{Trials: 10, N: 30, GAPop: 100, GAGens: 100, Bootstrap: 1000, Seed: 1}
 }
 
-// normalize fills zero fields from Defaults.
+// normalize fills zero fields from Defaults. The exported harnesses
+// normalize their options; the run functions they call take them as given.
 func (o Options) normalize() Options {
 	d := Defaults()
 	if o.Trials <= 0 {
@@ -92,29 +102,21 @@ func (t *Table) Print(w io.Writer) error {
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "# %s\n", n)
 	}
+	rows := append([][]string{t.Columns}, t.Rows...)
 	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
+	for _, row := range rows {
+		for i, cell := range row {
 			if i > 0 {
 				b.WriteString("  ")
 			}
 			fmt.Fprintf(&b, "%-*s", widths[i], cell)
 		}
 		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -192,11 +194,59 @@ func evaluator(nw *cold.Network, p cold.Params) *cost.Evaluator {
 	return e
 }
 
-func fmtF(v float64) string { return fmt.Sprintf("%.4g", v) }
-
-// newCIRand returns the rng stream used for bootstrap CIs.
-func newCIRand(o Options) *rand.Rand { return rand.New(rand.NewSource(o.Seed + 4242)) }
-
-func fmtCI(mean, lo, hi float64) string {
-	return fmt.Sprintf("%.4g [%.4g,%.4g]", mean, lo, hi)
+// sample generates cfg's trials-member ensemble, reads each member's
+// metrics, one member per CPU, and returns each metric's samples in member
+// order. A NaN value drops that member from its metric.
+func sample(cfg cold.Config, trials int, read func(i int, nw *cold.Network) []float64) [][]float64 {
+	nets := members(cfg, trials)
+	vals := make([][]float64, trials)
+	par.Each(runtime.GOMAXPROCS(0), trials, func(_, i int) { vals[i] = read(i, nets[i]) })
+	metrics := make([][]float64, len(vals[0]))
+	for _, member := range vals {
+		for m, v := range member {
+			if !math.IsNaN(v) {
+				metrics[m] = append(metrics[m], v)
+			}
+		}
+	}
+	return metrics
 }
+
+// cis is the harnesses' one CI step: the 95% bootstrap CI of every metric
+// at every point of samples, drawn from the stream seeded at
+// o.Seed+stream, point-major and metric-minor. A metric with no samples
+// draws nothing and gets a NaN mean.
+func cis(samples [][][]float64, o Options, stream int64) [][]stats.CI {
+	rng := rand.New(rand.NewSource(o.Seed + stream))
+	out := make([][]stats.CI, len(samples))
+	for p, point := range samples {
+		for _, xs := range point {
+			out[p] = append(out[p], stats.BootstrapMeanCI(xs, 0.95, o.Bootstrap, rng))
+		}
+	}
+	return out
+}
+
+// ciCell renders a CI as "mean [lo,hi]", or "-" for a metric that kept no
+// member.
+func ciCell(ci stats.CI) string {
+	if math.IsNaN(ci.Mean) {
+		return "-"
+	}
+	return fmt.Sprintf("%.4g [%.4g,%.4g]", ci.Mean, ci.Lo, ci.Hi)
+}
+
+// ciRows renders one row per point of samples: its label, then a CI cell
+// per metric, the CIs drawn as cis does.
+func ciRows(label func(p int) string, samples [][][]float64, o Options, stream int64) [][]string {
+	rows := make([][]string, len(samples))
+	for p, point := range cis(samples, o, stream) {
+		rows[p] = []string{label(p)}
+		for _, ci := range point {
+			rows[p] = append(rows[p], ciCell(ci))
+		}
+	}
+	return rows
+}
+
+func fmtF(v float64) string { return fmt.Sprintf("%.4g", v) }

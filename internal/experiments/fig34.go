@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	cold "github.com/networksynth/cold"
@@ -20,6 +21,25 @@ import (
 // initialised GA from the library's own seed derivations.
 const fig3Tag = 0xF163
 
+// fig3Algos are Figure 3's algorithms in column order: four greedy
+// heuristics, the plain GA and the initialised GA, the normalizer.
+var fig3Algos = []string{"random-greedy", "complete", "hub-mst", "greedy-attach", "GA", "init-GA"}
+
+// fig3Costs returns the best cost each of Figure 3's algorithms finds on
+// every ensemble member at every k2 of the sweep: costs[k2][algo][member],
+// algorithms in fig3Algos order.
+func fig3Costs(k3 float64, o Options) [][][]float64 {
+	costs := make([][][]float64, len(K2Grid))
+	for p, k2 := range K2Grid {
+		// The plain GA is the ensemble; its competitors then run per member.
+		cfg := o.config(k2, k3)
+		costs[p] = sample(cfg, o.Trials, func(i int, nw *cold.Network) []float64 {
+			return competitorCosts(nw, cfg.Params, o, i)
+		})
+	}
+	return costs
+}
+
 // Fig3 reproduces Figure 3: the best cost found by each algorithm —
 // random greedy, complete, mst(-hubs), greedy attachment, the plain GA and
 // the initialised GA — across the k2 sweep, normalized by the initialised
@@ -31,57 +51,42 @@ const fig3Tag = 0xF163
 // beaten (it is seeded with every competitor's output).
 func Fig3(k3 float64, o Options) *Table {
 	o = o.normalize()
-	algos := []string{"random-greedy", "complete", "hub-mst", "greedy-attach", "GA", "init-GA"}
-	t := &Table{
+	ratios := fig3Costs(k3, o)
+	for _, point := range ratios {
+		init := slices.Clone(point[len(point)-1])
+		for _, xs := range point {
+			for i := range xs {
+				xs[i] /= init[i]
+			}
+		}
+	}
+	return &Table{
 		Title: fmt.Sprintf("Figure 3: relative best cost vs k2 (k0=10, k1=1, k3=%g, n=%d)", k3, o.N),
 		Notes: []string{
 			fmt.Sprintf("normalized by initialised GA; mean [95%% bootstrap CI] over %d trials", o.Trials),
 		},
-		Columns: append([]string{"k2"}, algos...),
+		Columns: append([]string{"k2"}, fig3Algos...),
+		Rows:    ciRows(func(p int) string { return fmtF(K2Grid[p]) }, ratios, o, 999),
 	}
-	ciRNG := rand.New(rand.NewSource(o.Seed + 999))
-	for _, k2 := range K2Grid {
-		cfg := o.config(k2, k3)
-		// The plain GA is the ensemble; its competitors then run once per
-		// member, one member per CPU.
-		nets := members(cfg, o.Trials)
-		costs := make([]map[string]float64, o.Trials)
-		par.Each(runtime.GOMAXPROCS(0), o.Trials, func(_, i int) {
-			costs[i] = competitorCosts(nets[i], cfg.Params, o, i)
-		})
-		ratios := make(map[string][]float64, len(algos))
-		for _, c := range costs {
-			for name, v := range c {
-				ratios[name] = append(ratios[name], v/c["init-GA"])
-			}
-		}
-		row := []string{fmtF(k2)}
-		for _, name := range algos {
-			ci := stats.BootstrapMeanCI(ratios[name], 0.95, o.Bootstrap, ciRNG)
-			row = append(row, fmtCI(ci.Mean, ci.Lo, ci.Hi))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
 }
 
-// competitorCosts costs Figure 3's algorithms on the context of ensemble
-// member i, generated under p: the greedy heuristics, the plain GA (the
-// member itself) and the initialised GA. The initialised GA is seeded with
-// *every* competitor's output — the heuristics and the plain GA's best — so
-// it outperforms all of them over all parameter ranges, the paper's
-// argument in §5. Its randomness and the heuristics' depend only on
-// (o.Seed, i), so every k2 point draws the same.
-func competitorCosts(nw *cold.Network, p cold.Params, o Options, i int) map[string]float64 {
+// competitorCosts costs Figure 3's algorithms, in fig3Algos order, on the
+// context of ensemble member i, generated under p: the greedy heuristics,
+// the plain GA (the member itself) and the initialised GA. The initialised
+// GA is seeded with *every* competitor's output — the heuristics and the
+// plain GA's best — so it outperforms all of them over all parameter
+// ranges, the paper's argument in §5. Its randomness and the heuristics'
+// depend only on (o.Seed, i), so every k2 point draws the same.
+func competitorCosts(nw *cold.Network, p cold.Params, o Options, i int) []float64 {
 	e := evaluator(nw, p)
 	plain := graphOf(nw)
 	seed := stats.StreamSeed(uint64(o.Seed), fig3Tag, uint64(i))
 	hs := heuristics.All(context.TODO(), e, rand.New(rand.NewSource(int64(seed))))
-	costs := map[string]float64{"GA": e.Cost(plain)}
+	costs := make([]float64, len(fig3Algos))
+	costs[4] = e.Cost(plain)
 	for _, h := range hs {
-		switch h.Name {
-		case "random-greedy", "complete", "hub-mst", "greedy-attach":
-			costs[h.Name] = h.Cost
+		if a := slices.Index(fig3Algos[:4], h.Name); a >= 0 {
+			costs[a] = h.Cost
 		}
 	}
 	s := core.SizedSettings(o.GAPop, o.GAGens)
@@ -90,8 +95,24 @@ func competitorCosts(nw *cold.Network, p cold.Params, o Options, i int) map[stri
 	if err != nil {
 		panic(fmt.Sprintf("experiments: initialised GA: %v", err))
 	}
-	costs["init-GA"] = init.BestCost
+	costs[5] = init.BestCost
 	return costs
+}
+
+// fig4Seconds returns the wall time of one serial cold.Generate at each
+// size, the per-member sample of Figure 4 (one member per size).
+func fig4Seconds(sizes []int, o Options) []float64 {
+	secs := make([]float64, len(sizes))
+	for p, n := range sizes {
+		cfg := o.config(1e-4, 10)
+		cfg.NumPoPs, cfg.Parallelism = n, 1
+		start := time.Now()
+		if _, err := cold.Generate(cfg); err != nil {
+			panic(fmt.Sprintf("experiments: %v", err))
+		}
+		secs[p] = time.Since(start).Seconds()
+	}
+	return secs
 }
 
 // Fig4 reproduces Figure 4: GA runtime versus the number of PoPs with
@@ -112,14 +133,8 @@ func Fig4(sizes []int, o Options) *Table {
 		Notes:   []string{"paper: cubic growth, coefficient 2.3e-5 s/n^3 on 2014 hardware (Matlab)"},
 	}
 	var coeffs, logN, logS []float64
-	for _, n := range sizes {
-		cfg := o.config(1e-4, 10)
-		cfg.NumPoPs, cfg.Parallelism = n, 1
-		start := time.Now()
-		if _, err := cold.Generate(cfg); err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		secs := time.Since(start).Seconds()
+	for p, secs := range fig4Seconds(sizes, o) {
+		n := sizes[p]
 		c := secs / float64(n*n*n)
 		coeffs = append(coeffs, c)
 		logN = append(logN, math.Log(float64(n)))

@@ -2,12 +2,38 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	cold "github.com/networksynth/cold"
 	"github.com/networksynth/cold/internal/routerlevel"
 	"github.com/networksynth/cold/internal/stats"
 )
+
+// trafficModels are the traffic models RouterSpread compares.
+var trafficModels = []contextModel{
+	{"exponential", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficExponential}},
+	{"pareto(1.5)", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 1.5}},
+	{"pareto(10/9)", cold.LocationSpec{}, cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 10.0 / 9.0}},
+}
+
+// routerSamples expands every member to the router level and returns its
+// router total, the most routers in one PoP, the CV of routers per PoP,
+// the max/mean ratio of routers per PoP (each dropped where NaN) and the
+// PoP-level average degree, for each of trafficModels.
+func routerSamples(o Options) [][][]float64 {
+	return modelSamples(trafficModels, o, func(_ int, nw *cold.Network) []float64 {
+		rn, err := routerlevel.Expand(nw, routerlevel.DefaultTemplate(20000))
+		if err != nil {
+			panic(err)
+		}
+		perPoP := make([]float64, nw.N())
+		for p := range perPoP {
+			perPoP[p] = float64(len(rn.RoutersIn(p)))
+		}
+		_, hi := stats.MinMax(perPoP)
+		return []float64{float64(rn.NumRouters()), hi, stats.CoefficientOfVariation(perPoP),
+			hi / stats.Mean(perPoP), nw.Stats().AverageDegree}
+	})
+}
 
 // RouterSpread reproduces the §3.1 observation that motivates starting
 // synthesis at the PoP level: "A Pareto model will generate a wider spread
@@ -17,53 +43,13 @@ import (
 // ContextSensitivity) but the *router level* is not.
 func RouterSpread(o Options) *Table {
 	o = o.normalize()
-	models := []struct {
-		name string
-		spec cold.TrafficSpec
-	}{
-		{"exponential", cold.TrafficSpec{Kind: cold.TrafficExponential}},
-		{"pareto(1.5)", cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 1.5}},
-		{"pareto(10/9)", cold.TrafficSpec{Kind: cold.TrafficPareto, ParetoShape: 10.0 / 9.0}},
-	}
-	t := &Table{
+	return &Table{
 		Title: fmt.Sprintf("§3.1: router-count spread per PoP by traffic model (n=%d)", o.N),
 		Notes: []string{
 			fmt.Sprintf("%d networks per model; router template: redundant cores, 1 access router per 20k traffic", o.Trials),
 			"paper: heavy-tailed traffic widens the router-count spread while the PoP level stays similar",
 		},
 		Columns: []string{"traffic model", "routers total", "max routers/PoP", "router CV", "max/mean routers", "PoP avg degree"},
+		Rows:    ciRows(func(p int) string { return trafficModels[p].name }, routerSamples(o), o, 4242),
 	}
-	ciRNG := newCIRand(o)
-	for _, m := range models {
-		var totals, maxes, cvs, ratios, degs []float64
-		cfg := o.config(2e-4, 0)
-		cfg.Traffic = m.spec
-		ensemble(cfg, o.Trials, func(_ int, nw *cold.Network) {
-			rn, err := routerlevel.Expand(nw, routerlevel.DefaultTemplate(20000))
-			if err != nil {
-				panic(err)
-			}
-			perPoP := make([]float64, o.N)
-			for p := 0; p < o.N; p++ {
-				perPoP[p] = float64(len(rn.RoutersIn(p)))
-			}
-			totals = append(totals, float64(rn.NumRouters()))
-			_, hi := stats.MinMax(perPoP)
-			maxes = append(maxes, hi)
-			if cv := stats.CoefficientOfVariation(perPoP); !math.IsNaN(cv) {
-				cvs = append(cvs, cv)
-			}
-			if mean := stats.Mean(perPoP); mean > 0 {
-				ratios = append(ratios, hi/mean)
-			}
-			degs = append(degs, nw.Stats().AverageDegree)
-		})
-		row := []string{m.name}
-		for _, xs := range [][]float64{totals, maxes, cvs, ratios, degs} {
-			ci := stats.BootstrapMeanCI(xs, 0.95, o.Bootstrap, ciRNG)
-			row = append(row, fmtCI(ci.Mean, ci.Lo, ci.Hi))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
 }
