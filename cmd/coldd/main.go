@@ -72,6 +72,22 @@ func newLogger(level, format string) (*slog.Logger, error) {
 	}
 }
 
+// A client must send its request headers within readHeaderTimeout, and a
+// keep-alive connection that idles for idleTimeout is closed, so a stalled
+// or abandoned client cannot hold a connection and its goroutine forever.
+// Body reads and response writes have no deadline yet: a response streams
+// for as long as its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer is coldd's HTTP server for handler h, with the connection
+// timeouts above.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func defaultCacheDir() string {
 	if dir, err := os.UserCacheDir(); err == nil {
 		return filepath.Join(dir, "coldd")
@@ -136,7 +152,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.handler()}
+	srv := httpServer(s.handler())
 	fmt.Fprintf(os.Stderr, "coldd: listening on http://%s (cache %s)\n", ln.Addr(), st.Dir())
 
 	errc := make(chan error, 1)

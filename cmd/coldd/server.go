@@ -200,16 +200,26 @@ func (s *server) jobErr(err error) error {
 // -trace-dir set, the generation writes a JSONL trace to
 // <dir>/<job_id>.jsonl, its run_start/run_end stamped with the job ID
 // (Config.RunID) so log lines and trace files cross-reference.
+//
+// The job's queue slot and admission are given back before its final
+// state is published, on every path: a client woken by the outcome may
+// post again at once and must find the queue as the job left it.
 func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 	defer s.runners.Done()
 	defer s.detach(j)
-	defer s.q.leave()
+	err := s.generate(ctx, j, cfg, count)
+	s.q.leave()
+	j.finish(err)
+}
+
+// generate is run's body: it holds a queue slot from a successful wait
+// until it returns the job's outcome.
+func (s *server) generate(ctx context.Context, j *job, cfg cold.Config, count int) error {
 	queued := time.Now()
 	if err := s.q.wait(ctx); err != nil {
 		s.canceled.Inc()
 		s.log.Info("job canceled while queued", "job_id", j.id, "queue_wait", time.Since(queued))
-		j.finish(s.jobErr(err))
-		return
+		return s.jobErr(err)
 	}
 	defer s.q.release()
 	s.generations.Inc()
@@ -290,8 +300,7 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 		}
 		s.log.Info("job finished", "job_id", j.id, "outcome", outcome, "dur", time.Since(start),
 			"resumed_from", from, "err", err)
-		j.finish(err)
-		return
+		return err
 	}
 	data, _, _, _ := j.snapshot(0)
 	if perr := s.opts.store.Put(j.key, data); perr != nil {
@@ -301,7 +310,7 @@ func (s *server) run(ctx context.Context, j *job, cfg cold.Config, count int) {
 	}
 	s.log.Info("job finished", "job_id", j.id, "outcome", "ok", "dur", time.Since(start),
 		"replicas", count, "resumed_from", from, "bytes", len(data))
-	j.finish(nil)
+	return nil
 }
 
 // jobTelemetry returns the telemetry handle and run ID for one job. With

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -287,6 +288,81 @@ func TestOverflowingConfigIs400(t *testing.T) {
 	resp := post(t, ts, tinyBody(3, 1))
 	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid request after the rejection: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestFailedJobFreesQueueBeforeReply: at queue depth 0 a failed job must
+// have given back its slot and admission by the time its client reads the
+// 400, so a request sent right after the reply is admitted, never 429.
+// Each round posts a fresh failing config, then a fresh valid one.
+func TestFailedJobFreesQueueBeforeReply(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{jobs: 1, queueDepth: 0})
+	for seed := int64(1); seed <= 20; seed++ {
+		resp := post(t, ts, fmt.Sprintf(`{"config":{"NumPoPs":10,"Seed":%d,"Params":{"K0":10,"K1":1,"K2":1e306,"K3":1},"Optimizer":{"PopulationSize":10,"Generations":5}}}`, seed))
+		if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("round %d: failing job: status %d, want 400: %s", seed, resp.StatusCode, body)
+		}
+		resp = post(t, ts, tinyBody(seed, 1))
+		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: request after the failed job: status %d, want 200: %s", seed, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestStalledConnectionsClosed: coldd's HTTP server closes a connection
+// whose client stops halfway through its request headers, and a
+// keep-alive connection left idle after a response, each once its timeout
+// (shortened here) expires.
+func TestStalledConnectionsClosed(t *testing.T) {
+	s, _ := newTestServer(t, serverOptions{})
+	srv := httpServer(s.handler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("server timeouts %v/%v, want %v/%v", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	const timeout = 200 * time.Millisecond
+	srv.ReadHeaderTimeout, srv.IdleTimeout = timeout, timeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	for _, c := range []struct{ name, send string }{
+		{"half header", "GET /healthz HTTP/1.1\r\nHost: coldd\r\nX-Half: "},
+		{"idle keep-alive", "GET /healthz HTTP/1.1\r\nHost: coldd\r\n\r\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			start := time.Now()
+			if _, err := io.WriteString(conn, c.send); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(start.Add(10 * timeout))
+			// The server answers the whole request, then closes the idle
+			// connection; it closes the half-sent one without a reply.
+			r := bufio.NewReader(conn)
+			if strings.HasSuffix(c.send, "\r\n\r\n") {
+				resp, err := http.ReadResponse(r, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				readAll(t, resp)
+				if resp.StatusCode != http.StatusOK || resp.Close {
+					t.Fatalf("status %d, close %v: want a kept-alive 200", resp.StatusCode, resp.Close)
+				}
+			}
+			if rest, err := io.ReadAll(r); err != nil || len(rest) != 0 {
+				t.Fatalf("read %q, err %v: want the server to close the connection", rest, err)
+			}
+			if d := time.Since(start); d < timeout {
+				t.Fatalf("closed after %v, before the %v timeout", d, timeout)
+			}
+		})
 	}
 }
 

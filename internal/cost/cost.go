@@ -5,15 +5,25 @@
 //	Σ_{i∈E} (k0 + k1·ℓ_i + k2·ℓ_i·w_i)  +  k3·|{j : degree(j) > 1}|
 //
 // The Evaluator is the hot path of the whole system — the genetic algorithm
-// calls Cost on every candidate in every generation — so it routes with an
-// indexed-binary-heap Dijkstra over a pooled CSR snapshot of the candidate,
-// accumulates link loads along shortest-path trees in O(n) per source,
-// reuses scratch buffers (steady-state evaluation allocates nothing), and
-// memoizes results keyed by the candidate's packed upper triangle (GA
-// populations converge, so identical candidates recur constantly).
-// Every evaluation that misses the memo is one full all-sources sweep; the
-// equivalence test suite checks the kernel bit for bit against a
-// linear-scan reference kept in test code.
+// calls Cost on every candidate in every generation — so it routes with one
+// Dijkstra kernel over a pooled CSR snapshot of the candidate, accumulates
+// link loads along shortest-path trees in O(n) per source, reuses scratch
+// buffers (steady-state evaluation allocates nothing), and memoizes
+// results keyed by the candidate's packed upper triangle (GA populations
+// converge, so identical candidates recur constantly).
+//
+// The kernel (dijkstra.go) fuses an indexed binary heap with inline keys
+// into the relaxation loop and stops once every node it must serve is
+// finalized. Each part is exact: heap entries are ordered by (distance,
+// id), a strict total order, so the pop sequence, distances and parents
+// are those of a linear scan that breaks ties toward lower ids, whatever
+// the heap's layout; Cost pushes each pair's demand from its lower
+// endpoint, so source s stops once every node > s is finalized and the
+// nodes it skips would have pushed zeros; and pushing a zero accumulator
+// adds ±0 to sums that start at +0 and only grow, which leaves their bits
+// unchanged. Every evaluation that misses the memo is one full sweep; the
+// equivalence test suite checks the kernel, stopped early and not, bit for
+// bit against a linear-scan reference kept in test code.
 package cost
 
 import (
@@ -118,12 +128,6 @@ type Evaluator struct {
 
 	n int
 
-	// dflat is the traffic matrix flattened to n² (dflat[s*n+d] ==
-	// tm.Demand[s][d]), built once and shared (immutably) with Clones so
-	// pushLoads can bulk-copy a source's demand row without pointer
-	// chasing.
-	dflat []float64
-
 	// Dijkstra scratch.
 	dj struct {
 		dist   []float64
@@ -131,8 +135,9 @@ type Evaluator struct {
 		order  []int32
 		acc    []float64
 		load   []float64 // n×n flattened link loads
-		hnodes []int32   // heap storage
-		hpos   []int32   // heap position index
+		keys   []float64 // heap: keys[i] is the distance of nodes[i]
+		nodes  []int32   // heap: nodes[0] is the minimum
+		pos    []int32   // heap position of each node, -1 when absent
 	}
 
 	// csr is the flat-memory snapshot of the graph being evaluated: the
@@ -177,15 +182,14 @@ func NewEvaluator(dist [][]float64, tm *traffic.Matrix, params Params) (*Evaluat
 		if len(row) != n {
 			return nil, fmt.Errorf("cost: distance row %d has %d entries, want %d", i, len(row), n)
 		}
+		if d := tm.Demand[i]; len(d) != n {
+			return nil, fmt.Errorf("cost: traffic row %d has %d entries, want %d", i, len(d), n)
+		}
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Evaluator{dist: dist, tm: tm, params: params, n: n, cache: newSharedCache(DefaultCacheLimit), counters: &evalCounters{}}
-	e.dflat = make([]float64, n*n)
-	for s := 0; s < n; s++ {
-		copy(e.dflat[s*n:(s+1)*n], tm.Demand[s])
-	}
 	e.initScratch()
 	return e, nil
 }
@@ -205,8 +209,9 @@ func (e *Evaluator) initScratch() {
 	e.dj.order = make([]int32, n)
 	e.dj.acc = make([]float64, n)
 	e.dj.load = make([]float64, n*n)
-	e.dj.hnodes = make([]int32, 0, n)
-	e.dj.hpos = make([]int32, n)
+	e.dj.keys = make([]float64, n)
+	e.dj.nodes = make([]int32, n)
+	e.dj.pos = make([]int32, n)
 	e.csr.rowStart = make([]int32, n+1)
 }
 
@@ -218,7 +223,7 @@ func (e *Evaluator) initScratch() {
 // scratch buffers. Each goroutine must still use its own Evaluator.
 func (e *Evaluator) Clone() *Evaluator {
 	c := &Evaluator{dist: e.dist, tm: e.tm, params: e.params, n: e.n,
-		dflat: e.dflat, cache: e.cache, counters: e.counters, durHist: e.durHist}
+		cache: e.cache, counters: e.counters, durHist: e.durHist}
 	c.initScratch()
 	return c
 }
@@ -425,10 +430,11 @@ func (e *Evaluator) fillBreakdown(ev *Evaluation, g *graph.Graph) {
 // extraction. In that mode all n sources are visited even when the graph
 // turns out disconnected, so the routing stays usable within each
 // component, whereas with rt == nil the sweep aborts on the first
-// unreachable source. With rt == nil the last source is not routed at
-// all: each pair's demand is pushed from its lower-indexed endpoint, so
-// source n−1 has nothing to push, and source 0 has already decided
-// connectivity.
+// unreachable source. With rt == nil each pair's demand is pushed from its
+// lower-indexed endpoint, so source s only needs the nodes above it: its
+// Dijkstra stops once every node > s is finalized (any node it would
+// finalize later is ≤ s with no descendant > s, so its accumulator is 0),
+// source 0 still decides connectivity, and source n−1 is not routed.
 func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 	e.counters.fullSweeps.Inc()
 	n := e.n
@@ -443,12 +449,16 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 	}
 	connected := true
 	for s := 0; s < sources; s++ {
-		reached := e.dijkstra(s)
+		lo := 0
+		if rt == nil {
+			lo = s + 1
+		}
+		count, ok := e.dijkstra(s, lo)
 		if rt != nil {
 			rt.PathDist[s] = append([]float64(nil), e.dj.dist[:n]...)
 			rt.Parent[s] = append([]int32(nil), e.dj.parent[:n]...)
 		}
-		if reached != n {
+		if !ok {
 			if rt == nil {
 				return false
 			}
@@ -458,7 +468,7 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 		if !connected {
 			continue // loads are meaningless; still filling routing tables
 		}
-		e.pushLoads(s, e.dj.parent, e.dj.order[:reached])
+		e.pushLoads(s, e.dj.parent, e.dj.order[:count])
 	}
 	return connected
 }
@@ -471,28 +481,27 @@ func (e *Evaluator) routeAndLoad(g *graph.Graph, rt *Routing) bool {
 //
 // order must be exactly the finalized prefix of a Dijkstra run — order[:count]
 // with count the kernel's return value — and every caller must have verified
-// count == n first (loads over a partial tree are meaningless): the kernel
-// leaves stale entries past count in its scratch after it stops early on a
-// disconnected graph, and pushLoads trusts the slice bound it is handed
-// (TestScratchPoisoning proves nothing reads past it).
+// that it holds every node > s first (loads over a partial tree are
+// meaningless): the kernel leaves stale entries past count in its scratch,
+// and pushLoads trusts the slice bound it is handed (TestScratchPoisoning
+// proves nothing reads past it).
 //
-// The accumulator is seeded from the flattened demand matrix with one
-// bulk copy + clear instead of a branch-per-node loop; the backward tree
-// walk itself is inherently sequential (each node's total feeds its
-// parent's) and indexes flat slices only.
+// The accumulator is seeded from the source's demand row with one bulk
+// copy + clear; the backward tree walk itself is inherently
+// sequential (each node's total feeds its parent's) and indexes flat
+// slices only. It pushes every node, zeros included, without a branch:
+// loads and accumulators start at +0 and only non-negative demand is
+// added, so adding a ±0 leaves every sum's bits unchanged.
 func (e *Evaluator) pushLoads(s int, parent, order []int32) {
 	n := e.n
 	load, acc := e.dj.load, e.dj.acc
-	copy(acc[s+1:n], e.dflat[s*n+s+1:(s+1)*n])
+	copy(acc[s+1:n], e.tm.Demand[s][s+1:n])
 	clear(acc[:s+1])
 	for k := len(order) - 1; k >= 1; k-- {
 		v := int(order[k])
-		if acc[v] == 0 {
-			continue
-		}
-		pv := int(parent[v])
-		load[v*n+pv] += acc[v]
-		load[pv*n+v] += acc[v]
-		acc[pv] += acc[v]
+		pv, a := int(parent[v]), acc[v]
+		load[v*n+pv] += a
+		load[pv*n+v] += a
+		acc[pv] += a
 	}
 }

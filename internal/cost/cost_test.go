@@ -66,6 +66,10 @@ func TestNewEvaluatorErrors(t *testing.T) {
 	if _, err := NewEvaluator([][]float64{{0, 1}, {1}}, tm, DefaultParams()); err == nil {
 		t.Error("ragged matrix should error")
 	}
+	ragged := &traffic.Matrix{Demand: [][]float64{{0, 1}, {1}}}
+	if _, err := NewEvaluator(geom.DistanceMatrix([]geom.Point{{}, {X: 1}}), ragged, DefaultParams()); err == nil {
+		t.Error("ragged traffic matrix should error")
+	}
 	if _, err := NewEvaluator(geom.DistanceMatrix([]geom.Point{{}, {X: 1}}), tm, Params{K0: -1}); err == nil {
 		t.Error("bad params should error")
 	}

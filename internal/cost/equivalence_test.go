@@ -80,7 +80,14 @@ func sameEvaluation(t *testing.T, label string, a, b *Evaluation) {
 // tie rule — are common.
 func tiedContext(t testing.TB, n int, seed int64) *Evaluator {
 	t.Helper()
-	base := uncachedContext(t, n, seed)
+	return tied(t, uncachedContext(t, n, seed))
+}
+
+// tied returns an uncached evaluator for base's traffic and parameters
+// whose distances are base's rounded to small positive integers.
+func tied(t testing.TB, base *Evaluator) *Evaluator {
+	t.Helper()
+	n := base.N()
 	dist := make([][]float64, n)
 	for i, row := range base.Dist() {
 		dist[i] = make([]float64, n)

@@ -2,7 +2,7 @@ package cost
 
 // Fuzz target for the evaluator's equivalence guarantee: it decodes
 // arbitrary bytes into a context + graph and asserts the bit-identity
-// contract between the heap Dijkstra kernel and the linear-scan reference
+// contract between the Dijkstra kernel and the linear-scan reference
 // (reference_test.go) that the rest of the system (memo cache, GA
 // determinism, golden fixtures) depends on.
 //
@@ -21,7 +21,10 @@ import (
 	"github.com/networksynth/cold/internal/traffic"
 )
 
-// fuzzContext derives a deterministic context from a seed, sized 2..33.
+// fuzzContext derives a deterministic context from a seed, sized 2..33 by
+// the low five bits of sizeByte. With its high bit set, the distances are
+// rounded to small integers as in tiedContext, so the tie rule decides
+// parents and order.
 func fuzzContext(t testing.TB, seed int64, sizeByte byte) *Evaluator {
 	n := 2 + int(sizeByte%32)
 	rng := rand.New(rand.NewSource(seed))
@@ -33,6 +36,9 @@ func fuzzContext(t testing.TB, seed int64, sizeByte byte) *Evaluator {
 		t.Fatal(err)
 	}
 	e.SetCacheLimit(0)
+	if sizeByte&0x80 != 0 {
+		return tied(t, e)
+	}
 	return e
 }
 
@@ -52,13 +58,15 @@ func fuzzGraph(n int, data []byte) *graph.Graph {
 	return g
 }
 
-// FuzzDijkstraEquivalence: for any context and any graph — connected or not
-// — the heap kernel must match the reference from every source, and the
-// evaluation built on it must match the reference's bit for bit.
+// FuzzDijkstraEquivalence: for any context, real or integer distances, and
+// any graph — connected or not — the kernel must match the reference from
+// every source, stopped early and not, and the evaluation built on it must
+// match the reference's bit for bit.
 func FuzzDijkstraEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{8, 0xff, 0x3c, 0x81})
 	f.Add(int64(42), []byte{20, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80})
 	f.Add(int64(-7), []byte{31})
+	f.Add(int64(3), []byte{0x80 | 12, 0xff, 0x0f, 0xf0, 0x55, 0xaa, 0x33, 0xcc, 0x81, 0x42})
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
 		if len(data) == 0 {
 			return

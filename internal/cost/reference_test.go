@@ -58,36 +58,68 @@ func referenceDijkstra(e *Evaluator, src int) sourceRun {
 	}
 }
 
-// kernelRun runs the production kernel from src and copies its result out
-// of the scratch, keeping only the finalized prefix of the order.
-func kernelRun(e *Evaluator, src int) sourceRun {
-	count := e.dijkstra(src)
+// kernelRun runs the production kernel from src with stop bound lo and
+// copies its result out of the scratch, keeping only the finalized prefix
+// of the order.
+func kernelRun(e *Evaluator, src, lo int) (sourceRun, bool) {
+	count, ok := e.dijkstra(src, lo)
 	return sourceRun{
 		dist:   append([]float64(nil), e.dj.dist...),
 		parent: append([]int32(nil), e.dj.parent...),
 		order:  append([]int32(nil), e.dj.order[:count]...),
-	}
+	}, ok
 }
 
 // checkKernelAgainstReference fails the test unless the production kernel
-// and the reference agree bit for bit from every source of g.
+// and the reference agree bit for bit from every source s of g, both
+// routing the whole component (lo = 0, as Evaluate does) and stopped early
+// (lo = s+1, as Cost does). Either way the kernel must finalize a prefix
+// of the reference's order, with the reference's distances and parents on
+// it, that ends at the last node ≥ lo when every such node is reachable
+// (ok) and covers the whole reachable set otherwise (not ok). With lo = 0
+// every node's distance and parent must match, unreached ones included.
 func checkKernelAgainstReference(t *testing.T, label string, e *Evaluator, g *graph.Graph) {
 	t.Helper()
+	n := e.n
 	e.fillCSR(g)
-	for s := 0; s < e.n; s++ {
-		got, want := kernelRun(e, s), referenceDijkstra(e, s)
-		if len(got.order) != len(want.order) {
-			t.Fatalf("%s: source %d reaches %d nodes, reference %d", label, s, len(got.order), len(want.order))
+	for s := 0; s < n; s++ {
+		want := referenceDijkstra(e, s)
+		los := []int{0}
+		if s+1 < n {
+			los = append(los, s+1)
 		}
-		for k := range want.order {
-			if got.order[k] != want.order[k] {
-				t.Fatalf("%s: source %d finalizes %d at step %d, reference %d", label, s, got.order[k], k, want.order[k])
+		for _, lo := range los {
+			got, ok := kernelRun(e, s, lo)
+			end, above := len(want.order), 0
+			for k, v := range want.order {
+				if int(v) >= lo {
+					if above++; above == n-lo {
+						end = k + 1
+						break
+					}
+				}
 			}
-		}
-		for v := range want.dist {
-			if math.Float64bits(got.dist[v]) != math.Float64bits(want.dist[v]) || got.parent[v] != want.parent[v] {
-				t.Fatalf("%s: source %d node %d: dist %v parent %d, reference %v parent %d",
-					label, s, v, got.dist[v], got.parent[v], want.dist[v], want.parent[v])
+			if ok != (above == n-lo) || len(got.order) != end {
+				t.Fatalf("%s: source %d lo %d finalizes %d nodes (ok %v), want %d (ok %v)",
+					label, s, lo, len(got.order), ok, end, above == n-lo)
+			}
+			for k, v := range got.order {
+				if v != want.order[k] {
+					t.Fatalf("%s: source %d lo %d finalizes %d at step %d, reference %d", label, s, lo, v, k, want.order[k])
+				}
+			}
+			check := got.order
+			if lo == 0 {
+				check = make([]int32, n)
+				for v := range check {
+					check[v] = int32(v)
+				}
+			}
+			for _, v := range check {
+				if math.Float64bits(got.dist[v]) != math.Float64bits(want.dist[v]) || got.parent[v] != want.parent[v] {
+					t.Fatalf("%s: source %d lo %d node %d: dist %v parent %d, reference %v parent %d",
+						label, s, lo, v, got.dist[v], got.parent[v], want.dist[v], want.parent[v])
+				}
 			}
 		}
 	}
@@ -129,7 +161,7 @@ func (e *Evaluator) RouteCost(g *graph.Graph) float64 {
 	e.fillCSR(g)
 	var total float64
 	for s := 0; s < n; s++ {
-		e.dijkstra(s)
+		e.dijkstra(s, 0)
 		for d := s + 1; d < n; d++ {
 			if math.IsInf(e.dj.dist[d], 1) {
 				return math.Inf(1)

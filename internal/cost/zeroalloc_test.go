@@ -102,10 +102,11 @@ func TestZeroAllocMemo(t *testing.T) {
 }
 
 // poisonScratch fills every pooled buffer with values that make any stale
-// read detectable: NaN distances and loads, out-of-range node indices in
-// parent/order/hpos (indexing with one panics). A correct evaluation
-// fully re-initializes everything it reads, so results after poisoning
-// must stay bit-identical to a fresh evaluator's.
+// read detectable: NaN distances, heap keys and loads, out-of-range node
+// indices in parent, order and the heap's nodes and pos (indexing with one
+// panics). A correct evaluation fully re-initializes everything it reads,
+// so results after poisoning must stay bit-identical to a fresh
+// evaluator's.
 func poisonScratch(e *Evaluator) {
 	n := e.n
 	bad := int32(n + 7)
@@ -118,8 +119,10 @@ func poisonScratch(e *Evaluator) {
 	for i := range e.dj.load {
 		e.dj.load[i] = math.NaN()
 	}
-	for i := range e.dj.hpos {
-		e.dj.hpos[i] = bad
+	for i := range e.dj.pos {
+		e.dj.pos[i] = bad
+		e.dj.nodes[i] = bad
+		e.dj.keys[i] = math.NaN()
 	}
 	for i := range e.csr.rowStart {
 		e.csr.rowStart[i] = -1
